@@ -2,13 +2,15 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload tall_panel --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload tall_panel --seed 0 --seconds 30 --trace 0
 
 ``--trace 0`` runs every command as its own process and reports the
-end-to-end metrics. ``--trace 1`` runs the same commands in process through
-``specrcv.cli.main``, once plain and once with spans around each module's
-public functions, and reports the per-layer metrics and the tracing
-overhead. Without ``--workload`` all three workloads run in turn. The last
+end-to-end metrics. A run of ``reference_job.py`` comes before each pass and
+after each command, and each time is scaled to a host on which that
+reference process takes ``REFERENCE_S`` seconds. ``--trace 1`` runs the
+same commands in process through ``specrcv.cli.main``, once plain and once
+with spans around each module's public functions, and reports the
+per-layer metrics and the tracing overhead. Without ``--workload`` all three workloads run in turn. The last
 line of standard output is one JSON object with the keys ``correct``,
 ``attempted``, ``failed`` and ``metrics``.
 """
@@ -35,6 +37,11 @@ WORK = ROOT / ".perfbench_work"
 THREADS = {"SPECRCV_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 SETUPS = 5           # set-up repeats per run; setup_s is their median
 STARTUP_RUNS = 5     # `specrcv --version` processes timed for cli.startup_s
+REFERENCE_JOB = Path(__file__).resolve().parent / "reference_job.py"
+# Nominal wall time of the reference process (about its median on a 2-CPU
+# x86-64 virtual machine): a command's time t, enclosed by two reference
+# processes that took r on average, is reported as t * REFERENCE_S / r.
+REFERENCE_S = 0.3
 
 if not ((ROOT / "src" / "specrcv" / "__init__.py").is_file()
         and (ROOT / "tests" / "oracles.py").is_file()):
@@ -67,10 +74,15 @@ class OpResult:
     stderr: str
     known_fault: str | None
     errors: list[str] = field(default_factory=list)
+    ref: float | None = None   # mean time of the reference processes run just before and after
 
     @property
     def elapsed(self) -> float:
         return self.end - self.start
+
+    @property
+    def scaled(self) -> float:
+        return self.elapsed * REFERENCE_S / self.ref
 
 
 def run_process(args: list[str], log_dir: Path, index: int, env: dict):
@@ -85,6 +97,14 @@ def run_process(args: list[str], log_dir: Path, index: int, env: dict):
     proc.returncode = os.waitstatus_to_exitcode(status)
     return (start, end, proc.returncode, usage.ru_maxrss,
             out_path.read_text(encoding="utf-8"), err_path.read_text(encoding="utf-8"))
+
+
+def reference_time(env: dict) -> float:
+    """Wall time of one ``reference_job.py`` process."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, str(REFERENCE_JOB)], cwd=ROOT, env=env,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True)
+    return time.perf_counter() - start
 
 
 def run_in_process(args: list[str]):
@@ -107,17 +127,28 @@ def _out_dir(args: list[str]) -> Path | None:
 
 
 def run_pass(workload, pass_dir: Path, refs: dict, seed: int, runner,
-             tracer: tracing.Tracer | None = None, digests: dict | None = None):
-    """Run one pass's commands back to back, then check every output."""
+             tracer: tracing.Tracer | None = None, digests: dict | None = None,
+             reference=None):
+    """Run one pass's commands back to back, then check every output.
+
+    With ``reference``, ``reference()`` runs before the first command and
+    after each one, and each command keeps the mean of the two that enclose
+    it as its ``ref``.
+    """
     if pass_dir.exists():
         shutil.rmtree(pass_dir)
     pass_dir.mkdir(parents=True)
     ops = workload.ops(pass_dir, refs, seed)
     results = []
+    before = reference() if reference is not None else None
     for index, op in enumerate(ops):
         if tracer is not None:
             tracer.command = index
         results.append(OpResult(op.kind, *runner(op.args, pass_dir, index), op.known_fault))
+        if reference is not None:
+            after = reference()
+            results[-1].ref = 0.5 * (before + after)
+            before = after
     for index, (op, res) in enumerate(zip(ops, results)):
         if res.rc != 0:
             res.errors.append(f"exit {res.rc}: {res.stderr.strip()[-300:]}")
@@ -136,10 +167,14 @@ def run_pass(workload, pass_dir: Path, refs: dict, seed: int, runner,
     return results
 
 
-def _setup(workload, name: str, env: dict, repeats: int):
-    """Run set-up ``repeats`` times; returns the last set-up's references and every time."""
+def _setup(workload, name: str, env: dict, repeats: int, reference=None):
+    """Run set-up ``repeats`` times.
+
+    Returns the last set-up's references, each set-up's time and, when
+    ``reference`` is given, the time of the ``reference()`` run after each.
+    """
     root = WORK / name / "setup"
-    times = []
+    times, ref_times = [], []
     for _ in range(repeats):
         if root.exists():
             shutil.rmtree(root)
@@ -147,7 +182,9 @@ def _setup(workload, name: str, env: dict, repeats: int):
         start = time.perf_counter()
         refs = workload.setup(root, env)
         times.append(time.perf_counter() - start)
-    return refs, times
+        if reference is not None:
+            ref_times.append(reference())
+    return refs, times, ref_times
 
 
 def _pass_wall(results) -> float:
@@ -167,42 +204,68 @@ def _tally(passes) -> tuple[int, int, bool, list[str]]:
     return attempted, failed, not unexpected, unexpected
 
 
+KINDS = {"simulate", "estimate", "compare", "solve", "recover"}
+
+
+def _end_to_end(passes, setup_times, time_of) -> dict:
+    """The end-to-end metrics, with ``time_of(result)`` as each command's time."""
+    def per_op(kind):
+        return statistics.median(time_of(r) for p in passes for r in p if r.kind == kind)
+
+    def per_pass(kinds):
+        return statistics.median(sum(time_of(r) for r in p if r.kind in kinds) for p in passes)
+
+    return {
+        "setup_s": (statistics.median(setup_times), "s"),
+        "wall_s": (per_pass(KINDS), "s"),
+        "simulate_s": (per_op("simulate"), "s"),
+        "estimate_s": (per_op("estimate"), "s"),
+        "compare_s": (per_op("compare"), "s"),
+        "solve_s": (per_pass({"solve"}), "s"),
+        "recover_s": (per_pass({"recover"}), "s"),
+        "peak_rss_mb": (max(r.rss_kb for p in passes for r in p) / 1024.0, "MB"),
+    }
+
+
 def measure(name: str, seed: int, seconds: float):
-    """End-to-end metrics: every command as its own process."""
+    """End-to-end metrics: every command as its own process.
+
+    The host's speed drifts on every time scale from a second to minutes,
+    so each command's time is scaled by the reference processes run just
+    before and after it, and each set-up's by the one run after it. Returns
+    the passes, the scaled metrics, the unscaled ones and the median
+    reference time.
+    """
     workload = WORKLOADS[name]
     env = command_env()
-    refs, setup_times = _setup(workload, name, env, SETUPS)
+
+    def reference():
+        return reference_time(env)
+
+    reference()   # the reference process's first run reads its files from disk
+    refs, setup_times, setup_refs = _setup(workload, name, env, SETUPS, reference)
     digests: dict = {}
 
     def runner(args, pass_dir, index):
         return run_process(args, pass_dir, index, env)
 
-    # Whole passes only, started while the run is younger than --seconds.
-    passes = []
+    # Whole passes only: another one starts while less than --seconds minus a
+    # quarter of a pass have gone by, so a run measures about --seconds.
+    passes, durations = [], []
     started = time.perf_counter()
-    while not passes or time.perf_counter() - started < seconds:
+    while not passes or (time.perf_counter() - started
+                         + 0.25 * statistics.median(durations) < seconds):
+        pass_start = time.perf_counter()
         passes.append(run_pass(workload, WORK / name / f"pass{len(passes)}", refs, seed,
-                               runner, digests=digests))
+                               runner, digests=digests, reference=reference))
+        durations.append(time.perf_counter() - pass_start)
 
     shutil.rmtree(WORK / name / "setup")
-
-    def per_op(kind):
-        return statistics.median(r.elapsed for p in passes for r in p if r.kind == kind)
-
-    def per_pass(kind):
-        return statistics.median(sum(r.elapsed for r in p if r.kind == kind) for p in passes)
-
-    metrics = {
-        "setup_s": (statistics.median(setup_times), "s"),
-        "wall_s": (statistics.median(_pass_wall(p) for p in passes), "s"),
-        "simulate_s": (per_op("simulate"), "s"),
-        "estimate_s": (per_op("estimate"), "s"),
-        "compare_s": (per_op("compare"), "s"),
-        "solve_s": (per_pass("solve"), "s"),
-        "recover_s": (per_pass("recover"), "s"),
-        "peak_rss_mb": (max(r.rss_kb for p in passes for r in p) / 1024.0, "MB"),
-    }
-    return passes, metrics
+    scaled_setup = [t * REFERENCE_S / r for t, r in zip(setup_times, setup_refs)]
+    metrics = _end_to_end(passes, scaled_setup, lambda r: r.scaled)
+    raw = _end_to_end(passes, setup_times, lambda r: r.elapsed)
+    ref_median = statistics.median(r.ref for p in passes for r in p)
+    return passes, metrics, raw, ref_median
 
 
 def measure_traced(name: str, seed: int):
@@ -215,7 +278,7 @@ def measure_traced(name: str, seed: int):
     """
     workload = WORKLOADS[name]
     env = command_env()
-    refs, _ = _setup(workload, name, env, 1)
+    refs, _, _ = _setup(workload, name, env, 1)
     startup = []
     for _ in range(STARTUP_RUNS):
         start = time.perf_counter()
@@ -261,13 +324,18 @@ def main(argv=None) -> int:
     for name in names:
         if args.trace:
             passes, metrics = measure_traced(name, args.seed)
+            raw = ref_median = None
         else:
-            passes, metrics = measure(name, args.seed, args.seconds)
+            passes, metrics, raw, ref_median = measure(name, args.seed, args.seconds)
         attempted, failed, correct, unexpected = _tally(passes)
         print(f"[{name}] seed {args.seed}: {len(passes)} passes; inputs: "
               f"{WORKLOADS[name].inputs}")
+        if raw is not None:
+            print(f"  times scaled to a {REFERENCE_S} s reference process; its median here "
+                  f"was {ref_median:.4g} s; unscaled figures in brackets")
         for metric, (value, unit) in metrics.items():
-            print(f"  {metric:40s} {value:14.6g} {unit}")
+            extra = f"  [{raw[metric][0]:.6g}]" if raw is not None else ""
+            print(f"  {metric:40s} {value:14.6g} {unit}{extra}")
         print(f"  operations attempted {attempted}, failed {failed}")
         known = sorted({r.known_fault for p in passes for r in p if r.errors and r.known_fault})
         for fault in known:

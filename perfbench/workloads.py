@@ -149,9 +149,11 @@ def _recover_check(out: Path, esd_path: Path, truth: float | None = None,
 
 def _panel(p: int, n: int):
     y = p / n
-    # MP(y, ICV) tabulated by the CLI on a grid past twice its upper edge.
+    # MP(y, ICV) tabulated by the CLI on a grid past twice its upper edge,
+    # once evenly spaced and once log-spaced down to hi / 1000.
     hi = 2.0 * ICV * (1.0 + np.sqrt(y)) ** 2
     mp_grid = f"{_g(hi / 100.0)}:{_g(hi)}:400"
+    mp_log_grid = f"log:{_g(hi / 1000.0)}:{_g(hi)}:400"
     mp_bandwidth = _g(1e-3 * hi)
 
     def setup(root: Path, env: dict) -> dict:
@@ -173,12 +175,14 @@ def _panel(p: int, n: int):
         est = [d / f"est{r}" for r in range(2)]
         tv = [est[r] / "increments_r0_tvarcv_eigenvalues.csv" for r in range(2)]
 
-        def check_solve(_):
-            zs, m = C.read_solver_trace(d / "mp" / "solver_trace.csv")
-            ref = np.array([oracles.mp_stieltjes_quadratic(y, ICV, z) for z in zs])
-            law = _density_law(d / "mp" / "density.csv")
-            return (C.check_atom(law.atom, y) + C.check_stieltjes(m, ref)
-                    + C.check_curve(law, refs["mp"]))
+        def check_solve(out: Path):
+            def check(_):
+                zs, m = C.read_solver_trace(out / "solver_trace.csv")
+                ref = np.array([oracles.mp_stieltjes_quadratic(y, ICV, z) for z in zs])
+                law = _density_law(out / "density.csv")
+                return (C.check_atom(law.atom, y) + C.check_stieltjes(m, ref)
+                        + C.check_curve(law, refs["mp"]))
+            return check
 
         result = [
             Op("simulate", ["simulate", "--design", "1", "--p", str(p), "--n", str(n),
@@ -197,7 +201,11 @@ def _panel(p: int, n: int):
             Op("compare", ["compare", str(tv[0]), str(tv[1])], _samples_check(tv[0], tv[1])),
             Op("solve", ["solve", "--weights", f"constant:{_g(ICV)}", "--y", _g(y),
                          "--xs", mp_grid, "--bandwidth", mp_bandwidth, "--out", str(d / "mp")],
-               check_solve),
+               check_solve(d / "mp")),
+            Op("solve", ["solve", "--weights", f"constant:{_g(ICV)}", "--y", _g(y),
+                         "--xs", mp_log_grid, "--bandwidth", mp_bandwidth,
+                         "--out", str(d / "mp_log")],
+               check_solve(d / "mp_log")),
             Op("compare", ["compare", str(tv[0]), str(d / "mp" / "density.csv")],
                _esd_law_check(tv[0], d / "mp" / "density.csv")),
             Op("recover", ["recover", "--esd", str(refs["quantiles"]), "--y", _g(y),
@@ -210,7 +218,8 @@ def _panel(p: int, n: int):
               f"one process each (about {p * n / 1e6:.0f}M cells of text each); "
               "estimate --which both on each "
               f"file; compare the two TVARCV files; solve MP(y = {y:g}, 4e-4) on 400 points "
-              f"to {hi:.3g} at bandwidth {1e-3 * hi:.3g}; compare TVARCV r0 with that law; "
+              f"to {hi:.3g} at bandwidth {1e-3 * hi:.3g}, once evenly and once log-spaced "
+              "from hi / 1000; compare TVARCV r0 with the evenly spaced law; "
               f"recover --max-iter {PANEL_RECOVER_ITERS} from the {p} MP quantiles "
               "written in set-up")
     return setup, ops, inputs

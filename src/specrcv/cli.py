@@ -53,6 +53,7 @@ from .spectra import (
     histogram,
     kolmogorov_distance,
     levy_distance,
+    zero_roundoff,
 )
 
 _DESIGNS = ("design1", "design2")
@@ -227,7 +228,7 @@ def cmd_estimate(config: dict) -> int:
             entry["trace_identity_rel"] = rel
             outputs.append(adjusted)
         for est in outputs:
-            dist = esd(est.matrix)
+            dist = zero_roundoff(esd(est.matrix))
             meta = {"estimator": est.kind, "n": est.n, "digest": est.spec_digest}
             epath = out / f"{path.stem}_{est.kind}_eigenvalues.csv"
             io.write_eigenvalues_csv(epath, dist, meta)

@@ -32,6 +32,14 @@ SIMPSON_PANELS = 64
 _COMPARATOR_SALT = 0xC3A5C85C97CB3127
 
 
+def simpson_weights(panels: int) -> np.ndarray:
+    """Unscaled composite Simpson weights 1, 4, 2, 4, ..., 4, 1 on panels + 1 nodes."""
+    w = np.ones(panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 class VolatilityProfile:
     """Deterministic scalar volatility path t -> gamma_t on [0, 1], gamma_t > 0."""
 
@@ -190,9 +198,7 @@ class SampledProfile(VolatilityProfile):
         k = np.arange(SIMPSON_PANELS + 1)
         nodes = a[:, None] + (b - a)[:, None] * (k[None, :] / SIMPSON_PANELS)
         f = self.gamma_sq(nodes.ravel()).reshape(nodes.shape)
-        w = np.ones(SIMPSON_PANELS + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
+        w = simpson_weights(SIMPSON_PANELS)
         h = (b - a) / SIMPSON_PANELS
         return h / 3.0 * (f * w[None, :]).sum(axis=1)
 

@@ -13,6 +13,16 @@ replaces the i.i.d. sampling weights by a profile w_s on [0, 1]:
     M(z)       = -(1/z) integral_0^1 w_s / (1 + y m~(z) w_s) ds
     m~(z)      = -(1/z) integral tau dH(tau) / (tau M(z) + 1).
 
+One vectorized Newton core (``_pair_core``) solves the pair (M, m~) for
+both: the classical equation is the unit-weight case, in which M is the
+companion transform -(1 - y)/z + y m. A cold probe x + iv is reached by
+continuation in Im z, from a level above the support where the large-|z|
+asymptotics are accurate down to v, halving Im z per level. A warm start
+M skips the continuation. The damped fixed-point map is kept only as
+the fallback step where Newton makes no progress, and a probe on which
+neither step lowers the residual stops there instead of running to
+SOLVER_MAX_ITER. Iteration counts are accepted Newton and fallback steps.
+
 Densities come out by Stieltjes inversion f(x) = Im m(x + iv) / pi, and
 population spectra go back in through a projected-gradient least-squares
 fit of the forward model to an empirical transform.
@@ -24,13 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covmodel import SpectralDistribution
-from .diffusion import ConstantProfile, PiecewiseProfile, VolatilityProfile
+from .diffusion import ConstantProfile, PiecewiseProfile, VolatilityProfile, simpson_weights
 from .errors import BadGridError, BadProfileError, NoConvergenceError, NonFiniteError
 from .spectra import DensityCurve, StieltjesGrid, empirical_stieltjes
 
 SOLVER_TOL = 1e-10
 SOLVER_MAX_ITER = 100_000
-ALPHA_FLOOR = 1.0 / 16.0
 
 RECOVER_MAX_ITER = 10_000
 
@@ -93,11 +102,12 @@ class PopulationSpectrum:
 class WeightProfile:
     """Nonnegative weight function w_s on [0, 1], step or sampled.
 
-    A step profile stores values per cell of an edge partition and its
-    s-integrals are computed in closed form. A sampled profile stores values
+    A step profile stores values per cell of an edge partition; its
+    s-integrals are exact sums over the cells. A sampled profile stores values
     on a uniform grid (linear interpolation) and integrates by composite
-    Simpson on 512 panels. ``kappa`` is the declared upper bound; it defaults
-    to the observed maximum.
+    Simpson on 512 panels. Either way the solver sees one quadrature rule,
+    nodes ``_nodes`` with weights ``_node_weights``. ``kappa`` is the
+    declared upper bound; it defaults to the observed maximum.
     """
 
     kind: str
@@ -133,20 +143,15 @@ class WeightProfile:
             )
         object.__setattr__(self, "kappa", kappa)
         if self.kind == "step":
-            lens = np.diff(self.edges)
-            lens.setflags(write=False)
-            object.__setattr__(self, "_cell_lengths", lens)
+            nodes, node_weights = vals, np.diff(self.edges)
         else:
             s = np.linspace(0.0, 1.0, _QUAD_NODES)
-            w = np.interp(s, np.linspace(0.0, 1.0, vals.size), vals)
-            simp = np.ones(_QUAD_NODES)
-            simp[1:-1:2] = 4.0
-            simp[2:-1:2] = 2.0
-            simp *= 1.0 / (_QUAD_NODES - 1) / 3.0
-            w.setflags(write=False)
-            simp.setflags(write=False)
-            object.__setattr__(self, "_quad_values", w)
-            object.__setattr__(self, "_quad_weights", simp)
+            nodes = np.interp(s, np.linspace(0.0, 1.0, vals.size), vals)
+            node_weights = simpson_weights(_QUAD_NODES - 1) * (1.0 / (_QUAD_NODES - 1) / 3.0)
+        nodes.setflags(write=False)
+        node_weights.setflags(write=False)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_node_weights", node_weights)
 
     @classmethod
     def constant(cls, c: float) -> "WeightProfile":
@@ -172,29 +177,10 @@ class WeightProfile:
 
     def mean(self) -> float:
         """Integral of w_s over [0, 1]."""
-        if self.kind == "step":
-            return float(self._cell_lengths @ self.values)
-        return float(self._quad_weights @ self._quad_values)
+        return float(self._node_weights @ self._nodes)
 
-    def _int_w_over(self, a: np.ndarray) -> np.ndarray:
-        """Integral of w_s / (1 + a w_s) ds for an array of complex a."""
-        if self.kind == "step":
-            w = self.values[:, None]
-            lens = self._cell_lengths[:, None]
-            return np.sum(lens * w / (1.0 + a[None, :] * w), axis=0)
-        w = self._quad_values[:, None]
-        qw = self._quad_weights[:, None]
-        return np.sum(qw * w / (1.0 + a[None, :] * w), axis=0)
 
-    def _int_one_over(self, a: np.ndarray) -> np.ndarray:
-        """Integral of 1 / (1 + a w_s) ds for an array of complex a."""
-        if self.kind == "step":
-            w = self.values[:, None]
-            lens = self._cell_lengths[:, None]
-            return np.sum(lens / (1.0 + a[None, :] * w), axis=0)
-        w = self._quad_values[:, None]
-        qw = self._quad_weights[:, None]
-        return np.sum(qw / (1.0 + a[None, :] * w), axis=0)
+_UNIT_WEIGHT = WeightProfile.constant(1.0)
 
 
 @dataclass(frozen=True)
@@ -270,77 +256,187 @@ def mp_law_curve(params: MPLawParams, points: int = 2001) -> DensityCurve:
 
 
 # ---------------------------------------------------------------------------
-# classical equation
+# solver core
+
+# Relative residual at which an intermediate continuation level ends.
+_LEVEL_RTOL = 1e-6
+# Step lengths 1, 1/2, ..., 1/16 tried along a search direction. A Newton step
+# that must be cut further marks a region where the damped fixed-point map,
+# which keeps to the upper half-plane branch, does better.
+_STEP_HALVINGS = 5
+_EVAL_KEYS = ("res", "gM", "gmt", "a", "b")
 
 
-def _compress(arrs, keep):
-    return [a[keep] for a in arrs]
+def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, initial=None,
+               measure=None):
+    """Newton solve of the weighted pair system, vectorized over the probes zs.
 
+    With F1 = M - g_M(m~), F2 = m~ - g_m~(M) for the right-hand sides g of the
+    pair equations, a = g_M'(m~) = (y/z) int w^2/(1 + y m~ w)^2 ds and
+    b = g_m~'(M) = (1/z) int tau^2/(tau M + 1)^2 dH, the Newton step is
+    dM = -(F1 + a F2)/(1 - a b), dm~ = -F2 + b dM. A step is halved until it
+    lowers the pair residual |F1| + |F2| and keeps Im M, Im m~ >= 0. When no
+    Newton step does, the damped fixed-point step (M, m~) -> (g_M, g_m~) is
+    tried the same way; a probe on which neither makes progress stops.
 
-def _classical_core(locs, wts, y, zs, tol, max_iter, initial=None):
-    """Damped fixed-point solve of the classical equation, vectorized over z.
-
-    Iterates the equivalent companion-transform map
-
-        mb  ->  -1 / (z - y * integral tau/(1 + tau mb) dH(tau)),
-
-    a holomorphic self-map of the upper half-plane, so the iteration cannot
-    lock onto a spurious branch; the reported residual is measured on the
-    original m-equation at m = (mb + (1-y)/z)/y. Damping factors start at 1,
-    halve whenever the residual increases, and floor at ALPHA_FLOOR.
-    Returns (m, mb, residual, iterations) aligned with zs.
+    Without ``initial`` each probe x + iv starts at Im z = max(|x|, v,
+    kappa tau_max (1 + sqrt y)^2) from the large-|z| asymptotics
+    M = -(1/z) int w ds, m~ = -(1/z) int tau dH, and halves Im z level by
+    level down to v, carrying M and m~ over by the factor z_old / z_new.
+    Intermediate levels end at relative residual _LEVEL_RTOL; the last one
+    at ``measure(z, M)`` <= tol (default: the pair residual). A warm
+    start ``initial`` = M begins at the probe itself, with m~ from the second
+    pair equation under the current H (a warm m~ from another H puts the
+    start outside Newton's basin). A probe it leaves above tol is solved
+    again from the cold start.
+    Returns (M, m_tilde, residual, iterations) aligned with zs, where
+    iterations counts accepted steps.
     """
     locs = np.asarray(locs, dtype=float)[:, None]
     wts = np.asarray(wts, dtype=float)[:, None]
     zs = np.asarray(zs, dtype=complex).ravel()
     k = zs.size
+    nodes, quad = w._nodes[:, None], w._node_weights[:, None]
+    h_tau, h_tau2 = wts * locs, wts * locs * locs
 
-    def residual_of(z, m):
+    def evaluate(z, M, mt):
+        e = nodes / (1.0 + (y * mt)[None, :] * nodes)
+        d = 1.0 / (locs * M[None, :] + 1.0)
+        gM = -np.sum(quad * e, axis=0) / z
+        gmt = -np.sum(h_tau * d, axis=0) / z
+        a = y * np.sum(quad * e * e, axis=0) / z
+        b = np.sum(h_tau2 * d * d, axis=0) / z
+        res = np.abs(gM - M) + np.abs(gmt - mt)
+        ok = np.isfinite(res) & (M.imag >= 0.0) & (mt.imag >= 0.0)
+        return np.where(ok, res, np.inf), gM, gmt, a, b
+
+    def search(s, sel, dM, dmt):
+        """Move probes sel by the first of t = 1, 1/2, ... that lowers the residual."""
+        moved = np.zeros(sel.size, dtype=bool)
+        pend = np.arange(sel.size)
+        t = 1.0
+        for _ in range(_STEP_HALVINGS):
+            j = sel[pend]
+            M1 = s["M"][j] + t * dM[pend]
+            mt1 = s["mt"][j] + t * dmt[pend]
+            trial = evaluate(s["z"][j], M1, mt1)
+            ok = trial[0] < s["res"][j]
+            jj = j[ok]
+            s["M"][jj], s["mt"][jj] = M1[ok], mt1[ok]
+            for key, val in zip(_EVAL_KEYS, trial):
+                s[key][jj] = val[ok]
+            moved[pend[ok]] = True
+            pend = pend[~ok]
+            if pend.size == 0:
+                break
+            t /= 2.0
+        return moved
+
+    if initial is None:
+        edge = w.kappa * float(locs.max()) * (1.0 + np.sqrt(y)) ** 2
+        # fmax/fmin keep the schedule finite when the edge overflows.
+        v_top = np.fmax(np.maximum(np.abs(zs.real), zs.imag), edge)
+        z = zs.real + 1j * np.fmin(v_top, np.finfo(float).max)
+        M = -w.mean() / z
+        mt = -float(h_tau.sum()) / z
+    else:
+        z = zs.copy()
+        M = np.array(initial, dtype=complex).ravel()
+        with np.errstate(all="ignore"):
+            mt = -np.sum(h_tau / (locs * M[None, :] + 1.0), axis=0) / z
+    M_out, mt_out = M.copy(), mt.copy()
+    res_out = np.full(k, np.inf)
+    it_out = np.zeros(k, dtype=int)
+    with np.errstate(all="ignore"):
+        s = {"idx": np.arange(k), "z": z, "M": M, "mt": mt,
+             "its": np.zeros(k, dtype=int), "stuck": np.zeros(k, dtype=bool)}
+        s.update(zip(_EVAL_KEYS, evaluate(z, M, mt)))
+        while s["idx"].size:
+            target = zs[s["idx"]]
+            final = s["z"].imag <= target.imag
+            rep = np.full(final.size, np.inf)
+            if measure is None:
+                rep[final] = s["res"][final]
+            elif final.any():
+                rep[final] = measure(s["z"][final], s["M"][final])
+            met = np.where(final, rep <= tol,
+                           s["res"] <= _LEVEL_RTOL * (np.abs(s["M"]) + np.abs(s["mt"])))
+            stop = (final & (met | s["stuck"])) | (s["its"] >= max_iter)
+            if stop.any():
+                sel = s["idx"][stop]
+                M_out[sel], mt_out[sel] = s["M"][stop], s["mt"][stop]
+                res_out[sel], it_out[sel] = rep[stop], s["its"][stop]
+                keep = ~stop
+                s = {key: val[keep] for key, val in s.items()}
+                target, met = target[keep], met[keep]
+            up = np.flatnonzero(met | s["stuck"])
+            if up.size:
+                z_old = s["z"][up]
+                z_new = target[up].real + 1j * np.maximum(z_old.imag / 2.0, target[up].imag)
+                s["z"][up] = z_new
+                s["M"][up] *= z_old / z_new
+                s["mt"][up] *= z_old / z_new
+                s["stuck"][up] = False
+                for key, val in zip(_EVAL_KEYS, evaluate(z_new, s["M"][up], s["mt"][up])):
+                    s[key][up] = val
+            sel = np.flatnonzero(~(met | s["stuck"]))
+            if sel.size == 0:
+                continue
+            F1 = s["M"][sel] - s["gM"][sel]
+            F2 = s["mt"][sel] - s["gmt"][sel]
+            a, b = s["a"][sel], s["b"][sel]
+            dM = -(F1 + a * F2) / (1.0 - a * b)
+            moved = search(s, sel, dM, -F2 + b * dM)
+            rest = np.flatnonzero(~moved)
+            if rest.size:
+                damped = search(s, sel[rest], -F1[rest], -F2[rest])
+                moved[rest] = damped
+                s["stuck"][sel[rest[~damped]]] = True
+            s["its"][sel] += moved
+    redo = np.flatnonzero(~(res_out <= tol)) if initial is not None else []
+    if len(redo):
+        M_r, mt_r, res_r, it_r = _pair_core(locs[:, 0], wts[:, 0], w, y, zs[redo], tol,
+                                            max_iter, measure=measure)
+        M_out[redo], mt_out[redo], res_out[redo] = M_r, mt_r, res_r
+        it_out[redo] += it_r
+    return M_out, mt_out, res_out, it_out
+
+
+def _check_inputs(y, zs) -> np.ndarray:
+    if not (np.isfinite(y) and y > 0):
+        raise ValueError(f"need y > 0, got {y}")
+    zs = np.asarray(zs, dtype=complex).ravel()
+    if zs.size == 0 or not np.all(np.isfinite(zs)) or np.any(zs.imag <= 0):
+        raise BadGridError("probe points must be nonempty and finite with Im z > 0")
+    return zs
+
+
+# ---------------------------------------------------------------------------
+# classical equation
+
+
+def _classical(locs, wts, y, zs, tol, max_iter, initial=None):
+    """Classical equation as the pair system with unit weight, vectorized over z.
+
+    For w = 1 the pair's M is the companion transform -(1 - y)/z + y m,
+    so m = (M + (1 - y)/z) / y; the reported residual is that of the
+    original m-equation at this m. ``initial`` is a warm start M.
+    Returns (m, M, residual, iterations) aligned with the array zs.
+    """
+
+    def m_of(z, M):
+        return (M + (1.0 - y) / z) / y
+
+    def m_residual(z, M):
+        m = m_of(z, M)
         u = 1.0 - y * (1.0 + z * m)
-        g = np.sum(wts / (locs * u[None, :] - z[None, :]), axis=0)
+        g = np.sum(wts[:, None] / (locs[:, None] * u[None, :] - z[None, :]), axis=0)
         r = np.abs(g - m)
         return np.where(np.isfinite(r), r, np.inf)
 
-    def companion_map(z, mb):
-        s = np.sum(wts * locs / (1.0 + locs * mb[None, :]), axis=0)
-        return -1.0 / (z - y * s)
-
-    mb_out = np.array(initial, dtype=complex) if initial is not None else -1.0 / zs
-    res_out = np.empty(k)
-    it_out = np.zeros(k, dtype=int)
-
-    idx = np.arange(k)
-    z = zs.copy()
-    mb = mb_out.copy()
-    alpha = np.ones(k)
-    with np.errstate(all="ignore"):
-        res = residual_of(z, (mb + (1.0 - y) / z) / y)
-        for it in range(max_iter + 1):
-            done = res <= tol
-            if np.any(done):
-                sel = idx[done]
-                mb_out[sel] = mb[done]
-                res_out[sel] = res[done]
-                it_out[sel] = it
-                keep = ~done
-                idx, z, mb, alpha, res = _compress([idx, z, mb, alpha, res], keep)
-                if idx.size == 0:
-                    break
-            if it == max_iter:
-                mb_out[idx] = mb
-                res_out[idx] = res
-                it_out[idx] = it
-                break
-            step = (1.0 - alpha) * mb + alpha * companion_map(z, mb)
-            bad = ~np.isfinite(step)
-            mb_new = np.where(bad, mb, step)
-            res_new = residual_of(z, (mb_new + (1.0 - y) / z) / y)
-            worse = bad | (res_new > res)
-            alpha = np.where(worse, np.maximum(alpha / 2.0, ALPHA_FLOOR), alpha)
-            mb = mb_new
-            res = res_new
-    m_out = (mb_out + (1.0 - y) / zs) / y
-    return m_out, mb_out, res_out, it_out
+    M, _, res, it = _pair_core(locs, wts, _UNIT_WEIGHT, y, zs, tol, max_iter,
+                               initial=initial, measure=m_residual)
+    return m_of(zs, M), M, res, it
 
 
 def solve_mp(
@@ -352,15 +448,10 @@ def solve_mp(
 ) -> complex:
     """Stieltjes transform m(z) of the limit law for population spectrum H.
 
-    Damped fixed-point iteration from m = -1/z; the returned value satisfies
-    the defining equation with residual <= tol and Im m > 0.
+    Newton with continuation in Im z (see _pair_core); the returned value
+    satisfies the defining equation with residual <= tol and Im m > 0.
     """
-    if not (np.isfinite(y) and y > 0):
-        raise ValueError(f"need y > 0, got {y}")
-    z = complex(z)
-    if z.imag <= 0:
-        raise BadGridError(f"need Im z > 0, got {z}")
-    m, _, res, it = _classical_core(H.locations, H.weights, y, [z], tol, max_iter)
+    m, _, res, it = _classical(H.locations, H.weights, y, _check_inputs(y, [z]), tol, max_iter)
     if res[0] > tol or not np.isfinite(m[0]) or m[0].imag <= 0:
         raise NoConvergenceError(int(it[0]), float(res[0]))
     return complex(m[0])
@@ -378,10 +469,7 @@ def solve_mp_grid(
     Returns (values, residuals, iterations); points with residual above tol
     did not converge (no exception, so sweeps can report per-probe status).
     """
-    zs = np.asarray(zs, dtype=complex).ravel()
-    if zs.size == 0 or np.any(zs.imag <= 0):
-        raise BadGridError("probe points must be nonempty with Im z > 0")
-    m, _, res, it = _classical_core(H.locations, H.weights, y, zs, tol, max_iter)
+    m, _, res, it = _classical(H.locations, H.weights, y, _check_inputs(y, zs), tol, max_iter)
     return m, res, it
 
 
@@ -403,81 +491,6 @@ def mp_stieltjes(H: PopulationSpectrum, y: float, tol: float = SOLVER_TOL,
 # weighted system
 
 
-def _weighted_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, initial=None):
-    """Damped fixed-point solve of the weighted pair system, vectorized over z.
-
-    The pair (M, m~) is iterated jointly; the residual sums the defects of
-    both defining equations. Initialization follows the large-|z| asymptotics
-    M = -(1/z) integral w ds and m~ = -(1/z) integral tau dH.
-    Returns (m_fw, M, m_tilde, residual, iterations) aligned with zs.
-    """
-    locs = np.asarray(locs, dtype=float)[:, None]
-    wts = np.asarray(wts, dtype=float)[:, None]
-    zs = np.asarray(zs, dtype=complex).ravel()
-    k = zs.size
-
-    def pair_map(z, big_m, mt):
-        new_m = -(1.0 / z) * w._int_w_over(y * mt)
-        new_mt = -(1.0 / z) * np.sum(wts * locs / (locs * big_m[None, :] + 1.0), axis=0)
-        return new_m, new_mt
-
-    if initial is not None:
-        m_out = np.array(initial[0], dtype=complex)
-        mt_out = np.array(initial[1], dtype=complex)
-    else:
-        m_out = -(1.0 / zs) * w.mean()
-        mt_out = -(1.0 / zs) * float(np.sum(wts * locs))
-    res_out = np.empty(k)
-    it_out = np.zeros(k, dtype=int)
-
-    idx = np.arange(k)
-    z = zs.copy()
-    big_m = m_out.copy()
-    mt = mt_out.copy()
-    alpha = np.ones(k)
-
-    def residual_of(z, big_m, mt):
-        gm, gmt = pair_map(z, big_m, mt)
-        r = np.abs(gm - big_m) + np.abs(gmt - mt)
-        return np.where(np.isfinite(r), r, np.inf), gm, gmt
-
-    with np.errstate(all="ignore"):
-        res, gm, gmt = residual_of(z, big_m, mt)
-        for it in range(max_iter + 1):
-            done = res <= tol
-            if np.any(done):
-                sel = idx[done]
-                m_out[sel] = big_m[done]
-                mt_out[sel] = mt[done]
-                res_out[sel] = res[done]
-                it_out[sel] = it
-                keep = ~done
-                idx, z, big_m, mt, alpha, res, gm, gmt = _compress(
-                    [idx, z, big_m, mt, alpha, res, gm, gmt], keep
-                )
-                if idx.size == 0:
-                    break
-            if it == max_iter:
-                m_out[idx] = big_m
-                mt_out[idx] = mt
-                res_out[idx] = res
-                it_out[idx] = it
-                break
-            step_m = (1.0 - alpha) * big_m + alpha * gm
-            step_mt = (1.0 - alpha) * mt + alpha * gmt
-            bad = ~(np.isfinite(step_m) & np.isfinite(step_mt))
-            m_new = np.where(bad, big_m, step_m)
-            mt_new = np.where(bad, mt, step_mt)
-            res_new, gm, gmt = residual_of(z, m_new, mt_new)
-            worse = bad | (res_new > res)
-            alpha = np.where(worse, np.maximum(alpha / 2.0, ALPHA_FLOOR), alpha)
-            big_m = m_new
-            mt = mt_new
-            res = res_new
-    m_fw = -(1.0 / zs) * np.sum(wts / (locs * m_out[None, :] + 1.0), axis=0)
-    return m_fw, m_out, mt_out, res_out, it_out
-
-
 def solve_weighted_mp(
     H: PopulationSpectrum,
     w: WeightProfile,
@@ -487,14 +500,8 @@ def solve_weighted_mp(
     max_iter: int = SOLVER_MAX_ITER,
 ) -> WeightedSolveResult:
     """Solve the weighted pair system at one probe point."""
-    if not (np.isfinite(y) and y > 0):
-        raise ValueError(f"need y > 0, got {y}")
     z = complex(z)
-    if z.imag <= 0:
-        raise BadGridError(f"need Im z > 0, got {z}")
-    m_fw, big_m, mt, res, it = _weighted_core(
-        H.locations, H.weights, w, y, [z], tol, max_iter
-    )
+    m_fw, big_m, mt, res, it = solve_weighted_mp_grid(H, w, y, [z], tol, max_iter)
     if res[0] > tol or not np.isfinite(m_fw[0]):
         raise NoConvergenceError(int(it[0]), float(res[0]))
     return WeightedSolveResult(
@@ -516,24 +523,12 @@ def solve_weighted_mp_grid(
     max_iter: int = SOLVER_MAX_ITER,
 ):
     """Vectorized weighted solve; returns (m_fw, M, m_tilde, residuals, iterations)."""
-    zs = np.asarray(zs, dtype=complex).ravel()
-    if zs.size == 0 or np.any(zs.imag <= 0):
-        raise BadGridError("probe points must be nonempty with Im z > 0")
-    return _weighted_core(H.locations, H.weights, w, y, zs, tol, max_iter)
-
-
-def weighted_stieltjes(H: PopulationSpectrum, w: WeightProfile, y: float,
-                       tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER):
-    """Callable z-grid -> m_Fw values for the weighted law; raises on failure."""
-
-    def transform(zs):
-        m_fw, _, _, res, it = solve_weighted_mp_grid(H, w, y, zs, tol=tol, max_iter=max_iter)
-        if np.any(res > tol):
-            worst = int(np.argmax(res))
-            raise NoConvergenceError(int(it[worst]), float(res[worst]))
-        return m_fw
-
-    return transform
+    zs = _check_inputs(y, zs)
+    big_m, mt, res, it = _pair_core(H.locations, H.weights, w, y, zs, tol, max_iter)
+    with np.errstate(all="ignore"):
+        d = H.locations[:, None] * big_m[None, :] + 1.0
+        m_fw = -(1.0 / zs) * np.sum(H.weights[:, None] / d, axis=0)
+    return m_fw, big_m, mt, res, it
 
 
 def weight_profile_from_model(
@@ -676,9 +671,8 @@ def recover_spectrum(
     col = locs[:, None]
 
     def forward(h, warm):
-        m, mb, res, _ = _classical_core(locs, h, y, zs, inner_tol, SOLVER_MAX_ITER,
-                                        initial=warm)
-        return m, mb
+        m, big_m, _, _ = _classical(locs, h, y, zs, inner_tol, SOLVER_MAX_ITER, initial=warm)
+        return m, big_m
 
     def objective(m):
         return float(np.sum(np.abs(m - target) ** 2))

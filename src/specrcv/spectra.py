@@ -177,21 +177,30 @@ def levy_distance(f, g) -> float:
     return float(hi)
 
 
+def zero_roundoff(dist: SpectralDistribution) -> SpectralDistribution:
+    """``dist`` with eigenvalues within ZERO_ATOM_RTOL of zero set to +0.0.
+
+    The threshold is relative to the largest magnitude. The rank deficiency
+    of RCV when p > n is exact, so the threshold only absorbs roundoff, whose
+    sign is arbitrary.
+    """
+    ev = dist.eigenvalues
+    zero = np.abs(ev) <= ZERO_ATOM_RTOL * float(np.max(np.abs(ev)))
+    return SpectralDistribution(np.where(zero, 0.0, ev))
+
+
 def histogram(dist: SpectralDistribution, bins: int | None = None) -> DensityCurve:
     """Normalized eigenvalue histogram as a plot-ready density curve.
 
     Bin count follows Freedman-Diaconis with a floor of 20 unless ``bins``
-    is given. Eigenvalues within ZERO_ATOM_RTOL of zero (relative to the
-    largest magnitude) are split out into ``mass_at_zero``; the rank
-    deficiency of RCV when p > n is exact, so the threshold only absorbs
-    roundoff.
+    is given. Eigenvalues at zero after ``zero_roundoff`` are split out into
+    ``mass_at_zero``.
     """
-    ev = dist.eigenvalues
+    ev = zero_roundoff(dist).eigenvalues
     p = dist.dim
-    scale = float(np.max(np.abs(ev)))
-    if scale == 0.0:
+    if not np.any(ev):
         return DensityCurve(np.array([0.0, 1.0]), np.zeros(2), mass_at_zero=1.0)
-    nonzero = ev[np.abs(ev) > ZERO_ATOM_RTOL * scale]
+    nonzero = ev[ev != 0.0]
     mass0 = 1.0 - nonzero.size / p
     lo, hi = float(nonzero.min()), float(nonzero.max())
     if bins is None:

@@ -15,10 +15,20 @@ from specrcv import io
 from specrcv.cli import main
 from specrcv.covmodel import SpectralDistribution
 from specrcv.diffusion import design_one_profile
-from specrcv.mpsolve import MPLawParams, mp_law_curve, weight_profile_from_model
+from specrcv.mpsolve import (
+    SOLVER_MAX_ITER,
+    MPLawParams,
+    mp_law_curve,
+    weight_profile_from_model,
+)
 from specrcv.spectra import kolmogorov_distance
 
-from .oracles import mp_density_reference, mp_quantiles
+from .oracles import (
+    mp_density_reference,
+    mp_quantiles,
+    mp_stieltjes_quadratic,
+    two_level_weighted_stieltjes,
+)
 
 
 def _read_json(path):
@@ -133,6 +143,24 @@ class TestEstimate:
         assert rc == 0
         assert kolmogorov < 0.1
 
+    def test_rank_deficient_zeros_are_exact(self, tmp_path, capsys):
+        # p > n: TVARCV has p - n eigenvalues at roundoff zero, whose sign is
+        # arbitrary. Written as +0.0 they form the origin atom of MP(4, 4e-4).
+        assert main(["simulate", "--design", "1", "--p", "400", "--n", "100",
+                     "--seed", "1", "--out", str(tmp_path / "sim")]) == 0
+        assert main(["estimate", "--input", str(tmp_path / "sim" / "increments_r0.csv"),
+                     "--which", "tvarcv", "--out", str(tmp_path / "est")]) == 0
+        eig_file = tmp_path / "est" / "increments_r0_tvarcv_eigenvalues.csv"
+        dist, _ = io.read_eigenvalues_csv(eig_file)
+        assert np.all(dist.eigenvalues >= 0.0)
+        assert np.sum(dist.eigenvalues == 0.0) == 300
+        assert main(["solve", "--weights", "constant:0.0004", "--y", "4",
+                     "--out", str(tmp_path / "law")]) == 0
+        capsys.readouterr()
+        rc, kolmogorov, _ = _compare(capsys, eig_file, tmp_path / "law" / "density.csv")
+        assert rc == 0
+        assert kolmogorov <= 0.03
+
     def test_unreadable_input_leaves_no_partial_outputs(self, design1_run, tmp_path):
         out = tmp_path / "est"
         rc = main(["estimate", "--input", str(design1_run.increments),
@@ -171,15 +199,43 @@ class TestSolve:
         unweighted = mp_law_curve(MPLawParams(1.0, weights.mean()))
         assert kolmogorov_distance(curve, unweighted) > 0.1
 
+    @pytest.mark.parametrize("weights,y,grid,oracle", [
+        # The p = n weighted law at a bandwidth that resolves its hard edge.
+        ("design1", 1.0, ["--xs", "log:8.75e-8:3.5e-3:1000", "--bandwidth", "7e-7"],
+         lambda zs: two_level_weighted_stieltjes((7e-4, 1e-4), (0.5, 0.5), 1.0, zs)),
+        ("design1:5,3", 1.0, ["--xs", "log:8.75e-8:3.5e-3:1000", "--bandwidth", "7e-7"],
+         lambda zs: two_level_weighted_stieltjes((5e-4, 3e-4), (0.5, 0.5), 1.0, zs)),
+        # The classical law at y = 4 on the automatic grid.
+        ("constant:0.0004", 4.0, [],
+         lambda zs: np.array([mp_stieltjes_quadratic(4.0, 4e-4, z) for z in zs])),
+        # The y = 1 hard edge at 1e-12, bandwidth 1e-14.
+        ("constant:1", 1.0, ["--xs", "log:1e-12:1e-6:8", "--bandwidth", "1e-14"],
+         lambda zs: np.array([mp_stieltjes_quadratic(1.0, 1.0, z) for z in zs])),
+    ])
+    def test_hard_grids_converge_to_oracle(self, tmp_path, weights, y, grid, oracle):
+        assert main(["solve", "--spectrum", "point:1", "--weights", weights,
+                     "--y", repr(y), *grid, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "density.csv").is_file()
+        trace = np.loadtxt(tmp_path / "solver_trace.csv", delimiter=",", skiprows=2)
+        zs = trace[:, 0] + 1j * trace[:, 1]
+        m = trace[:, 2] + 1j * trace[:, 3]
+        want = oracle(zs)
+        assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-7
+
     def test_nonconvergence_exits_3_without_density(self, tmp_path, capsys):
+        # At y < 1 the companion transform grows like -(1 - y)/z near 0, so at
+        # subnormal probes it overflows and no probe can meet the tolerance.
         rc = main(["solve", "--spectrum", "point:1", "--weights", "constant:1",
-                   "--y", "1", "--xs", "log:1e-12:1e-6:8", "--bandwidth", "1e-14",
+                   "--y", "0.5", "--xs", "log:1e-320:1e-318:8", "--bandwidth", "1e-320",
                    "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 3
         assert "failed to converge" in err
         assert (tmp_path / "solver_trace.csv").is_file()
         assert not (tmp_path / "density.csv").exists()
+        # The stagnation exit stops each probe well before the iteration cap.
+        trace = np.loadtxt(tmp_path / "solver_trace.csv", delimiter=",", skiprows=2)
+        assert np.all(trace[:, 5] < SOLVER_MAX_ITER)
 
 
 class TestRecover:

@@ -11,6 +11,7 @@ from specrcv.diffusion import (
 )
 from specrcv.errors import BadGridError, BadProfileError
 from specrcv.mpsolve import (
+    SOLVER_TOL,
     MPLawParams,
     PopulationSpectrum,
     WeightProfile,
@@ -23,7 +24,9 @@ from specrcv.mpsolve import (
     mp_support,
     recover_spectrum,
     solve_mp,
+    solve_mp_grid,
     solve_weighted_mp,
+    solve_weighted_mp_grid,
     weight_profile_from_model,
 )
 from specrcv.spectra import StieltjesGrid, empirical_stieltjes
@@ -191,6 +194,17 @@ class TestSolveMp:
         with pytest.raises(BadGridError):
             solve_mp(PopulationSpectrum.point_mass(1.0), 0.5, 1.0 - 1j)
 
+    def test_grid_solvers_validate_inputs(self):
+        h = PopulationSpectrum.point_mass(1.0)
+        w = WeightProfile.constant(1.0)
+        for y in (-1.0, 0.0, np.nan):
+            with pytest.raises(ValueError):
+                solve_mp_grid(h, y, np.array([1.0 + 1.0j]))
+            with pytest.raises(ValueError):
+                solve_weighted_mp_grid(h, w, y, np.array([1.0 + 1.0j]))
+        with pytest.raises(BadGridError):
+            solve_weighted_mp_grid(h, w, 0.5, np.array([complex(1.0, np.inf)]))
+
     def test_inverted_density_matches_closed_form(self):
         params = MPLawParams(0.5, 1.0)
         a, b = mp_support(params)
@@ -246,6 +260,32 @@ class TestSolveWeightedMp:
             want = two_level_weighted_stieltjes((6e-4, 2e-4), (0.5, 0.5), y, zs)
             for z, m in zip(zs, want):
                 assert solve_weighted_mp(h, w, y, z).m_fw == pytest.approx(m, rel=1e-7)
+
+    @pytest.mark.parametrize("levels", [(7.0, 1.0), (5.0, 3.0)])
+    @pytest.mark.parametrize("y", [0.5, 1.0])
+    def test_step_profile_grid_within_iteration_budget(self, levels, y):
+        # Criterion 3's grid: 1 000 log points from v/8 at bandwidth 2e-4 * hi.
+        a, b = levels
+        hi = 1.25 * a * 1e-4 * (1.0 + np.sqrt(y)) ** 2
+        v = 2e-4 * hi
+        zs = np.geomspace(v / 8.0, hi, 1000) + 1j * v
+        w = weight_profile_from_model(design_one_profile(a, b))
+        m_fw, _, _, res, its = solve_weighted_mp_grid(
+            PopulationSpectrum.point_mass(1.0), w, y, zs)
+        assert float(res.max()) <= SOLVER_TOL
+        assert int(its.max()) <= 200
+        want = two_level_weighted_stieltjes((a * 1e-4, b * 1e-4), (0.5, 0.5), y, zs)
+        assert np.max(np.abs(m_fw - want) / np.abs(want)) <= 1e-9
+
+    def test_sampled_profile_grid_within_iteration_budget(self):
+        hi = 1.25 * 1.7e-3 * (1.0 + np.sqrt(0.5)) ** 2
+        v = 2e-4 * hi
+        zs = np.geomspace(v / 8.0, hi, 1000) + 1j * v
+        w = weight_profile_from_model(design_two_profile())
+        _, _, _, res, its = solve_weighted_mp_grid(
+            PopulationSpectrum.point_mass(1.0), w, 0.5, zs)
+        assert float(res.max()) <= SOLVER_TOL
+        assert int(its.max()) <= 200
 
     def test_first_quadrant_on_imaginary_axis(self):
         w = weight_profile_from_model(design_one_profile())

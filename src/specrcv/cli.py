@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -153,6 +154,16 @@ def _run_parallel(fn, count: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Add the wall time of the enclosed block to ``timings[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
+
+
 def _write_run_manifest(out: Path, command: str, config: dict, files, seeds,
                         timings: dict, diagnostics: dict) -> Path:
     manifest = {
@@ -205,38 +216,45 @@ def cmd_estimate(config: dict) -> int:
     bins = config.get("bins")
     if bins is not None and bins < 1:
         raise BadConfigError(f"bins must be >= 1, got {bins}")
+    timings = {}
+    started = time.perf_counter()
     # Read every input up front so a bad file cannot leave partial outputs.
-    increments = [io.read_increments_csv(p) for p in paths]
+    with _stage(timings, "read"):
+        increments = [io.read_increments_csv(p) for p in paths]
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
     files = []
     diagnostics = {}
     for path, incr in zip(paths, increments):
-        base = rcv(incr)
-        entry = {"n": incr.n, "p": incr.p, "trace_over_p_rcv": base.trace_over_p}
-        outputs = [base] if which in ("rcv", "both") else []
-        if which in ("tvarcv", "both"):
-            adjusted = tvarcv(incr)
-            tr_rcv = base.trace_over_p * incr.p
-            rel = abs(adjusted.trace_over_p * incr.p - tr_rcv) / abs(tr_rcv)
-            if rel > 1e-12:
-                raise SpecrcvError(
-                    f"trace identity violated for {path.name}: relative gap {rel:.3e}"
-                )
-            entry["trace_over_p_tvarcv"] = adjusted.trace_over_p
-            entry["trace_identity_rel"] = rel
-            outputs.append(adjusted)
-        for est in outputs:
-            dist = zero_roundoff(esd(est.matrix))
-            meta = {"estimator": est.kind, "n": est.n, "digest": est.spec_digest}
-            epath = out / f"{path.stem}_{est.kind}_eigenvalues.csv"
-            io.write_eigenvalues_csv(epath, dist, meta)
-            hpath = out / f"{path.stem}_{est.kind}_density.csv"
-            io.write_density_csv(hpath, histogram(dist, bins), meta)
-            files += [epath, hpath]
+        with _stage(timings, "estimate"):
+            base = rcv(incr)
+            entry = {"n": incr.n, "p": incr.p, "trace_over_p_rcv": base.trace_over_p}
+            outputs = [base] if which in ("rcv", "both") else []
+            if which in ("tvarcv", "both"):
+                adjusted = tvarcv(incr)
+                tr_rcv = base.trace_over_p * incr.p
+                rel = abs(adjusted.trace_over_p * incr.p - tr_rcv) / abs(tr_rcv)
+                if rel > 1e-12:
+                    raise SpecrcvError(
+                        f"trace identity violated for {path.name}: relative gap {rel:.3e}"
+                    )
+                entry["trace_over_p_tvarcv"] = adjusted.trace_over_p
+                entry["trace_identity_rel"] = rel
+                outputs.append(adjusted)
+            results = []
+            for est in outputs:
+                dist = zero_roundoff(esd(est.matrix))
+                results.append((est, dist, histogram(dist, bins)))
+        with _stage(timings, "write"):
+            for est, dist, curve in results:
+                meta = {"estimator": est.kind, "n": est.n, "digest": est.spec_digest}
+                epath = out / f"{path.stem}_{est.kind}_eigenvalues.csv"
+                io.write_eigenvalues_csv(epath, dist, meta)
+                hpath = out / f"{path.stem}_{est.kind}_density.csv"
+                io.write_density_csv(hpath, curve, meta)
+                files += [epath, hpath]
         diagnostics[path.name] = entry
-    timings = {"total": time.perf_counter() - started}
+    timings["total"] = time.perf_counter() - started
     manifest = _write_run_manifest(out, "estimate", dict(config), files, [], timings,
                                    diagnostics)
     print(manifest)

@@ -1,7 +1,7 @@
 """Symmetric covariance matrices, eigendecompositions, and spectral distributions.
 
 Everything downstream (estimators, spectral metrics, transform solvers) works
-with the three value types defined here. All of them are immutable after
+with the value types defined here. All of them are immutable after
 construction and safe to share across threads.
 """
 from __future__ import annotations
@@ -15,6 +15,10 @@ from .errors import NonFiniteError, NotPSDError
 # Negative eigenvalues no larger than this fraction of the spectral norm are
 # treated as roundoff and clamped to zero by sqrt_psd.
 PSD_CLAMP_TOL = 1e-8
+
+# Row-block size for outer-product accumulation. Fixed so the reduction order
+# (and hence the bit pattern of the result) never depends on thread count.
+BLOCK_ROWS = 512
 
 
 def _square_symmetric(entries) -> np.ndarray:
@@ -53,6 +57,68 @@ class CovMatrix:
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.entries))
+
+
+def _accumulate_outer(x: np.ndarray) -> np.ndarray:
+    """Sum of row outer products x_l x_l^T, block-compensated.
+
+    Blocks are summed with Kahan compensation so the accumulated roundoff
+    stays at the single-block level even when n*p is large; required for the
+    1e-12 relative trace identities.
+    """
+    n, p = x.shape
+    total = np.zeros((p, p))
+    comp = np.zeros((p, p))
+    for start in range(0, n, BLOCK_ROWS):
+        xb = x[start : start + BLOCK_ROWS]
+        part = xb.T @ xb
+        y = part - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+def square_sum(rows: np.ndarray) -> float:
+    """Sum of the squared entries of ``rows``: the trace of rows^T rows."""
+    return float(np.einsum("ij,ij->", rows, rows))
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredCov:
+    """The p x p matrix scale * rows^T rows, kept as its n x p rows.
+
+    RCV and TVARCV have this form, so their rank is at most n. The dense
+    matrix is built only when ``entries`` is read, by block-compensated
+    accumulation over the rows; the trace comes from the rows directly.
+    """
+
+    rows: np.ndarray
+    scale: float = 1.0
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=float)
+        if rows.ndim != 2 or 0 in rows.shape:
+            raise ValueError(f"expected nonempty 2-d rows, got shape {rows.shape}")
+        if not (np.all(np.isfinite(rows)) and np.isfinite(self.scale)):
+            raise NonFiniteError("factor contains NaN or infinite entries")
+        if rows.flags.writeable:
+            rows = rows.copy()
+            rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "scale", float(self.scale))
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense symmetric p x p matrix, built anew on each read."""
+        return _square_symmetric(self.scale * _accumulate_outer(self.rows))
+
+    def trace(self) -> float:
+        return self.scale * square_sum(self.rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +197,7 @@ class EigenDecomposition:
 
 
 def _coerce_entries(a) -> np.ndarray:
-    if isinstance(a, CovMatrix):
+    if isinstance(a, (CovMatrix, FactoredCov)):
         return a.entries
     return _square_symmetric(a)
 
@@ -160,7 +226,17 @@ def sqrt_psd(a: CovMatrix | np.ndarray) -> CovMatrix:
     return CovMatrix((dec.vectors * w) @ dec.vectors.T)
 
 
-def esd(a: CovMatrix | np.ndarray) -> SpectralDistribution:
-    """Empirical spectral distribution of a symmetric matrix."""
-    m = _coerce_entries(a)
-    return SpectralDistribution(np.linalg.eigvalsh(m))
+def esd(a: CovMatrix | FactoredCov | np.ndarray) -> SpectralDistribution:
+    """Empirical spectral distribution of a symmetric matrix.
+
+    A FactoredCov with fewer rows n than columns p has rank at most n: its
+    nonzero eigenvalues are those of the n x n Gram matrix scale * rows
+    rows^T, and the other p - n are exact zeros. Otherwise the dense matrix
+    is decomposed.
+    """
+    if isinstance(a, FactoredCov) and a.rows.shape[0] < a.dim:
+        n, p = a.rows.shape
+        gram = _square_symmetric(a.scale * (a.rows @ a.rows.T))
+        return SpectralDistribution(np.concatenate([np.zeros(p - n),
+                                                    np.linalg.eigvalsh(gram)]))
+    return SpectralDistribution(np.linalg.eigvalsh(_coerce_entries(a)))

@@ -4,6 +4,13 @@ RCV sums increment outer products. The time-variation adjusted variant
 (TVARCV) self-normalizes each outer product by its squared length and
 rescales by the realized trace, which removes the distortion a time-varying
 volatility profile induces on the spectrum.
+
+Every estimator is c * A^T A for an n x p row matrix A (the increments, or
+the increments scaled to unit length), and is returned in that factored
+form (``FactoredCov``); traces come from the rows, and the dense p x p
+matrix is built only when ``entries`` is read. So the rank is at most n:
+for p > n, ``esd`` takes the spectrum from the n x n Gram matrix c * A A^T
+and the p - n null directions are exact +0.0 eigenvalues.
 """
 from __future__ import annotations
 
@@ -11,20 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmodel import CovMatrix
+from .covmodel import CovMatrix, FactoredCov, square_sum
 from .diffusion import IncrementMatrix
 from .errors import ZeroIncrementError, ZeroTraceError
-
-# Row-block size for outer-product accumulation. Fixed so the reduction order
-# (and hence the bit pattern of the result) never depends on thread count.
-BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True, eq=False)
 class EstimatorOutput:
-    """An estimator result: the matrix plus bookkeeping for manifests."""
+    """An estimator result: the factored matrix plus bookkeeping for manifests."""
 
-    matrix: CovMatrix
+    matrix: FactoredCov
     kind: str
     n: int
     trace_over_p: float
@@ -35,31 +38,9 @@ class EstimatorOutput:
         return self.matrix.dim
 
 
-def _accumulate_outer(x: np.ndarray) -> np.ndarray:
-    """Sum of row outer products x_l x_l^T, block-compensated.
-
-    Blocks are summed with Kahan compensation so the accumulated roundoff
-    stays at the single-block level even when n*p is large; required for the
-    1e-12 relative trace identities.
-    """
-    n, p = x.shape
-    total = np.zeros((p, p))
-    comp = np.zeros((p, p))
-    for start in range(0, n, BLOCK_ROWS):
-        xb = x[start : start + BLOCK_ROWS]
-        part = xb.T @ xb
-        y = part - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def rcv(incr: IncrementMatrix) -> EstimatorOutput:
     """Realized covariance: sum of increment outer products."""
-    x = incr.increments
-    s = _accumulate_outer(x)
-    mat = CovMatrix(s)
+    mat = FactoredCov(incr.increments)
     return EstimatorOutput(
         matrix=mat,
         kind="rcv",
@@ -87,7 +68,9 @@ def _unit_rows(incr: IncrementMatrix, drop_zero_rows: bool) -> tuple[np.ndarray,
         if x.shape[0] == 0:
             raise ZeroIncrementError(0, "all increment rows have zero length")
     u = x / scale[:, None]
-    return u / np.sqrt(np.einsum("ij,ij->i", u, u))[:, None], x.shape[0]
+    u /= np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
+    u.setflags(write=False)
+    return u, x.shape[0]
 
 
 def sigma_tilde(incr: IncrementMatrix, drop_zero_rows: bool = False) -> EstimatorOutput:
@@ -97,10 +80,9 @@ def sigma_tilde(incr: IncrementMatrix, drop_zero_rows: bool = False) -> Estimato
     unless ``drop_zero_rows`` is set, in which case the surviving row count
     replaces n in the p/n factor.
     """
-    y, n_eff = _unit_rows(incr, drop_zero_rows)
+    u, n_eff = _unit_rows(incr, drop_zero_rows)
     p = incr.p
-    s = (p / n_eff) * _accumulate_outer(y)
-    mat = CovMatrix(s)
+    mat = FactoredCov(u, p / n_eff)
     return EstimatorOutput(
         matrix=mat,
         kind="sigma_tilde",
@@ -115,11 +97,12 @@ def tvarcv(incr: IncrementMatrix, drop_zero_rows: bool = False) -> EstimatorOutp
 
     Shares the trace of RCV up to roundoff while its spectral shape follows
     the self-normalized matrix, so the estimate is insensitive to how the
-    variance is distributed over the day.
+    variance is distributed over the day. The realized trace is taken from
+    the increments directly, without forming RCV.
     """
-    base = rcv(incr)
     tilde = sigma_tilde(incr, drop_zero_rows=drop_zero_rows)
-    mat = CovMatrix(base.trace_over_p * tilde.matrix.entries)
+    trace_over_p = square_sum(incr.increments) / incr.p
+    mat = FactoredCov(tilde.matrix.rows, trace_over_p * tilde.matrix.scale)
     return EstimatorOutput(
         matrix=mat,
         kind="tvarcv",
@@ -154,7 +137,7 @@ def trace_diagnostic(
     """Compare tr(RCV)/p against a target theta at the given relative tolerance."""
     if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    ratio = float(np.einsum("ij,ij->", incr.increments, incr.increments)) / incr.p
+    ratio = square_sum(incr.increments) / incr.p
     rel = abs(ratio - theta) / theta
     return TraceDiagnostic(
         ratio=ratio,

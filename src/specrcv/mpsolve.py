@@ -22,6 +22,9 @@ M skips the continuation. The damped fixed-point map is kept only as
 the fallback step where Newton makes no progress, and a probe on which
 neither step lowers the residual stops there instead of running to
 SOLVER_MAX_ITER. Iteration counts are accepted Newton and fallback steps.
+The Newton derivative in tau^2 is formed as tau/c times tau, with c a power
+of two at or below tau_max, so it stays finite for atoms above 1e154, where
+tau^2 overflows.
 
 Densities come out by Stieltjes inversion f(x) = Im m(x + iv) / pi, and
 population spectra go back in through a projected-gradient least-squares
@@ -264,7 +267,7 @@ _LEVEL_RTOL = 1e-6
 # that must be cut further marks a region where the damped fixed-point map,
 # which keeps to the upper half-plane branch, does better.
 _STEP_HALVINGS = 5
-_EVAL_KEYS = ("res", "gM", "gmt", "a", "b")
+_EVAL_KEYS = ("res", "gM", "gmt", "a", "b_c")
 
 
 def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, initial=None,
@@ -297,7 +300,14 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, initial=None,
     zs = np.asarray(zs, dtype=complex).ravel()
     k = zs.size
     nodes, quad = w._nodes[:, None], w._node_weights[:, None]
-    h_tau, h_tau2 = wts * locs, wts * locs * locs
+    # b carries tau^2, which overflows for atoms above ~1.3e154 (and underflows
+    # below ~1e-154). evaluate() returns b / c, formed from (tau / c) tau, and
+    # the Newton step multiplies it back. c is the largest power of two at or
+    # below tau_max, so both steps are exact wherever nothing over- or
+    # underflows, and the hot loop does no extra work.
+    tau_max = float(locs.max())
+    c = float(np.ldexp(1.0, np.frexp(tau_max)[1] - 1)) if tau_max > 0.0 else 1.0
+    h_tau, h_tau2_c = wts * locs, wts * (locs / c) * locs
 
     def evaluate(z, M, mt):
         e = nodes / (1.0 + (y * mt)[None, :] * nodes)
@@ -305,10 +315,10 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, initial=None,
         gM = -np.sum(quad * e, axis=0) / z
         gmt = -np.sum(h_tau * d, axis=0) / z
         a = y * np.sum(quad * e * e, axis=0) / z
-        b = np.sum(h_tau2 * d * d, axis=0) / z
+        b_c = np.sum(h_tau2_c * d * d, axis=0) / z
         res = np.abs(gM - M) + np.abs(gmt - mt)
         ok = np.isfinite(res) & (M.imag >= 0.0) & (mt.imag >= 0.0)
-        return np.where(ok, res, np.inf), gM, gmt, a, b
+        return np.where(ok, res, np.inf), gM, gmt, a, b_c
 
     def search(s, sel, dM, dmt):
         """Move probes sel by the first of t = 1, 1/2, ... that lowers the residual."""
@@ -333,7 +343,7 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, initial=None,
         return moved
 
     if initial is None:
-        edge = w.kappa * float(locs.max()) * (1.0 + np.sqrt(y)) ** 2
+        edge = w.kappa * tau_max * (1.0 + np.sqrt(y)) ** 2
         # fmax/fmin keep the schedule finite when the edge overflows.
         v_top = np.fmax(np.maximum(np.abs(zs.real), zs.imag), edge)
         z = zs.real + 1j * np.fmin(v_top, np.finfo(float).max)
@@ -384,7 +394,7 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, initial=None,
                 continue
             F1 = s["M"][sel] - s["gM"][sel]
             F2 = s["mt"][sel] - s["gmt"][sel]
-            a, b = s["a"][sel], s["b"][sel]
+            a, b = s["a"][sel], c * s["b_c"][sel]
             dM = -(F1 + a * F2) / (1.0 - a * b)
             moved = search(s, sel, dM, -F2 + b * dM)
             rest = np.flatnonzero(~moved)

@@ -161,6 +161,30 @@ class TestEstimate:
         assert rc == 0
         assert kolmogorov <= 0.03
 
+    def test_manifest_timings_cover_every_stage(self, design1_run):
+        timings = design1_run.est_manifest["timings_s"]
+        stages = [timings[name] for name in ("read", "estimate", "write")]
+        assert all(t > 0.0 for t in stages)
+        assert timings["total"] >= sum(stages)
+
+    def test_wide_panel_reruns_byte_identical_across_threads(self, tmp_path, monkeypatch):
+        # p > n takes the spectrum from the n x n Gram side.
+        sim, est = tmp_path / "sim", tmp_path / "est"
+        assert main(["simulate", "--design", "1", "--p", "120", "--n", "40",
+                     "--replicates", "3", "--seed", "4", "--out", str(sim)]) == 0
+        inputs = [str(sim / f"increments_r{r}.csv") for r in range(3)]
+        assert main(["estimate", "--input", *inputs, "--which", "both",
+                     "--out", str(est)]) == 0
+        names = sorted(f.name for f in est.glob("*.csv"))
+        assert len(names) == 12
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("SPECRCV_THREADS", threads)
+            out = tmp_path / f"est_t{threads}"
+            assert main(["rerun", "--manifest", str(est / "manifest.json"),
+                         "--out", str(out)]) == 0
+            for name in names:
+                assert (out / name).read_bytes() == (est / name).read_bytes()
+
     def test_unreadable_input_leaves_no_partial_outputs(self, design1_run, tmp_path):
         out = tmp_path / "est"
         rc = main(["estimate", "--input", str(design1_run.increments),
@@ -220,6 +244,19 @@ class TestSolve:
         zs = trace[:, 0] + 1j * trace[:, 1]
         m = trace[:, 2] + 1j * trace[:, 3]
         want = oracle(zs)
+        assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-7
+
+    def test_huge_atom_converges_to_rescaled_oracle(self, tmp_path):
+        # tau^2 overflows for an atom at 1e300; the law is scale-equivariant,
+        # m_{cH}(z) = m_H(z / c) / c, so the unit-scale quadratic is the oracle.
+        c = 1e300
+        assert main(["solve", "--spectrum", "point:1e300", "--y", "1",
+                     "--xs", "1e299:1e300:8", "--bandwidth", "1e290",
+                     "--out", str(tmp_path)]) == 0
+        trace = np.loadtxt(tmp_path / "solver_trace.csv", delimiter=",", skiprows=2)
+        zs = trace[:, 0] + 1j * trace[:, 1]
+        m = trace[:, 2] + 1j * trace[:, 3]
+        want = np.array([mp_stieltjes_quadratic(1.0, 1.0, z / c) / c for z in zs])
         assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-7
 
     def test_nonconvergence_exits_3_without_density(self, tmp_path, capsys):

@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrcv.covmodel import CovMatrix, SpectralDistribution, eig_sym, esd, sqrt_psd
+from specrcv.covmodel import (
+    CovMatrix,
+    FactoredCov,
+    SpectralDistribution,
+    eig_sym,
+    esd,
+    sqrt_psd,
+)
+from specrcv.diffusion import IncrementMatrix, make_grid
 from specrcv.errors import NonFiniteError, NotPSDError
+from specrcv.estimators import rcv, sigma_tilde, trace_diagnostic, tvarcv
 
 from .oracles import jacobi_eigh
 
@@ -120,6 +129,80 @@ class TestSqrtPsd:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):
             sqrt_psd(CovMatrix(np.diag([1.0, -0.5])))
+
+
+class TestFactoredCov:
+    def test_entries_and_trace(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(9, 4))
+        f = FactoredCov(x, 0.5)
+        assert f.dim == 4
+        assert np.allclose(f.entries, 0.5 * x.T @ x, atol=1e-13)
+        assert not f.entries.flags.writeable
+        assert f.trace() == pytest.approx(0.5 * np.sum(x * x), rel=1e-14)
+
+    def test_rows_are_a_private_copy(self):
+        x = np.ones((3, 2))
+        f = FactoredCov(x)
+        x[0, 0] = 5.0
+        assert f.rows[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            f.rows[0, 0] = 2.0
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(NonFiniteError):
+            FactoredCov(np.array([[np.nan, 1.0]]))
+        with pytest.raises(NonFiniteError):
+            FactoredCov(np.ones((2, 2)), np.inf)
+        with pytest.raises(ValueError):
+            FactoredCov(np.ones((0, 3)))
+
+    def test_wide_esd_pads_exact_zeros(self):
+        x = np.array([[3.0, 0.0, 4.0, 0.0, 0.0]])
+        d = esd(FactoredCov(x, 2.0))
+        assert np.array_equal(d.eigenvalues, [0.0, 0.0, 0.0, 0.0, 50.0])
+
+
+def _increments(x):
+    x = np.asarray(x, dtype=float)
+    return IncrementMatrix(x, make_grid("equispaced", x.shape[0]))
+
+
+class TestGramSide:
+    """For p > n the ESD comes from the n x n Gram matrix; it must agree with
+    the dense p x p matrix, and at p <= n the dense path is the one taken."""
+
+    @pytest.mark.parametrize("n,p", [(30, 80), (50, 50), (80, 30)])
+    @pytest.mark.parametrize("estimator", [rcv, sigma_tilde, tvarcv])
+    def test_spectrum_matches_dense(self, estimator, n, p):
+        rng = np.random.default_rng(n * 1000 + p)
+        x = rng.normal(size=(n, p)) * rng.uniform(0.1, 3.0, size=(n, 1))
+        out = estimator(_increments(x))
+        dense = np.linalg.eigvalsh(out.matrix.entries)
+        ev = esd(out.matrix).eigenvalues
+        assert np.max(np.abs(ev - dense)) <= 1e-12 * dense[-1]
+        assert np.sum(ev == 0.0) == max(0, p - n)
+
+    @pytest.mark.parametrize("estimator", [sigma_tilde, tvarcv])
+    def test_dropped_zero_row_leaves_exact_zeros(self, estimator):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(20, 45))
+        x[7] = 0.0
+        out = estimator(_increments(x), drop_zero_rows=True)
+        ev = esd(out.matrix).eigenvalues
+        assert out.n == 19
+        assert np.sum(ev == 0.0) == 45 - 19
+        dense = np.linalg.eigvalsh(out.matrix.entries)
+        assert np.max(np.abs(ev - dense)) <= 1e-12 * dense[-1]
+
+    def test_realized_trace_is_shared(self):
+        # RCV, TVARCV's trace factor and the trace diagnostic take sum x^2
+        # from one helper, so they agree bit for bit.
+        x = np.random.default_rng(12).normal(size=(25, 60))
+        incr = _increments(x)
+        ratio = trace_diagnostic(incr, theta=1.0).ratio
+        assert ratio == rcv(incr).trace_over_p
+        assert tvarcv(incr).matrix.scale == ratio * (60 / 25)
 
 
 class TestEsd:

@@ -39,7 +39,7 @@ from .diffusion import (
 from .errors import BadConfigError, NoConvergenceError, SpecrcvError
 from .estimators import rcv, tvarcv
 from .mpsolve import (
-    SOLVER_TOL,
+    RECOVER_MAX_ITER,
     PopulationSpectrum,
     WeightProfile,
     default_bandwidth,
@@ -47,6 +47,7 @@ from .mpsolve import (
     recover_spectrum,
     solve_weighted_mp_grid,
     weight_profile_from_model,
+    within_tolerance,
 )
 from .spectra import (
     DensityCurve,
@@ -350,35 +351,40 @@ def cmd_solve(config: dict) -> int:
         xs = np.geomspace(min(v / 8.0, hi / 100.0), hi, 800)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
+    timings = {}
     started = time.perf_counter()
     zs = xs + 1j * v
-    m_fw, _, _, res, its = solve_weighted_mp_grid(spectrum, weights, y, zs)
+    with _stage(timings, "solve"):
+        m_fw, big_m, mt, res, its = solve_weighted_mp_grid(spectrum, weights, y, zs)
     trace_path = out / "solver_trace.csv"
-    io.write_solver_trace_csv(trace_path, zs, m_fw, res, its, {"y": y, "bandwidth": v})
+    with _stage(timings, "write"):
+        io.write_solver_trace_csv(trace_path, zs, m_fw, res, its, {"y": y, "bandwidth": v})
     files = [trace_path]
-    unconverged = int(np.sum(res > SOLVER_TOL))
+    unconverged = int(np.sum(~within_tolerance(res, np.abs(big_m) + np.abs(mt))))
     diagnostics = {
         "unconverged": unconverged,
         "max_residual": float(res.max()),
         "max_iterations": int(its.max()),
     }
     if unconverged == 0:
-        curve = invert_stieltjes(StieltjesGrid(zs, m_fw), xs, v)
-        if zero_mass > 1e-12:
-            # At bandwidth v the origin atom shows up in the inverted density
-            # as an exact Cauchy lobe zero_mass * v / (pi * (x^2 + v^2)).
-            # Subtract it so the continuous part integrates to its own mass
-            # and the atom lands back in mass_at_zero.
-            lobe = zero_mass * (v / np.pi) / (xs * xs + v * v)
-            ys = np.clip(curve.ys - lobe, 0.0, None)
-            curve = DensityCurve(
-                xs, ys, max(0.0, 1.0 - float(np.trapezoid(ys, xs)))
-            )
+        with _stage(timings, "invert"):
+            curve = invert_stieltjes(StieltjesGrid(zs, m_fw), xs, v)
+            if zero_mass > 1e-12:
+                # At bandwidth v the origin atom shows up in the inverted
+                # density as an exact Cauchy lobe zero_mass * v / (pi * (x^2 + v^2)).
+                # Subtract it so the continuous part integrates to its own mass
+                # and the atom lands back in mass_at_zero.
+                lobe = zero_mass * (v / np.pi) / (xs * xs + v * v)
+                ys = np.clip(curve.ys - lobe, 0.0, None)
+                curve = DensityCurve(
+                    xs, ys, max(0.0, 1.0 - float(np.trapezoid(ys, xs)))
+                )
         density_path = out / "density.csv"
-        io.write_density_csv(density_path, curve, {"y": y, "bandwidth": v})
+        with _stage(timings, "write"):
+            io.write_density_csv(density_path, curve, {"y": y, "bandwidth": v})
         files.append(density_path)
         diagnostics["mass_at_zero"] = float(curve.mass_at_zero)
-    timings = {"total": time.perf_counter() - started}
+    timings["total"] = time.perf_counter() - started
     manifest = _write_run_manifest(out, "solve", dict(config), files, [], timings,
                                    diagnostics)
     if unconverged:
@@ -393,11 +399,17 @@ def cmd_solve(config: dict) -> int:
 
 
 def cmd_recover(config: dict) -> int:
-    dist, _ = io.read_eigenvalues_csv(Path(config["esd"]))
     y = float(config["y"])
     if not (np.isfinite(y) and y > 0):
         raise BadConfigError(f"y must be positive, got {y}")
-    max_iter = int(config.get("max_iter") or 10_000)
+    max_iter = config.get("max_iter")
+    max_iter = RECOVER_MAX_ITER if max_iter is None else int(max_iter)
+    if max_iter < 1:
+        raise BadConfigError(f"max_iter must be >= 1, got {max_iter}")
+    timings = {}
+    started = time.perf_counter()
+    with _stage(timings, "read"):
+        dist, _ = io.read_eigenvalues_csv(Path(config["esd"]))
     if config.get("grid"):
         grid = _parse_grid_spec(config["grid"])
     else:
@@ -405,26 +417,28 @@ def cmd_recover(config: dict) -> int:
         grid = np.linspace(0.05 * scale, 3.0 * scale, 60) if scale > 0 else np.array([0.0])
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    result = recover_spectrum(dist, y, grid, max_iter=max_iter)
+    with _stage(timings, "fit"):
+        result = recover_spectrum(dist, y, grid, max_iter=max_iter)
     spectrum_path = out / "spectrum.json"
-    io.write_spectrum_json(
-        spectrum_path,
-        result.spectrum,
-        extra={
-            "y": y,
-            "objective": result.objective,
-            "converged": result.converged,
-            "iterations": result.iterations,
-        },
-    )
     objective_path = out / "objective.csv"
-    io.write_objective_csv(objective_path, result.objective_trace, {"y": y})
-    timings = {"total": time.perf_counter() - started}
+    with _stage(timings, "write"):
+        io.write_spectrum_json(
+            spectrum_path,
+            result.spectrum,
+            extra={
+                "y": y,
+                "objective": result.objective,
+                "converged": result.converged,
+                "iterations": result.iterations,
+            },
+        )
+        io.write_objective_csv(objective_path, result.objective_trace, {"y": y})
+    timings["total"] = time.perf_counter() - started
     diagnostics = {
         "objective": result.objective,
         "converged": result.converged,
         "iterations": result.iterations,
+        "kkt_gap": result.kkt_gap,
         "atoms": int(result.spectrum.locations.size),
     }
     manifest = _write_run_manifest(out, "recover", dict(config),
@@ -432,8 +446,8 @@ def cmd_recover(config: dict) -> int:
                                    diagnostics)
     if not result.converged:
         print(
-            f"warning: fit stalled at objective {result.objective:.3e} "
-            f"after {result.iterations} iterations",
+            f"warning: fit stopped at objective {result.objective:.3e} "
+            f"after {result.iterations} iterations, KKT gap {result.kkt_gap:.3e}",
             file=sys.stderr,
         )
     print(manifest)
@@ -537,7 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--esd", required=True, help="eigenvalue CSV")
     rec.add_argument("--y", type=float, required=True)
     rec.add_argument("--grid", default=None, help="candidate atoms [log:]lo:hi:count")
-    rec.add_argument("--max-iter", type=int, default=10_000)
+    rec.add_argument("--max-iter", type=int, default=RECOVER_MAX_ITER,
+                     help="cap on active-set steps (>= 1)")
     rec.add_argument("--out", required=True)
 
     cmp_ = sub.add_parser("compare", help="Kolmogorov and Levy distances of two files")

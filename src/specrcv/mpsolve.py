@@ -15,20 +15,21 @@ replaces the i.i.d. sampling weights by a profile w_s on [0, 1]:
 
 One vectorized Newton core (``_pair_core``) solves the pair (M, m~) for
 both: the classical equation is the unit-weight case, in which M is the
-companion transform -(1 - y)/z + y m. A cold probe x + iv is reached by
+companion transform -(1 - y)/z + y m. A probe x + iv is reached by
 continuation in Im z, from a level above the support where the large-|z|
-asymptotics are accurate down to v, halving Im z per level. A warm start
-M skips the continuation. The damped fixed-point map is kept only as
-the fallback step where Newton makes no progress, and a probe on which
-neither step lowers the residual stops there instead of running to
-SOLVER_MAX_ITER. Iteration counts are accepted Newton and fallback steps.
-The Newton derivative in tau^2 is formed as tau/c times tau, with c a power
-of two at or below tau_max, so it stays finite for atoms above 1e154, where
-tau^2 overflows.
+asymptotics are accurate down to v, halving Im z per level. The damped
+fixed-point map is kept only as the fallback step where Newton makes no
+progress, and a probe on which neither step lowers the residual stops there
+instead of running to SOLVER_MAX_ITER. Iteration counts are accepted Newton
+and fallback steps. The Newton derivative in tau^2 is formed as tau/c
+times tau, with c a power of two at or below tau_max, so it stays finite for
+atoms above 1e154, where tau^2 overflows.
 
-Densities come out by Stieltjes inversion f(x) = Im m(x + iv) / pi, and
-population spectra go back in through a projected-gradient least-squares
-fit of the forward model to an empirical transform.
+Densities come out by Stieltjes inversion f(x) = Im m(x + iv) / pi. Population
+spectra go back in through 1/m_ + z = y integral tau dH(tau) / (1 + tau m_),
+with the companion transform m_ = -(1 - y)/z + y m_esd of the ESD (El Karoui
+2008): linear in H, it makes recovery one least-squares fit over the
+probability simplex, solved exactly by an active-set method.
 """
 from __future__ import annotations
 
@@ -45,6 +46,8 @@ SOLVER_TOL = 1e-10
 SOLVER_MAX_ITER = 100_000
 
 RECOVER_MAX_ITER = 10_000
+# Relative KKT gap (see _simplex_lsq) at which a recovery fit has converged.
+RECOVER_KKT_TOL = 1e-9
 
 # Uniform quadrature nodes for sampled weight profiles (512 Simpson panels).
 _QUAD_NODES = 513
@@ -270,8 +273,13 @@ _STEP_HALVINGS = 5
 _EVAL_KEYS = ("res", "gM", "gmt", "a", "b_c")
 
 
-def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, initial=None,
-               measure=None):
+def within_tolerance(residual, scale, tol=SOLVER_TOL):
+    """Probe verdict: finite residual <= max(tol, 8 eps scale), scale = |M| + |m~| or |m|."""
+    bound = np.maximum(tol, 8.0 * np.finfo(float).eps * np.asarray(scale, dtype=float))
+    return np.isfinite(residual) & (np.asarray(residual, dtype=float) <= bound)
+
+
+def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, measure=None):
     """Newton solve of the weighted pair system, vectorized over the probes zs.
 
     With F1 = M - g_M(m~), F2 = m~ - g_m~(M) for the right-hand sides g of the
@@ -282,18 +290,14 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, initial=None,
     Newton step does, the damped fixed-point step (M, m~) -> (g_M, g_m~) is
     tried the same way; a probe on which neither makes progress stops.
 
-    Without ``initial`` each probe x + iv starts at Im z = max(|x|, v,
-    kappa tau_max (1 + sqrt y)^2) from the large-|z| asymptotics
-    M = -(1/z) int w ds, m~ = -(1/z) int tau dH, and halves Im z level by
-    level down to v, carrying M and m~ over by the factor z_old / z_new.
-    Intermediate levels end at relative residual _LEVEL_RTOL; the last one
-    at ``measure(z, M)`` <= tol (default: the pair residual). A warm
-    start ``initial`` = M begins at the probe itself, with m~ from the second
-    pair equation under the current H (a warm m~ from another H puts the
-    start outside Newton's basin). A probe it leaves above tol is solved
-    again from the cold start.
-    Returns (M, m_tilde, residual, iterations) aligned with zs, where
-    iterations counts accepted steps.
+    Each probe x + iv starts at Im z = max(|x|, v, kappa tau_max (1 + sqrt y)^2)
+    from the large-|z| asymptotics M = -(1/z) int w ds, m~ = -(1/z) int tau dH,
+    and halves Im z level by level down to v, carrying M and m~ over by the
+    factor z_old / z_new. Intermediate levels end at relative residual
+    _LEVEL_RTOL; the last one at ``measure(z, M)`` <= tol (default: the pair
+    residual) or where no step helps, which ``within_tolerance`` accepts only
+    at roundoff. Returns (M, m_tilde, residual, iterations) aligned with zs,
+    where iterations counts accepted steps.
     """
     locs = np.asarray(locs, dtype=float)[:, None]
     wts = np.asarray(wts, dtype=float)[:, None]
@@ -342,18 +346,12 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, initial=None,
             t /= 2.0
         return moved
 
-    if initial is None:
-        edge = w.kappa * tau_max * (1.0 + np.sqrt(y)) ** 2
-        # fmax/fmin keep the schedule finite when the edge overflows.
-        v_top = np.fmax(np.maximum(np.abs(zs.real), zs.imag), edge)
-        z = zs.real + 1j * np.fmin(v_top, np.finfo(float).max)
-        M = -w.mean() / z
-        mt = -float(h_tau.sum()) / z
-    else:
-        z = zs.copy()
-        M = np.array(initial, dtype=complex).ravel()
-        with np.errstate(all="ignore"):
-            mt = -np.sum(h_tau / (locs * M[None, :] + 1.0), axis=0) / z
+    edge = w.kappa * tau_max * (1.0 + np.sqrt(y)) ** 2
+    # fmax/fmin keep the schedule finite when the edge overflows.
+    v_top = np.fmax(np.maximum(np.abs(zs.real), zs.imag), edge)
+    z = zs.real + 1j * np.fmin(v_top, np.finfo(float).max)
+    M = -w.mean() / z
+    mt = -float(h_tau.sum()) / z
     M_out, mt_out = M.copy(), mt.copy()
     res_out = np.full(k, np.inf)
     it_out = np.zeros(k, dtype=int)
@@ -403,12 +401,6 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, initial=None,
                 moved[rest] = damped
                 s["stuck"][sel[rest[~damped]]] = True
             s["its"][sel] += moved
-    redo = np.flatnonzero(~(res_out <= tol)) if initial is not None else []
-    if len(redo):
-        M_r, mt_r, res_r, it_r = _pair_core(locs[:, 0], wts[:, 0], w, y, zs[redo], tol,
-                                            max_iter, measure=measure)
-        M_out[redo], mt_out[redo], res_out[redo] = M_r, mt_r, res_r
-        it_out[redo] += it_r
     return M_out, mt_out, res_out, it_out
 
 
@@ -425,12 +417,12 @@ def _check_inputs(y, zs) -> np.ndarray:
 # classical equation
 
 
-def _classical(locs, wts, y, zs, tol, max_iter, initial=None):
+def _classical(locs, wts, y, zs, tol, max_iter):
     """Classical equation as the pair system with unit weight, vectorized over z.
 
     For w = 1 the pair's M is the companion transform -(1 - y)/z + y m,
     so m = (M + (1 - y)/z) / y; the reported residual is that of the
-    original m-equation at this m. ``initial`` is a warm start M.
+    original m-equation at this m.
     Returns (m, M, residual, iterations) aligned with the array zs.
     """
 
@@ -445,7 +437,7 @@ def _classical(locs, wts, y, zs, tol, max_iter, initial=None):
         return np.where(np.isfinite(r), r, np.inf)
 
     M, _, res, it = _pair_core(locs, wts, _UNIT_WEIGHT, y, zs, tol, max_iter,
-                               initial=initial, measure=m_residual)
+                               measure=m_residual)
     return m_of(zs, M), M, res, it
 
 
@@ -459,10 +451,10 @@ def solve_mp(
     """Stieltjes transform m(z) of the limit law for population spectrum H.
 
     Newton with continuation in Im z (see _pair_core); the returned value
-    satisfies the defining equation with residual <= tol and Im m > 0.
+    satisfies the defining equation within ``within_tolerance`` and Im m > 0.
     """
     m, _, res, it = _classical(H.locations, H.weights, y, _check_inputs(y, [z]), tol, max_iter)
-    if res[0] > tol or not np.isfinite(m[0]) or m[0].imag <= 0:
+    if not within_tolerance(res[0], abs(m[0]), tol) or m[0].imag <= 0:
         raise NoConvergenceError(int(it[0]), float(res[0]))
     return complex(m[0])
 
@@ -476,8 +468,9 @@ def solve_mp_grid(
 ):
     """Vectorized solve_mp over many probes.
 
-    Returns (values, residuals, iterations); points with residual above tol
-    did not converge (no exception, so sweeps can report per-probe status).
+    Returns (values, residuals, iterations); points that ``within_tolerance``
+    rejects at scale |m| did not converge (no exception, so sweeps can report
+    per-probe status).
     """
     m, _, res, it = _classical(H.locations, H.weights, y, _check_inputs(y, zs), tol, max_iter)
     return m, res, it
@@ -489,8 +482,9 @@ def mp_stieltjes(H: PopulationSpectrum, y: float, tol: float = SOLVER_TOL,
 
     def transform(zs):
         m, res, it = solve_mp_grid(H, y, zs, tol=tol, max_iter=max_iter)
-        if np.any(res > tol):
-            worst = int(np.argmax(res))
+        bad = ~within_tolerance(res, np.abs(m), tol)
+        if np.any(bad):
+            worst = int(np.flatnonzero(bad)[np.argmax(res[bad])])
             raise NoConvergenceError(int(it[worst]), float(res[worst]))
         return m
 
@@ -512,7 +506,7 @@ def solve_weighted_mp(
     """Solve the weighted pair system at one probe point."""
     z = complex(z)
     m_fw, big_m, mt, res, it = solve_weighted_mp_grid(H, w, y, [z], tol, max_iter)
-    if res[0] > tol or not np.isfinite(m_fw[0]):
+    if not within_tolerance(res[0], abs(big_m[0]) + abs(mt[0]), tol) or not np.isfinite(m_fw[0]):
         raise NoConvergenceError(int(it[0]), float(res[0]))
     return WeightedSolveResult(
         z=z,
@@ -622,23 +616,73 @@ def invert_stieltjes(m, xs, v: float) -> DensityCurve:
     return DensityCurve(xs, ys, mass_at_zero=mass0)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
-    """Recovered population spectrum plus the fit report."""
+    """Recovered spectrum; ``objective_trace`` has the start and each of ``iterations`` steps."""
 
     spectrum: PopulationSpectrum
     objective: float
     iterations: int
     converged: bool
     objective_trace: np.ndarray
+    kkt_gap: float
+
+
+def _simplex_lsq(A, b, max_iter: int):
+    """min ||A h - b||^2 over h >= 0, sum h = 1, by Lawson-Hanson active set.
+
+    h is optimal when g = A^T (A h - b) is >= its support mean lambda
+    everywhere and equal to it on the support. Once h solves its support,
+    the j of least g_j joins it; each step moves toward the fit on the
+    support under sum z = 1 as far as h stays nonnegative, so the objective
+    never rises, and a step that cannot move or would rise (roundoff) ends
+    the solve. Returns (h, objective trace, steps, KKT gap), the gap relative
+    to max |A_j| (max |A_j| + |b|), which bounds every |g_j|.
+    """
+    norms = np.sqrt(np.sum(A * A, axis=0))
+    scale = float(norms.max() * (norms.max() + np.linalg.norm(b)))
+
+    def dual(h):
+        g = A.T @ (A @ h - b)
+        on = h > 0.0
+        lam = float(np.mean(g[on]))
+        slack = np.where(on, -np.inf, lam - g)
+        gap = max(float(slack.max()), float(np.max(np.abs(g[on] - lam))))
+        return slack, (gap / scale if scale > 0.0 else 0.0)
+
+    h = np.zeros(A.shape[1])
+    h[np.argmin(np.sum((A - b[:, None]) ** 2, axis=0))] = 1.0
+    trace = [float(np.sum((A @ h - b) ** 2))]
+    solved = True
+    while len(trace) <= max_iter:
+        support = h > 0.0
+        if solved:
+            slack = dual(h)[0]
+            j = int(np.argmax(slack))
+            if not slack[j] > RECOVER_KKT_TOL * scale:
+                break
+            support[j] = True
+        idx = np.flatnonzero(support)
+        last = A[:, idx[-1]]
+        u = np.linalg.lstsq(A[:, idx[:-1]] - last[:, None], b - last, rcond=None)[0]
+        z = np.append(u, 1.0 - u.sum())
+        hs = h[idx]
+        neg = z <= 0.0
+        # Share of the way to z at which each falling weight reaches 0.
+        ratio = np.where(neg, hs / np.where(neg & (hs > z), hs - z, 1.0), np.inf)
+        k = int(np.argmin(ratio))
+        t = min(1.0, float(ratio[k]))
+        h_new = np.zeros_like(h)
+        h_new[idx] = np.maximum(hs + t * (z - hs), 0.0)
+        if t < 1.0:
+            h_new[idx[k]] = 0.0
+        value = float(np.sum((A @ h_new - b) ** 2))
+        if not (t > 0.0 and value <= trace[-1]):
+            break
+        h = h_new
+        trace.append(value)
+        solved = t == 1.0
+    return h, np.asarray(trace), len(trace) - 1, dual(h)[1]
 
 
 def recover_spectrum(
@@ -650,12 +694,12 @@ def recover_spectrum(
 ) -> RecoveryResult:
     """Fit an atomic population spectrum to an observed ESD.
 
-    Minimizes sum_k |m_H(z_k) - m_esd(z_k)|^2 over weights h on the candidate
-    ``grid`` (h >= 0, sum h = 1) by projected gradient with step halving; the
-    forward transforms m_H come from the classical equation and the gradient
-    uses the implicit derivative of its fixed point. Probes ``zs`` default to
-    a band across the ESD support at bandwidth 0.1 x width. Stagnation before
-    the fit explains the data is reported via ``converged``, not an exception.
+    With m_k = -(1 - y)/z_k + y m_esd(z_k) at probes ``zs``, minimizes
+    sum_k |y sum_j h_j tau_j / (1 + tau_j m_k) - 1/m_k - z_k|^2 over weights
+    h >= 0, sum h = 1 on the candidate ``grid``, in at most ``max_iter``
+    active-set steps. Probes default to a band across the ESD support at
+    bandwidth 0.1 x width. A fit that ends before its KKT gap is within
+    RECOVER_KKT_TOL reports ``converged`` False rather than raising.
     """
     if not (np.isfinite(y) and y > 0):
         raise ValueError(f"need y > 0, got {y}")
@@ -669,71 +713,22 @@ def recover_spectrum(
         width = hi - lo
         if width <= 0:
             width = max(abs(hi), 1.0)
-        v = 0.1 * width
-        zs = np.linspace(lo - 0.1 * width, hi + 0.1 * width, 40) + 1j * v
+        zs = np.linspace(lo - 0.1 * width, hi + 0.1 * width, 40) + 0.1j * width
     zs = np.asarray(zs, dtype=complex).ravel()
     if np.any(zs.imag <= 0):
         raise BadGridError("probe points must have Im z > 0")
-    target = empirical_stieltjes(esd, zs).values
-    target_scale = float(np.sum(np.abs(target) ** 2))
-    inner_tol = max(SOLVER_TOL, 1e-12 * float(np.max(np.abs(target))))
-
-    col = locs[:, None]
-
-    def forward(h, warm):
-        m, big_m, _, _ = _classical(locs, h, y, zs, inner_tol, SOLVER_MAX_ITER, initial=warm)
-        return m, big_m
-
-    def objective(m):
-        return float(np.sum(np.abs(m - target) ** 2))
-
-    h = np.full(locs.size, 1.0 / locs.size)
-    warm = None
-    m, warm = forward(h, warm)
-    obj = objective(m)
-    trace = [obj]
-    step = 1.0
-    stall_window = 50
-    it = 0
-    for it in range(1, max_iter + 1):
-        r = m - target
-        u = 1.0 - y * (1.0 + zs * m)
-        with np.errstate(all="ignore"):
-            g = 1.0 / (col * u[None, :] - zs[None, :])
-            denom = 1.0 - np.sum(h[:, None] * col * y * zs[None, :] * g**2, axis=0)
-            dm_dh = g / denom[None, :]
-            grad = 2.0 * np.real(dm_dh @ np.conj(r))
-        if not np.all(np.isfinite(grad)):
-            break
-        gmax = float(np.max(np.abs(grad)))
-        if gmax == 0.0:
-            break
-        t = min(2.0 * step, 1.0 / gmax) if step > 0 else 1.0 / gmax
-        improved = False
-        for _ in range(60):
-            h_try = _project_simplex(h - t * grad)
-            m_try, warm_try = forward(h_try, warm)
-            obj_try = objective(m_try)
-            if obj_try < obj:
-                h, m, warm, obj, step = h_try, m_try, warm_try, obj_try, t
-                improved = True
-                break
-            t /= 2.0
-        trace.append(obj)
-        if not improved:
-            break
-        # Descent on this problem collapses fast and then crawls along a
-        # noise floor; cut off once a full window buys less than 0.1%.
-        if len(trace) > stall_window:
-            if trace[-1 - stall_window] - trace[-1] <= 1e-3 * trace[-1]:
-                break
+    m_c = -(1.0 - y) / zs + y * empirical_stieltjes(esd, zs).values
+    A = y * locs[None, :] / (1.0 + locs[None, :] * m_c[:, None])
+    b = 1.0 / m_c + zs
+    h, trace, steps, gap = _simplex_lsq(np.concatenate([A.real, A.imag]),
+                                        np.concatenate([b.real, b.imag]), max_iter)
     keep = h > 0.0
-    spectrum = PopulationSpectrum(locs[keep], h[keep])
-    converged = obj <= 1e-3 * max(target_scale, 1e-300)
+    converged = gap <= RECOVER_KKT_TOL and abs(h.sum() - 1.0) <= 1e-12 and h.min() >= 0.0
     return RecoveryResult(
-        spectrum=spectrum,
-        objective=obj,
-        iterations=it,
-        converged=converged,
-        objective_trace=np.asarray(trace),
+        spectrum=PopulationSpectrum(locs[keep], h[keep]),
+        objective=float(trace[-1]),
+        iterations=steps,
+        converged=bool(converged),
+        objective_trace=trace,
+        kkt_gap=float(gap),
     )

@@ -16,6 +16,7 @@ from specrcv.cli import main
 from specrcv.covmodel import SpectralDistribution
 from specrcv.diffusion import design_one_profile
 from specrcv.mpsolve import (
+    RECOVER_KKT_TOL,
     SOLVER_MAX_ITER,
     MPLawParams,
     mp_law_curve,
@@ -203,6 +204,15 @@ class TestSolve:
         reference = mp_density_reference(0.5, 1.0, np.asarray(curve.xs))
         assert np.max(np.abs(np.asarray(curve.ys) - reference)) <= 2e-2
 
+    def test_manifest_timings_cover_every_stage(self, tmp_path):
+        assert main(["solve", "--spectrum", "point:1", "--weights", "design1",
+                     "--y", "0.5", "--xs", "0.23:2.77:200", "--bandwidth", "0.01",
+                     "--out", str(tmp_path)]) == 0
+        timings = _read_json(tmp_path / "manifest.json")["timings_s"]
+        stages = [timings[name] for name in ("solve", "invert", "write")]
+        assert all(t > 0.0 for t in stages)
+        assert timings["total"] >= sum(stages)
+
     def test_rank_deficient_mass_at_zero(self, tmp_path):
         assert main(["solve", "--spectrum", "point:1", "--weights", "constant:1",
                      "--y", "2", "--out", str(tmp_path)]) == 0
@@ -259,6 +269,20 @@ class TestSolve:
         want = np.array([mp_stieltjes_quadratic(1.0, 1.0, z / c) / c for z in zs])
         assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-7
 
+    def test_tiny_atom_converges_to_rescaled_oracle(self, tmp_path):
+        # Some probes stall at one ulp of |M| ~ 1e200, far above SOLVER_TOL;
+        # the verdict takes roundoff of the transform's own size into account.
+        c = 1e-200
+        assert main(["solve", "--spectrum", "point:1e-200", "--y", "1",
+                     "--xs", "1e-201:4e-200:8", "--bandwidth", "1e-210",
+                     "--out", str(tmp_path)]) == 0
+        trace = np.loadtxt(tmp_path / "solver_trace.csv", delimiter=",", skiprows=2)
+        assert np.max(trace[:, 4]) > 1e180
+        zs = trace[:, 0] + 1j * trace[:, 1]
+        m = trace[:, 2] + 1j * trace[:, 3]
+        want = np.array([mp_stieltjes_quadratic(1.0, 1.0, z / c) / c for z in zs])
+        assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-7
+
     def test_nonconvergence_exits_3_without_density(self, tmp_path, capsys):
         # At y < 1 the companion transform grows like -(1 - y)/z near 0, so at
         # subnormal probes it overflows and no probe can meet the tolerance.
@@ -304,6 +328,7 @@ class TestRecover:
         assert len(spectrum["atoms"]) == 1
         assert spectrum["atoms"][0]["location"] == 0.0
         assert spectrum["atoms"][0]["weight"] == pytest.approx(1.0, abs=1e-9)
+        assert spectrum["converged"] is True
 
     def test_quantile_esd_recovers_point_mass(self, tmp_path):
         levels = (np.arange(200) + 0.5) / 200
@@ -318,6 +343,28 @@ class TestRecover:
         weights = np.array([a["weight"] for a in spectrum["atoms"]])
         window = (locations >= 0.9) & (locations <= 1.1)
         assert weights[window].sum() >= 0.85
+
+    def test_manifest_records_stages_and_fit(self, tmp_path):
+        esd_file = tmp_path / "quantiles.csv"
+        io.write_eigenvalues_csv(
+            esd_file, SpectralDistribution(mp_quantiles(0.5, 1.0, (np.arange(200) + 0.5) / 200)),
+            {"estimator": "synthetic"})
+        assert main(["recover", "--esd", str(esd_file), "--y", "0.5",
+                     "--out", str(tmp_path / "rec")]) == 0
+        manifest = _read_json(tmp_path / "rec" / "manifest.json")
+        timings = manifest["timings_s"]
+        stages = [timings[name] for name in ("read", "fit", "write")]
+        assert all(t > 0.0 for t in stages)
+        assert timings["total"] >= sum(stages)
+        diagnostics = manifest["diagnostics"]
+        spectrum = _read_json(tmp_path / "rec" / "spectrum.json")
+        assert diagnostics["converged"] is True
+        assert 0.0 <= diagnostics["kkt_gap"] <= RECOVER_KKT_TOL
+        assert diagnostics["atoms"] == len(spectrum["atoms"])
+        assert diagnostics["iterations"] == spectrum["iterations"] >= 1
+        objective = np.loadtxt(tmp_path / "rec" / "objective.csv", delimiter=",", skiprows=2)
+        assert objective.shape[0] == diagnostics["iterations"] + 1
+        assert objective[-1, 1] == diagnostics["objective"]
 
 
 class TestCompare:
@@ -354,9 +401,16 @@ class TestValidationAndWiring:
         ["estimate", "--input", "does_not_exist.csv"],
         ["estimate", "--input", "does_not_exist.csv", "--bins", "0"],
         ["recover", "--esd", "does_not_exist.csv", "--y", "0.5"],
+        ["recover", "--esd", "ESD", "--y", "0.5", "--max-iter", "0"],
+        ["recover", "--esd", "ESD", "--y", "0.5", "--max-iter", "-3"],
     ])
     def test_bad_config_exits_2(self, tmp_path, argv):
+        # "ESD" stands for a readable eigenvalue file, so only the flag is at fault.
+        esd_file = tmp_path / "esd.csv"
+        io.write_eigenvalues_csv(esd_file, SpectralDistribution(np.linspace(0.5, 1.5, 20)), {})
+        argv = [str(esd_file) if a == "ESD" else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "spectrum.json").exists()
 
     def test_wrong_file_kind_exits_2(self, design1_run, tmp_path):
         rc = main(["recover", "--esd", str(design1_run.tvar_hist), "--y", "0.1",

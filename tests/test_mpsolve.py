@@ -11,6 +11,7 @@ from specrcv.diffusion import (
 )
 from specrcv.errors import BadGridError, BadProfileError
 from specrcv.mpsolve import (
+    RECOVER_KKT_TOL,
     SOLVER_TOL,
     MPLawParams,
     PopulationSpectrum,
@@ -28,6 +29,7 @@ from specrcv.mpsolve import (
     solve_weighted_mp,
     solve_weighted_mp_grid,
     weight_profile_from_model,
+    within_tolerance,
 )
 from specrcv.spectra import StieltjesGrid, empirical_stieltjes
 
@@ -189,6 +191,23 @@ class TestSolveMp:
             m = solve_mp(h, 0.7, z)
             assert m.imag > 0.0
             assert _classical_residual(h, 0.7, z, m) <= 1e-10
+
+    def test_tiny_spectrum_converges_at_roundoff(self):
+        # Residuals stall near one ulp of |m| ~ 1e200; the scale-free verdict
+        # accepts them, and the values match the rescaled quadratic root.
+        c = 1e-200
+        zs = np.linspace(1e-201, 4e-200, 8) + 1e-210j
+        m = mp_stieltjes(PopulationSpectrum.point_mass(c), 1.0)(zs)
+        want = np.array([mp_stieltjes_quadratic(1.0, 1.0, z / c) / c for z in zs])
+        assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-7
+
+    def test_within_tolerance_rule(self):
+        assert within_tolerance(SOLVER_TOL, 1.0)
+        assert not within_tolerance(2 * SOLVER_TOL, 1.0)
+        assert within_tolerance(8.5e183, 1e200)
+        assert not within_tolerance(1e190, 1e200)
+        assert not within_tolerance(np.inf, np.inf)
+        assert not within_tolerance(np.nan, 1.0)
 
     def test_requires_upper_half_plane(self):
         with pytest.raises(BadGridError):
@@ -422,6 +441,18 @@ class TestRecoverSpectrum:
         near = (sp.locations >= 0.9) & (sp.locations <= 1.1)
         assert sp.weights[near].sum() >= 0.90
         assert rec.converged
+
+    def test_converged_is_a_kkt_test(self):
+        atoms = mp_quantiles(0.5, 1.0, (np.arange(400) + 0.5) / 400)
+        args = (SpectralDistribution(atoms), 0.5, np.linspace(0.05, 3.0, 60))
+        short = recover_spectrum(*args, max_iter=1)
+        assert short.iterations == 1
+        assert not short.converged
+        assert short.kkt_gap > RECOVER_KKT_TOL
+        full = recover_spectrum(*args)
+        assert full.converged
+        assert 0.0 <= full.kkt_gap <= RECOVER_KKT_TOL
+        assert full.objective <= short.objective
 
     def test_zero_esd_recovers_zero(self):
         rec = recover_spectrum(SpectralDistribution(np.zeros(50)), 0.5,

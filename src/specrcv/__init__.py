@@ -8,13 +8,9 @@ into reproducible batch experiments.
 """
 
 from .covmodel import (
-    CovMatrix,
-    EigenDecomposition,
     FactoredCov,
     SpectralDistribution,
-    eig_sym,
     esd,
-    sqrt_psd,
 )
 from .diffusion import (
     ClassCSpec,
@@ -25,10 +21,8 @@ from .diffusion import (
     PiecewiseProfile,
     SampledProfile,
     VolatilityProfile,
-    comparator_increments,
     design_one_profile,
     design_two_profile,
-    integrate_gamma_sq,
     make_grid,
     simulate_increments,
 )
@@ -39,19 +33,13 @@ from .errors import (
     BadSpecError,
     NoConvergenceError,
     NonFiniteError,
-    NotPSDError,
-    OutOfDomainError,
     SpecrcvError,
     ZeroIncrementError,
-    ZeroTraceError,
 )
 from .estimators import (
     EstimatorOutput,
-    TraceDiagnostic,
-    normalized_icv,
     rcv,
     sigma_tilde,
-    trace_diagnostic,
     tvarcv,
 )
 from .mpsolve import (
@@ -95,18 +83,14 @@ __all__ = [
     "ClassCSpec",
     "ConstantProfile",
     "CosineProfile",
-    "CovMatrix",
     "DensityCurve",
-    "EigenDecomposition",
     "EstimatorOutput",
     "FactoredCov",
     "IncrementMatrix",
     "MPLawParams",
     "NoConvergenceError",
     "NonFiniteError",
-    "NotPSDError",
     "ObservationGrid",
-    "OutOfDomainError",
     "PiecewiseProfile",
     "PopulationSpectrum",
     "RecoveryResult",
@@ -114,22 +98,17 @@ __all__ = [
     "SpecrcvError",
     "SpectralDistribution",
     "StieltjesGrid",
-    "TraceDiagnostic",
     "VolatilityProfile",
     "WeightProfile",
     "WeightedSolveResult",
     "ZeroIncrementError",
-    "ZeroTraceError",
     "__version__",
-    "comparator_increments",
     "default_bandwidth",
     "design_one_profile",
     "design_two_profile",
-    "eig_sym",
     "empirical_stieltjes",
     "esd",
     "histogram",
-    "integrate_gamma_sq",
     "invert_stieltjes",
     "kolmogorov_distance",
     "levy_distance",
@@ -139,7 +118,6 @@ __all__ = [
     "mp_mass_at_zero",
     "mp_stieltjes",
     "mp_support",
-    "normalized_icv",
     "rcv",
     "recover_spectrum",
     "sigma_tilde",
@@ -148,8 +126,6 @@ __all__ = [
     "solve_mp_grid",
     "solve_weighted_mp",
     "solve_weighted_mp_grid",
-    "sqrt_psd",
-    "trace_diagnostic",
     "tvarcv",
     "weight_profile_from_model",
     "within_tolerance",

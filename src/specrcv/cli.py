@@ -193,15 +193,22 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    def run_one(r: int) -> Path:
-        grid = make_grid(cfg.grid, cfg.n, seed=(seeds[r] ^ _GRID_SEED_SALT) & _SEED_MASK)
-        spec = ClassCSpec(p=cfg.p, profile=profile, lam=lam, drift=cfg.drift, seed=seeds[r])
+    def run_one(r: int) -> tuple[Path, dict]:
+        # Replicates may run on worker threads, so each keeps its own stage times.
+        stages = {}
+        with _stage(stages, "draw"):
+            grid = make_grid(cfg.grid, cfg.n, seed=(seeds[r] ^ _GRID_SEED_SALT) & _SEED_MASK)
+            spec = ClassCSpec(p=cfg.p, profile=profile, lam=lam, drift=cfg.drift, seed=seeds[r])
+            incr = simulate_increments(spec, grid)
         path = out / f"increments_r{r}.csv"
-        io.write_increments_csv(path, simulate_increments(spec, grid))
-        return path
+        with _stage(stages, "write"):
+            io.write_increments_csv(path, incr)
+        return path, stages
 
-    files = _run_parallel(run_one, cfg.replicates)
-    timings = {"total": time.perf_counter() - started}
+    results = _run_parallel(run_one, cfg.replicates)
+    files = [path for path, _ in results]
+    timings = {name: sum(stages[name] for _, stages in results) for name in ("draw", "write")}
+    timings["total"] = time.perf_counter() - started
     manifest = _write_run_manifest(out, "simulate", asdict(cfg), files, seeds, timings, {})
     print(manifest)
     return 0
@@ -361,10 +368,18 @@ def cmd_solve(config: dict) -> int:
         io.write_solver_trace_csv(trace_path, zs, m_fw, res, its, {"y": y, "bandwidth": v})
     files = [trace_path]
     unconverged = int(np.sum(~within_tolerance(res, np.abs(big_m) + np.abs(mt))))
+    # "higher" reports values some probe actually has; interpolating between
+    # two infinite residuals would give NaN.
+    its_p50, its_p90 = np.percentile(its, [50, 90], method="higher")
+    res_p50, res_p90 = np.percentile(res, [50, 90], method="higher")
     diagnostics = {
         "unconverged": unconverged,
         "max_residual": float(res.max()),
         "max_iterations": int(its.max()),
+        "residual_p50": float(res_p50),
+        "residual_p90": float(res_p90),
+        "iterations_p50": int(its_p50),
+        "iterations_p90": int(its_p90),
     }
     if unconverged == 0:
         with _stage(timings, "invert"):

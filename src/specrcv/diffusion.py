@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadGridError, BadSpecError, NonFiniteError, OutOfDomainError
+from .errors import BadGridError, BadSpecError, NonFiniteError
 
 # Bound on n * max interval length for observation grids (random grids are
 # redrawn until they satisfy it).
@@ -28,8 +28,6 @@ DRIFT_BOUND = 10.0
 
 # Panels for composite Simpson when a profile has no closed-form integral.
 SIMPSON_PANELS = 64
-
-_COMPARATOR_SALT = 0xC3A5C85C97CB3127
 
 
 def simpson_weights(panels: int) -> np.ndarray:
@@ -53,10 +51,6 @@ class VolatilityProfile:
     def interval_integrals(self, times: np.ndarray) -> np.ndarray:
         """Integrals of gamma^2 over consecutive intervals of ``times``."""
         raise NotImplementedError
-
-    def total_variance(self) -> float:
-        """Integral of gamma^2 over [0, 1]."""
-        return float(self.interval_integrals(np.array([0.0, 1.0]))[0])
 
     def descriptor(self) -> bytes:
         """Canonical bytes identifying the profile, for digests."""
@@ -221,15 +215,6 @@ def design_two_profile(c0: float = 9e-4, c1: float = 8e-4) -> CosineProfile:
     return CosineProfile(c0, c1)
 
 
-def integrate_gamma_sq(profile: VolatilityProfile, a: float, b: float) -> float:
-    """Integral of gamma_t^2 over [a, b] within [0, 1]."""
-    if not (0.0 <= a <= b <= 1.0):
-        raise OutOfDomainError(f"need 0 <= a <= b <= 1, got [{a}, {b}]")
-    if a == b:
-        return 0.0
-    return float(profile.interval_integrals(np.array([a, b]))[0])
-
-
 @dataclass(frozen=True, eq=False)
 class ObservationGrid:
     """Observation times 0 = tau_0 < tau_1 < ... < tau_n = 1."""
@@ -347,9 +332,9 @@ class ClassCSpec:
             raise BadSpecError(f"drift magnitudes must be <= {DRIFT_BOUND} and finite")
         object.__setattr__(self, "drift", drift)
 
-    def digest(self, grid: ObservationGrid, tag: str = "simulate") -> str:
+    def digest(self, grid: ObservationGrid) -> str:
         h = hashlib.sha256()
-        h.update(tag.encode())
+        h.update(b"simulate")
         h.update(np.int64(self.p).tobytes())
         h.update(np.uint64(_key64(self.seed)).tobytes())
         h.update(self.profile.descriptor())
@@ -391,45 +376,26 @@ class IncrementMatrix:
         return self.increments.shape[1]
 
 
-def _draw(spec: ClassCSpec, grid: ObservationGrid, profile: VolatilityProfile,
-          drift, key: int, tag: str) -> IncrementMatrix:
-    w = profile.interval_integrals(grid.times)
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise BadSpecError("profile produced nonpositive interval variances")
-    rng = np.random.default_rng(np.random.Philox(key=key))
-    z = rng.standard_normal((grid.n, spec.p))
-    lam_diag = getattr(spec, "_lam_diag", None)
-    if spec.lam is None:
-        y = z
-    elif lam_diag is not None:
-        y = z * lam_diag[None, :]
-    else:
-        y = z @ spec.lam.T
-    incr = np.sqrt(w)[:, None] * y
-    if np.any(np.asarray(drift) != 0.0):
-        incr = incr + grid.spacings()[:, None] * np.broadcast_to(
-            np.asarray(drift, dtype=float), (spec.p,)
-        )[None, :]
-    return IncrementMatrix(incr, grid, spec.digest(grid, tag))
-
-
 def simulate_increments(spec: ClassCSpec, grid: ObservationGrid) -> IncrementMatrix:
     """Draw the n x p increment matrix of the class-C process on the grid.
 
     Deterministic given (spec, grid): the generator is counter-based and keyed
     by the spec seed only.
     """
-    return _draw(spec, grid, spec.profile, spec.drift, _key64(spec.seed), "simulate")
-
-
-def comparator_increments(spec: ClassCSpec, grid: ObservationGrid) -> IncrementMatrix:
-    """Increments of the constant-covolatility comparator process.
-
-    Replaces gamma_t by the constant (integral of gamma^2)^{1/2}, drops the
-    drift, and uses a fresh Brownian stream. The comparator has the same ICV
-    matrix as the original process by construction.
-    """
-    sigma_bar = np.sqrt(spec.profile.total_variance())
-    const = ConstantProfile(float(sigma_bar))
-    key = _key64(spec.seed) ^ _COMPARATOR_SALT
-    return _draw(spec, grid, const, 0.0, key, "comparator")
+    w = spec.profile.interval_integrals(grid.times)
+    if np.any(w <= 0) or not np.all(np.isfinite(w)):
+        raise BadSpecError("profile produced nonpositive interval variances")
+    rng = np.random.default_rng(np.random.Philox(key=_key64(spec.seed)))
+    z = rng.standard_normal((grid.n, spec.p))
+    if spec.lam is None:
+        y = z
+    elif spec._lam_diag is not None:
+        y = z * spec._lam_diag[None, :]
+    else:
+        y = z @ spec.lam.T
+    incr = np.sqrt(w)[:, None] * y
+    if np.any(np.asarray(spec.drift) != 0.0):
+        incr = incr + grid.spacings()[:, None] * np.broadcast_to(
+            np.asarray(spec.drift, dtype=float), (spec.p,)
+        )[None, :]
+    return IncrementMatrix(incr, grid, spec.digest(grid))

@@ -10,14 +10,6 @@ class NonFiniteError(SpecrcvError):
     """An input or result contains NaN or infinity."""
 
 
-class NotPSDError(SpecrcvError):
-    """A matrix required to be positive semidefinite is not, beyond tolerance."""
-
-
-class OutOfDomainError(SpecrcvError):
-    """A time argument falls outside the unit interval."""
-
-
 class BadSpecError(SpecrcvError):
     """A simulation spec is structurally invalid (shape, sign, bound)."""
 
@@ -28,10 +20,6 @@ class BadGridError(SpecrcvError):
 
 class BadProfileError(SpecrcvError):
     """A weight or time-change profile violates its constraints."""
-
-
-class ZeroTraceError(SpecrcvError):
-    """Normalization requested for a matrix with nonpositive trace."""
 
 
 class BadConfigError(SpecrcvError):

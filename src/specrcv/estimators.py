@@ -1,4 +1,4 @@
-"""Realized covariance estimators and trace diagnostics.
+"""Realized covariance estimators: RCV, the self-normalized matrix, TVARCV.
 
 RCV sums increment outer products. The time-variation adjusted variant
 (TVARCV) self-normalizes each outer product by its squared length and
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covmodel import CovMatrix, FactoredCov, square_sum
+from .covmodel import FactoredCov, square_sum
 from .diffusion import IncrementMatrix
-from .errors import ZeroIncrementError, ZeroTraceError
+from .errors import ZeroIncrementError
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,38 +111,3 @@ def tvarcv(incr: IncrementMatrix, drop_zero_rows: bool = False) -> EstimatorOutp
         spec_digest=incr.spec_digest,
     )
 
-
-def normalized_icv(icv: CovMatrix) -> CovMatrix:
-    """Rescale a covariance matrix to trace p."""
-    tr = icv.trace()
-    if not tr > 0.0:
-        raise ZeroTraceError(f"cannot normalize matrix with trace {tr}")
-    return CovMatrix((icv.dim / tr) * icv.entries)
-
-
-@dataclass(frozen=True)
-class TraceDiagnostic:
-    """Realized trace per coordinate versus a target integrated variance."""
-
-    ratio: float
-    theta: float
-    relative_deviation: float
-    tolerance: float
-    passed: bool
-
-
-def trace_diagnostic(
-    incr: IncrementMatrix, theta: float, tolerance: float = 0.05
-) -> TraceDiagnostic:
-    """Compare tr(RCV)/p against a target theta at the given relative tolerance."""
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    ratio = square_sum(incr.increments) / incr.p
-    rel = abs(ratio - theta) / theta
-    return TraceDiagnostic(
-        ratio=ratio,
-        theta=theta,
-        relative_deviation=rel,
-        tolerance=tolerance,
-        passed=rel <= tolerance,
-    )

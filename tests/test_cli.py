@@ -111,6 +111,16 @@ class TestSimulate:
         manifest = _read_json(tmp_path / "manifest.json")
         assert manifest["replicate_seeds"] == [2 ^ 0, 2 ^ 1, 2 ^ 2]
 
+    def test_manifest_timings_cover_every_stage(self, tmp_path, monkeypatch):
+        # One thread, so the stage times summed over replicates fit in the wall time.
+        monkeypatch.setenv("SPECRCV_THREADS", "1")
+        assert main(["simulate", "--design", "1", "--p", "20", "--n", "200",
+                     "--replicates", "2", "--out", str(tmp_path)]) == 0
+        timings = _read_json(tmp_path / "manifest.json")["timings_s"]
+        stages = [timings[name] for name in ("draw", "write")]
+        assert all(t > 0.0 for t in stages)
+        assert timings["total"] >= sum(stages)
+
     def test_rerun_reproduces_bytes(self, design1_run, tmp_path):
         assert main(["rerun", "--manifest", str(design1_run.sim / "manifest.json"),
                      "--out", str(tmp_path)]) == 0
@@ -212,6 +222,20 @@ class TestSolve:
         stages = [timings[name] for name in ("solve", "invert", "write")]
         assert all(t > 0.0 for t in stages)
         assert timings["total"] >= sum(stages)
+
+    def test_manifest_records_iteration_and_residual_spread(self, tmp_path):
+        assert main(["solve", "--spectrum", "point:1", "--weights", "design1",
+                     "--y", "0.5", "--xs", "0.23:2.77:200", "--bandwidth", "0.01",
+                     "--out", str(tmp_path)]) == 0
+        diagnostics = _read_json(tmp_path / "manifest.json")["diagnostics"]
+        trace = np.loadtxt(tmp_path / "solver_trace.csv", delimiter=",", skiprows=2)
+        for column, name in ((4, "residual"), (5, "iterations")):
+            values = trace[:, column]
+            spread = [diagnostics[f"{name}_p50"], diagnostics[f"{name}_p90"],
+                      diagnostics[f"max_{name}"]]
+            assert spread == [np.percentile(values, q, method="higher") for q in (50, 90, 100)]
+            assert spread[0] <= spread[1] <= spread[2]
+            assert all(v in values for v in spread)
 
     def test_rank_deficient_mass_at_zero(self, tmp_path):
         assert main(["solve", "--spectrum", "point:1", "--weights", "constant:1",

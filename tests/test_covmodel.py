@@ -3,43 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrcv.covmodel import (
-    CovMatrix,
-    FactoredCov,
-    SpectralDistribution,
-    eig_sym,
-    esd,
-    sqrt_psd,
-)
+from specrcv.covmodel import FactoredCov, SpectralDistribution, esd
 from specrcv.diffusion import IncrementMatrix, make_grid
-from specrcv.errors import NonFiniteError, NotPSDError
-from specrcv.estimators import rcv, sigma_tilde, trace_diagnostic, tvarcv
+from specrcv.errors import NonFiniteError
+from specrcv.estimators import rcv, sigma_tilde, tvarcv
 
 from .oracles import jacobi_eigh
-
-
-class TestCovMatrix:
-    def test_symmetry_enforced_exactly(self):
-        a = CovMatrix(np.array([[1.0, 2.0], [2.0 + 1e-13, 3.0]]))
-        assert np.array_equal(a.entries, a.entries.T)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            CovMatrix(np.ones((2, 3)))
-
-    def test_rejects_nan(self):
-        with pytest.raises(NonFiniteError):
-            CovMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_trace_and_norm(self):
-        a = CovMatrix(np.diag([1.0, 3.0]))
-        assert a.trace() == 4.0
-        assert a.frobenius_norm() == pytest.approx(np.sqrt(10.0))
-
-    def test_entries_read_only(self):
-        a = CovMatrix(np.eye(2))
-        with pytest.raises(ValueError):
-            a.entries[0, 0] = 5.0
 
 
 class TestSpectralDistribution:
@@ -69,68 +38,6 @@ class TestSpectralDistribution:
             d.quantile(0.0)
 
 
-class TestEigSym:
-    def test_identity(self):
-        dec = eig_sym(CovMatrix(np.eye(3)))
-        assert np.allclose(dec.values, [1.0, 1.0, 1.0])
-
-    def test_diagonal(self):
-        dec = eig_sym(CovMatrix(np.diag([2.0, 5.0])))
-        assert np.allclose(dec.values, [2.0, 5.0])
-        # Eigenvectors of a diagonal matrix are signed coordinate vectors.
-        assert np.allclose(np.abs(dec.vectors), np.eye(2))
-
-    def test_matches_jacobi_oracle(self):
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(8, 8))
-        a = (a + a.T) / 2.0
-        dec = eig_sym(CovMatrix(a))
-        oracle_vals, _ = jacobi_eigh(a)
-        scale = 1.0 + np.max(np.abs(oracle_vals))
-        assert np.max(np.abs(dec.values - oracle_vals)) <= 1e-9 * scale
-        recon = dec.reconstruct()
-        assert np.linalg.norm(recon - a) <= 1e-9 * (1.0 + np.linalg.norm(a))
-
-    def test_orthonormal_vectors(self):
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(10, 10))
-        dec = eig_sym(CovMatrix((a + a.T) / 2.0))
-        gram = dec.vectors.T @ dec.vectors
-        assert np.linalg.norm(gram - np.eye(10)) <= 1e-9 * 10
-
-    def test_values_ascending(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(6, 6))
-        dec = eig_sym(CovMatrix((a + a.T) / 2.0))
-        assert np.all(np.diff(dec.values) >= 0)
-
-
-class TestSqrtPsd:
-    def test_diagonal(self):
-        r = sqrt_psd(CovMatrix(np.diag([4.0, 9.0])))
-        assert np.allclose(r.entries, np.diag([2.0, 3.0]))
-
-    def test_identity(self):
-        r = sqrt_psd(CovMatrix(np.eye(4)))
-        assert np.allclose(r.entries, np.eye(4))
-
-    def test_square_recovers_input(self):
-        rng = np.random.default_rng(21)
-        b = rng.normal(size=(6, 6))
-        a = b @ b.T
-        r = sqrt_psd(CovMatrix(a)).entries
-        assert np.linalg.norm(r @ r - a) <= 1e-8 * (1.0 + np.linalg.norm(a))
-
-    def test_clamps_roundoff_negatives(self):
-        a = np.diag([1.0, -1e-12])
-        r = sqrt_psd(CovMatrix(a))
-        assert r.entries[1, 1] == 0.0
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSDError):
-            sqrt_psd(CovMatrix(np.diag([1.0, -0.5])))
-
-
 class TestFactoredCov:
     def test_entries_and_trace(self):
         rng = np.random.default_rng(21)
@@ -140,6 +47,11 @@ class TestFactoredCov:
         assert np.allclose(f.entries, 0.5 * x.T @ x, atol=1e-13)
         assert not f.entries.flags.writeable
         assert f.trace() == pytest.approx(0.5 * np.sum(x * x), rel=1e-14)
+
+    def test_symmetry_enforced_exactly(self):
+        x = np.random.default_rng(4).normal(size=(50, 7))
+        entries = FactoredCov(x, 0.3).entries
+        assert np.array_equal(entries, entries.T)
 
     def test_rows_are_a_private_copy(self):
         x = np.ones((3, 2))
@@ -156,6 +68,18 @@ class TestFactoredCov:
             FactoredCov(np.ones((2, 2)), np.inf)
         with pytest.raises(ValueError):
             FactoredCov(np.ones((0, 3)))
+
+    @pytest.mark.parametrize("estimator", [rcv, sigma_tilde, tvarcv])
+    def test_many_rows_keep_trace_and_spectrum(self, estimator):
+        # A plain A^T A over n >> p rows must still meet the 1e-12 trace
+        # identity that `estimate` checks on every file.
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(1500, 300)) * rng.uniform(0.1, 3.0, size=(1500, 1))
+        mat = estimator(_increments(x)).matrix
+        dense = mat.entries
+        assert abs(np.trace(dense) - mat.trace()) <= 1e-12 * mat.trace()
+        ev = np.linalg.eigvalsh(dense)
+        assert np.max(np.abs(esd(mat).eigenvalues - ev)) <= 1e-12 * ev[-1]
 
     def test_wide_esd_pads_exact_zeros(self):
         x = np.array([[3.0, 0.0, 4.0, 0.0, 0.0]])
@@ -196,22 +120,29 @@ class TestGramSide:
         assert np.max(np.abs(ev - dense)) <= 1e-12 * dense[-1]
 
     def test_realized_trace_is_shared(self):
-        # RCV, TVARCV's trace factor and the trace diagnostic take sum x^2
-        # from one helper, so they agree bit for bit.
+        # RCV and TVARCV's trace factor take sum x^2 from one helper, so they
+        # agree bit for bit.
         x = np.random.default_rng(12).normal(size=(25, 60))
         incr = _increments(x)
-        ratio = trace_diagnostic(incr, theta=1.0).ratio
-        assert ratio == rcv(incr).trace_over_p
+        ratio = rcv(incr).trace_over_p
         assert tvarcv(incr).matrix.scale == ratio * (60 / 25)
 
 
 class TestEsd:
     def test_diagonal_cdf(self):
-        d = esd(CovMatrix(np.diag([1.0, 2.0, 3.0])))
+        d = esd(np.diag([1.0, 2.0, 3.0]))
         assert d.cdf(2.0) == pytest.approx(2.0 / 3.0)
 
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError):
+            esd(np.ones((2, 3)))
+
+    def test_rejects_nan(self):
+        with pytest.raises(NonFiniteError):
+            esd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_zero_matrix(self):
-        d = esd(CovMatrix(np.zeros((4, 4))))
+        d = esd(np.zeros((4, 4)))
         assert np.array_equal(d.eigenvalues, np.zeros(4))
         assert d.cdf(0.0) == 1.0
 
@@ -219,7 +150,7 @@ class TestEsd:
         rng = np.random.default_rng(50)
         x = rng.normal(size=(50, 50)) / np.sqrt(50)
         a = x @ x.T
-        d = esd(CovMatrix(a))
+        d = esd(a)
         oracle_vals, _ = jacobi_eigh(a)
         scale = 1.0 + np.max(np.abs(oracle_vals))
         assert np.max(np.abs(d.eigenvalues - oracle_vals)) <= 1e-9 * scale
@@ -227,9 +158,10 @@ class TestEsd:
     def test_trace_equals_eigenvalue_sum(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=(12, 12))
-        m = CovMatrix((a + a.T) / 2.0)
+        m = (a + a.T) / 2.0
         d = esd(m)
-        assert abs(m.trace() - d.eigenvalues.sum()) <= 1e-9 * max(1.0, abs(m.trace()))
+        tr = np.trace(m)
+        assert abs(tr - d.eigenvalues.sum()) <= 1e-9 * max(1.0, abs(tr))
 
 
 @settings(max_examples=30, deadline=None)
@@ -241,7 +173,7 @@ def test_weyl_monotonicity(seed, dim):
     a = a0 @ a0.T
     c = rng.normal(size=(dim, max(1, dim // 2)))
     b = a + c @ c.T
-    fa, fb = esd(CovMatrix(a)), esd(CovMatrix(b))
+    fa, fb = esd(a), esd(b)
     xs = np.unique(np.concatenate([fa.eigenvalues, fb.eigenvalues]))
     assert np.all(fa.cdf(xs) >= fb.cdf(xs) - 1e-12)
 
@@ -258,7 +190,7 @@ def test_rank_inequality(seed, dim, rank):
     v = rng.normal(size=(dim, rank))
     r = u @ v.T
     r = (r + r.T) / 2.0
-    fa, fb = esd(CovMatrix(a)), esd(CovMatrix(a + r))
+    fa, fb = esd(a), esd(a + r)
     xs = np.unique(np.concatenate([fa.eigenvalues, fb.eigenvalues]))
     gap = np.max(np.abs(fa.cdf(xs) - fb.cdf(xs)))
     assert gap <= np.linalg.matrix_rank(r) / dim + 1e-12

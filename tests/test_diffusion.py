@@ -11,25 +11,23 @@ from specrcv.diffusion import (
     ObservationGrid,
     PiecewiseProfile,
     SampledProfile,
-    comparator_increments,
     design_one_profile,
     design_two_profile,
-    integrate_gamma_sq,
     make_grid,
     simulate_increments,
 )
-from specrcv.errors import BadGridError, BadSpecError, OutOfDomainError
+from specrcv.errors import BadGridError, BadSpecError
 
 from .oracles import fine_integral
 
 
 class TestProfiles:
     def test_constant_total(self):
-        assert integrate_gamma_sq(ConstantProfile(0.02), 0.0, 1.0) == pytest.approx(4e-4)
+        assert ConstantProfile(0.02).interval_integrals([0.0, 1.0])[0] == pytest.approx(4e-4)
 
     def test_design_one_total(self):
         # 0.0007 on half the day plus 0.0001 on the other half.
-        total = integrate_gamma_sq(design_one_profile(), 0.0, 1.0)
+        total = design_one_profile().interval_integrals([0.0, 1.0])[0]
         assert total == pytest.approx(0.0007 * 0.5 + 0.0001 * 0.5, rel=1e-12)
 
     def test_design_one_levels(self):
@@ -40,33 +38,27 @@ class TestProfiles:
 
     def test_design_two_total(self):
         # The cosine integrates to zero over a full period.
-        total = integrate_gamma_sq(design_two_profile(), 0.0, 1.0)
+        total = design_two_profile().interval_integrals([0.0, 1.0])[0]
         assert total == pytest.approx(9e-4, rel=1e-12)
 
     def test_cosine_partial_interval_matches_quadrature(self):
         prof = CosineProfile(2.0, 1.5)
-        got = integrate_gamma_sq(prof, 0.1, 0.7)
+        got = prof.interval_integrals([0.1, 0.7])[0]
         want = fine_integral(prof.gamma_sq, 0.1, 0.7)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_piecewise_partial_interval(self):
         prof = PiecewiseProfile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0]))
-        assert integrate_gamma_sq(prof, 0.25, 0.75) == pytest.approx(
+        assert prof.interval_integrals([0.25, 0.75])[0] == pytest.approx(
             1.0 * 0.25 + 4.0 * 0.25
         )
 
     def test_sampled_profile_simpson_vs_quadrature(self):
         values = 1.0 + 0.3 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 401))
         prof = SampledProfile(values)
-        got = integrate_gamma_sq(prof, 0.0, 1.0)
+        got = prof.interval_integrals([0.0, 1.0])[0]
         want = fine_integral(prof.gamma_sq, 0.0, 1.0)
         assert got == pytest.approx(want, rel=1e-8)
-
-    def test_out_of_domain(self):
-        with pytest.raises(OutOfDomainError):
-            integrate_gamma_sq(ConstantProfile(1.0), -0.1, 0.5)
-        with pytest.raises(OutOfDomainError):
-            integrate_gamma_sq(ConstantProfile(1.0), 0.5, 1.5)
 
     def test_zero_profile_rejected(self):
         with pytest.raises(BadSpecError):
@@ -142,9 +134,8 @@ class TestClassCSpec:
             base.digest(grid),
             other_seed.digest(grid),
             other_prof.digest(grid),
-            base.digest(grid, tag="comparator"),
         }
-        assert len(digests) == 4
+        assert len(digests) == 3
 
 
 class TestSimulate:
@@ -218,44 +209,6 @@ class TestSimulate:
         assert incr.n == 37 and incr.p == 3
         with pytest.raises(BadSpecError):
             IncrementMatrix(np.zeros((36, 3)), grid)
-
-
-class TestComparator:
-    def test_uses_total_variance_constant(self):
-        # Design I comparator: constant level integral 4e-4, so the pooled
-        # variance of n*p = 1e6 increments is 4e-4/n within 1%.
-        n, p = 500, 2000
-        grid = make_grid("equispaced", n)
-        spec = ClassCSpec(p=p, profile=design_one_profile(), seed=91)
-        comp = comparator_increments(spec, grid).increments
-        assert comp.var() == pytest.approx(4e-4 / n, rel=0.01)
-        # Unlike the original process, interval variances do not step at 1/4.
-        orig = simulate_increments(spec, grid).increments
-        first_quarter = slice(0, n // 4)
-        mid = slice(n // 4, 3 * n // 4)
-        ratio_orig = orig[first_quarter].var() / orig[mid].var()
-        ratio_comp = comp[first_quarter].var() / comp[mid].var()
-        assert ratio_orig > 5.0
-        assert abs(ratio_comp - 1.0) < 0.05
-
-    def test_fresh_stream(self):
-        grid = make_grid("equispaced", 20)
-        spec = ClassCSpec(p=2, profile=ConstantProfile(0.5), seed=8)
-        orig = simulate_increments(spec, grid)
-        comp = comparator_increments(spec, grid)
-        assert not np.array_equal(orig.increments, comp.increments)
-        again = comparator_increments(spec, grid)
-        assert np.array_equal(comp.increments, again.increments)
-
-    def test_constant_profile_same_distribution(self):
-        # For a constant profile the comparator is another draw of the same
-        # process: equal interval variances, just a different stream.
-        n, p = 400, 2500
-        grid = make_grid("equispaced", n)
-        spec = ClassCSpec(p=p, profile=ConstantProfile(0.03), seed=17)
-        orig = simulate_increments(spec, grid).increments
-        comp = comparator_increments(spec, grid).increments
-        assert comp.var() == pytest.approx(orig.var(), rel=0.02)
 
 
 @settings(max_examples=25, deadline=None)

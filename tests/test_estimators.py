@@ -4,21 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from specrcv.covmodel import CovMatrix
 from specrcv.diffusion import (
-    ClassCSpec,
-    ConstantProfile,
     IncrementMatrix,
-    design_one_profile,
     make_grid,
-    simulate_increments,
 )
-from specrcv.errors import ZeroIncrementError, ZeroTraceError
+from specrcv.errors import ZeroIncrementError
 from specrcv.estimators import (
-    normalized_icv,
     rcv,
     sigma_tilde,
-    trace_diagnostic,
     tvarcv,
 )
 
@@ -133,54 +126,6 @@ class TestTvarcv:
         assert out.kind == "tvarcv"
         assert out.p == 2
         assert out.spec_digest == incr.spec_digest
-
-
-class TestNormalizedIcv:
-    def test_identity_normalizes_to_identity(self):
-        out = normalized_icv(CovMatrix(np.diag([2.0, 2.0, 2.0])))
-        assert np.allclose(out.entries, np.eye(3))
-
-    def test_trace_is_p(self):
-        rng = np.random.default_rng(3)
-        b = rng.normal(size=(5, 5))
-        out = normalized_icv(CovMatrix(b @ b.T))
-        assert out.trace() == pytest.approx(5.0, rel=1e-12)
-
-    def test_zero_trace_rejected(self):
-        with pytest.raises(ZeroTraceError):
-            normalized_icv(CovMatrix(np.zeros((2, 2))))
-
-
-class TestTraceDiagnostic:
-    def test_matching_theta_passes(self):
-        grid = make_grid("equispaced", 2000)
-        spec = ClassCSpec(p=100, profile=design_one_profile(), seed=5)
-        incr = simulate_increments(spec, grid)
-        diag = trace_diagnostic(incr, theta=4e-4)
-        assert diag.passed
-        assert diag.relative_deviation < 0.05
-        assert diag.ratio == pytest.approx(rcv(incr).trace_over_p)
-
-    def test_wrong_theta_fails(self):
-        grid = make_grid("equispaced", 500)
-        spec = ClassCSpec(p=50, profile=ConstantProfile(0.02), seed=6)
-        incr = simulate_increments(spec, grid)
-        diag = trace_diagnostic(incr, theta=8e-4)
-        assert not diag.passed
-        assert diag.relative_deviation > 0.4
-
-    def test_zero_increments(self):
-        diag = trace_diagnostic(_increments(np.zeros((4, 3))), theta=1e-4)
-        assert diag.ratio == 0.0
-        assert not diag.passed
-
-    def test_custom_tolerance(self):
-        grid = make_grid("equispaced", 100)
-        spec = ClassCSpec(p=20, profile=ConstantProfile(0.02), seed=1)
-        incr = simulate_increments(spec, grid)
-        loose = trace_diagnostic(incr, theta=4e-4, tolerance=0.5)
-        assert loose.tolerance == 0.5
-        assert loose.passed
 
 
 finite_rows = hnp.arrays(

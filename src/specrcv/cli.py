@@ -6,9 +6,10 @@ files, ``estimate`` turns them into eigenvalue and histogram files,
 weight profile, ``recover`` fits a population spectrum to an observed ESD,
 ``compare`` scores two spectral files against each other, and ``rerun``
 replays any of the above from its manifest. Every run directory gets a
-manifest.json recording the config, per-replicate seeds, and SHA-256
-digests of all emitted files; re-running a manifest reproduces the CSV
-outputs byte for byte.
+manifest.json recording the config, the Python and NumPy versions and thread
+settings, per-replicate seeds, per-stage timings, and SHA-256 digests of all
+emitted files; re-running a manifest reproduces the CSV outputs byte for
+byte when the BLAS thread setting matches.
 
 Exit codes: 0 success, 1 compare threshold exceeded, 2 bad configuration or
 input, 3 numerical non-convergence.
@@ -62,6 +63,8 @@ _DESIGNS = ("design1", "design2")
 _GRIDS = ("equispaced", "poisson")
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _GRID_SEED_SALT = 0x9E3779B97F4A7C15
+# BLAS threads change the summation order of matrix products and eigvalsh.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def thread_count() -> int:
@@ -165,14 +168,28 @@ def _stage(timings: dict, name: str):
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
 
 
+def _environment() -> dict:
+    """Versions and thread settings that can change output bytes."""
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        **{name: os.environ.get(name) for name in (*_BLAS_THREAD_VARS, "SPECRCV_THREADS")},
+    }
+
+
 def _write_run_manifest(out: Path, command: str, config: dict, files, seeds,
-                        timings: dict, diagnostics: dict) -> Path:
+                        timings: dict, diagnostics: dict, started: float) -> Path:
+    """Hash the outputs as the ``digest`` stage, then close ``total`` at ``started``."""
+    with _stage(timings, "digest"):
+        digests = {f.name: io.sha256_file(f) for f in files}
+    timings["total"] = time.perf_counter() - started
     manifest = {
         "command": command,
         "config": config,
         "version": __version__,
+        "environment": _environment(),
         "replicate_seeds": [int(s) for s in seeds],
-        "files": {f.name: io.sha256_file(f) for f in files},
+        "files": digests,
         "timings_s": timings,
         "diagnostics": diagnostics,
     }
@@ -208,8 +225,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     results = _run_parallel(run_one, cfg.replicates)
     files = [path for path, _ in results]
     timings = {name: sum(stages[name] for _, stages in results) for name in ("draw", "write")}
-    timings["total"] = time.perf_counter() - started
-    manifest = _write_run_manifest(out, "simulate", asdict(cfg), files, seeds, timings, {})
+    manifest = _write_run_manifest(out, "simulate", asdict(cfg), files, seeds, timings, {},
+                                   started)
     print(manifest)
     return 0
 
@@ -262,9 +279,8 @@ def cmd_estimate(config: dict) -> int:
                 io.write_density_csv(hpath, curve, meta)
                 files += [epath, hpath]
         diagnostics[path.name] = entry
-    timings["total"] = time.perf_counter() - started
     manifest = _write_run_manifest(out, "estimate", dict(config), files, [], timings,
-                                   diagnostics)
+                                   diagnostics, started)
     print(manifest)
     return 0
 
@@ -399,9 +415,8 @@ def cmd_solve(config: dict) -> int:
             io.write_density_csv(density_path, curve, {"y": y, "bandwidth": v})
         files.append(density_path)
         diagnostics["mass_at_zero"] = float(curve.mass_at_zero)
-    timings["total"] = time.perf_counter() - started
     manifest = _write_run_manifest(out, "solve", dict(config), files, [], timings,
-                                   diagnostics)
+                                   diagnostics, started)
     if unconverged:
         print(
             f"error: {unconverged} of {zs.size} probe points failed to converge; "
@@ -448,7 +463,6 @@ def cmd_recover(config: dict) -> int:
             },
         )
         io.write_objective_csv(objective_path, result.objective_trace, {"y": y})
-    timings["total"] = time.perf_counter() - started
     diagnostics = {
         "objective": result.objective,
         "converged": result.converged,
@@ -458,7 +472,7 @@ def cmd_recover(config: dict) -> int:
     }
     manifest = _write_run_manifest(out, "recover", dict(config),
                                    [spectrum_path, objective_path], [], timings,
-                                   diagnostics)
+                                   diagnostics, started)
     if not result.converged:
         print(
             f"warning: fit stopped at objective {result.objective:.3e} "
@@ -504,6 +518,14 @@ def cmd_rerun(manifest_file: str, out_override: str | None) -> int:
     config = dict(manifest["config"])
     if out_override is not None:
         config["out"] = str(out_override)
+    recorded = manifest.get("environment")
+    if recorded is not None:
+        changed = [f"{name}={recorded.get(name)} now {os.environ.get(name)}"
+                   for name in _BLAS_THREAD_VARS if recorded.get(name) != os.environ.get(name)]
+        if changed:
+            print(f"warning: BLAS thread setting differs from the recorded run "
+                  f"({', '.join(changed)}); eigenvalue files may differ in their last bits",
+                  file=sys.stderr)
     if command == "simulate":
         return cmd_simulate(ExperimentConfig.from_dict(config))
     if command == "estimate":

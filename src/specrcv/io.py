@@ -1,13 +1,22 @@
 """File formats: headered CSV for data, JSON for spectra and manifests.
 
 Every CSV starts with one ``#`` metadata line of ``key=value`` pairs followed
-by a column header row. Floats are written with ``repr`` so values round-trip
-bit-exactly through text; together with fixed newlines this makes outputs
-byte-identical across re-runs of the same configuration.
+by a column header row and one line per data row. All tables go through one
+writer and one reader:
+
+- ``_write_table`` joins ``repr`` of native Python floats and ints, the
+  shortest decimal that parses back to the same double. Integer columns stay
+  integers (``3``, not ``3.0``). With fixed newlines this makes outputs
+  byte-identical across re-runs of the same configuration.
+- ``_read_table`` streams the data rows through one ``np.loadtxt`` call.
+  NumPy's tokenizer converts each cell with ``PyOS_string_to_double``, the
+  correctly rounded conversion behind ``float()``, so every written double
+  reads back bit for bit, subnormals and signed zeros included.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -58,32 +67,33 @@ def _parse_meta(line: str, path) -> dict:
     return meta
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format_float(v)
-
-
 def _write_table(path, meta: dict, header: list[str], rows) -> None:
+    """Write ``rows``, an iterable of sequences of Python floats and ints."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(_meta_line(meta) + "\n")
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_format_cell(v) for v in row) + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _read_table(path):
     with open(path, "r", encoding="utf-8") as handle:
         meta = _parse_meta(handle.readline().rstrip("\n"), path)
         header = handle.readline().rstrip("\n").split(",")
-        body = handle.read()
-    if body.strip():
-        data = np.array(
-            [[float(v) for v in line.split(",")] for line in body.splitlines() if line],
-            dtype=float,
+        # loadtxt warns on a body without rows, so find the first row here.
+        for first in handle:
+            if first.strip():
+                break
+        else:
+            return meta, header, np.empty((0, len(header)))
+        try:
+            data = np.loadtxt(itertools.chain([first], handle), delimiter=",",
+                              ndmin=2, comments=None)
+        except ValueError as err:
+            raise BadConfigError(f"{path}: {err}") from None
+    if data.shape[1] != len(header):
+        raise BadConfigError(
+            f"{path}: rows have {data.shape[1]} columns but the header names {len(header)}"
         )
-    else:
-        data = np.empty((0, len(header)))
     return meta, header, data
 
 
@@ -96,9 +106,9 @@ def write_increments_csv(path, incr: IncrementMatrix) -> None:
     n, p = incr.increments.shape
     meta = {"kind": "increments", "p": p, "n": n, "digest": incr.spec_digest}
     header = ["tau"] + [f"x{j + 1}" for j in range(p)]
-    taus = incr.grid.times[1:]
-    rows = np.column_stack([taus, incr.increments])
-    _write_table(path, meta, header, rows)
+    table = np.column_stack([incr.grid.times[1:], incr.increments])
+    # Row by row, so the panel never exists as one list of Python floats.
+    _write_table(path, meta, header, (row.tolist() for row in table))
 
 
 def read_increments_csv(path) -> IncrementMatrix:
@@ -107,6 +117,12 @@ def read_increments_csv(path) -> IncrementMatrix:
         raise BadConfigError(f"{path}: not an increments file")
     if data.shape[0] == 0 or data.shape[1] < 2:
         raise BadConfigError(f"{path}: no increment rows")
+    n, p = data.shape[0], data.shape[1] - 1
+    if (meta.get("p"), meta.get("n")) != (str(p), str(n)):
+        raise BadConfigError(
+            f"{path}: metadata says p={meta.get('p')}, n={meta.get('n')} "
+            f"but the rows hold p={p}, n={n}"
+        )
     grid = ObservationGrid(np.concatenate([[0.0], data[:, 0]]))
     return IncrementMatrix(data[:, 1:], grid, spec_digest=meta.get("digest", ""))
 
@@ -117,8 +133,7 @@ def read_increments_csv(path) -> IncrementMatrix:
 
 def write_eigenvalues_csv(path, dist: SpectralDistribution, meta: dict) -> None:
     full = {"kind": "eigenvalues", **meta, "p": dist.dim}
-    rows = dist.eigenvalues[:, None]
-    _write_table(path, full, ["eigenvalue"], rows)
+    _write_table(path, full, ["eigenvalue"], dist.eigenvalues[:, None].tolist())
 
 
 def read_eigenvalues_csv(path):
@@ -136,7 +151,7 @@ def read_eigenvalues_csv(path):
 
 def write_density_csv(path, curve: DensityCurve, meta: dict) -> None:
     full = {"kind": "density", **meta, "mass_at_zero": float(curve.mass_at_zero)}
-    rows = np.column_stack([curve.xs, curve.ys])
+    rows = np.column_stack([curve.xs, curve.ys]).tolist()
     _write_table(path, full, ["x", "density"], rows)
 
 
@@ -161,11 +176,8 @@ def write_solver_trace_csv(path, zs, values, residuals, iterations, meta: dict) 
     iters = np.asarray(iterations, dtype=int).ravel()
     full = {"kind": "solver_trace", **meta}
     header = ["re_z", "im_z", "re_m", "im_m", "residual", "iterations"]
-    rows = [
-        (z.real, z.imag, m.real, m.imag, r, int(k))
-        for z, m, r, k in zip(zs, values, res, iters)
-    ]
-    _write_table(path, full, header, rows)
+    columns = (zs.real, zs.imag, values.real, values.imag, res, iters)
+    _write_table(path, full, header, zip(*(col.tolist() for col in columns)))
 
 
 def write_objective_csv(path, trace, meta: dict) -> None:

@@ -4,6 +4,7 @@ Everything runs through ``specrcv.cli.main`` in process so exit codes and
 stdout are observable; one test shells out to check the ``-m`` entry point.
 """
 import json
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -117,7 +118,7 @@ class TestSimulate:
         assert main(["simulate", "--design", "1", "--p", "20", "--n", "200",
                      "--replicates", "2", "--out", str(tmp_path)]) == 0
         timings = _read_json(tmp_path / "manifest.json")["timings_s"]
-        stages = [timings[name] for name in ("draw", "write")]
+        stages = [timings[name] for name in ("draw", "write", "digest")]
         assert all(t > 0.0 for t in stages)
         assert timings["total"] >= sum(stages)
 
@@ -126,6 +127,29 @@ class TestSimulate:
                      "--out", str(tmp_path)]) == 0
         replay = (tmp_path / "increments_r0.csv").read_bytes()
         assert replay == design1_run.increments.read_bytes()
+
+    def test_manifest_records_environment(self, design1_run):
+        env = design1_run.sim_manifest["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "SPECRCV_THREADS"):
+            assert env[name] == os.environ.get(name)
+
+    def test_rerun_warns_once_when_blas_threads_differ(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--design", "1", "--p", "3", "--n", "20",
+                     "--out", str(sim)]) == 0
+        manifest = str(sim / "manifest.json")
+        assert _read_json(manifest)["environment"]["OPENBLAS_NUM_THREADS"] == "1"
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", manifest, "--out", str(tmp_path / "a")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main(["rerun", "--manifest", manifest, "--out", str(tmp_path / "b")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+        assert len(warnings) == 1
+        assert "OPENBLAS_NUM_THREADS=1 now 2" in warnings[0]
 
 
 class TestEstimate:
@@ -174,7 +198,7 @@ class TestEstimate:
 
     def test_manifest_timings_cover_every_stage(self, design1_run):
         timings = design1_run.est_manifest["timings_s"]
-        stages = [timings[name] for name in ("read", "estimate", "write")]
+        stages = [timings[name] for name in ("read", "estimate", "write", "digest")]
         assert all(t > 0.0 for t in stages)
         assert timings["total"] >= sum(stages)
 
@@ -219,7 +243,7 @@ class TestSolve:
                      "--y", "0.5", "--xs", "0.23:2.77:200", "--bandwidth", "0.01",
                      "--out", str(tmp_path)]) == 0
         timings = _read_json(tmp_path / "manifest.json")["timings_s"]
-        stages = [timings[name] for name in ("solve", "invert", "write")]
+        stages = [timings[name] for name in ("solve", "invert", "write", "digest")]
         assert all(t > 0.0 for t in stages)
         assert timings["total"] >= sum(stages)
 
@@ -377,7 +401,7 @@ class TestRecover:
                      "--out", str(tmp_path / "rec")]) == 0
         manifest = _read_json(tmp_path / "rec" / "manifest.json")
         timings = manifest["timings_s"]
-        stages = [timings[name] for name in ("read", "fit", "write")]
+        stages = [timings[name] for name in ("read", "fit", "write", "digest")]
         assert all(t > 0.0 for t in stages)
         assert timings["total"] >= sum(stages)
         diagnostics = manifest["diagnostics"]
@@ -415,6 +439,10 @@ class TestCompare:
         assert k_rcv > k_tvar
 
 
+# Four intervals of a p = 3 panel on the equispaced grid.
+_PANEL_ROWS = "".join(f"{tau},0.1,-0.2,0.3\n" for tau in (0.25, 0.5, 0.75, 1.0))
+
+
 class TestValidationAndWiring:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--design", "1", "--p", "0", "--n", "10"],
@@ -435,6 +463,31 @@ class TestValidationAndWiring:
         argv = [str(esd_file) if a == "ESD" else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out" / "spectrum.json").exists()
+
+    @pytest.mark.parametrize("meta, coords, rows", [
+        # A header wider than the rows, and metadata matching neither.
+        ("p=9,n=7", 4, _PANEL_ROWS),
+        # Header and rows agree with each other but not with the metadata.
+        ("p=9,n=7", 3, _PANEL_ROWS),
+        ("p=3,n=4", 3, _PANEL_ROWS.replace("0.3\n", "abc\n", 1)),
+        ("p=3,n=4", 3, _PANEL_ROWS.replace(",0.3\n", "\n", 1)),
+        ("p=3,n=4", 3, ""),
+    ], ids=["header_wider_than_rows", "metadata_disagrees", "non_numeric_cell",
+            "ragged_row", "header_only"])
+    def test_malformed_panel_exits_2(self, tmp_path, capsys, meta, coords, rows):
+        def panel(name, meta, coords, rows):
+            path = tmp_path / name
+            columns = ",".join(["tau"] + [f"x{j + 1}" for j in range(coords)])
+            path.write_text(f"# kind=increments,{meta},digest=0\n{columns}\n{rows}")
+            return str(path)
+
+        good = panel("good.csv", "p=3,n=4", 3, _PANEL_ROWS)
+        assert main(["estimate", "--input", good, "--out", str(tmp_path / "ok")]) == 0
+        bad = panel("bad.csv", meta, coords, rows)
+        capsys.readouterr()
+        assert main(["estimate", "--input", bad, "--out", str(tmp_path / "out")]) == 2
+        assert "bad.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_wrong_file_kind_exits_2(self, design1_run, tmp_path):
         rc = main(["recover", "--esd", str(design1_run.tvar_hist), "--y", "0.1",

@@ -5,129 +5,99 @@ realized covariance estimators (``estimators``), compare their eigenvalue
 distributions (``covmodel``, ``spectra``), and connect them to the limiting
 laws predicted by random matrix theory (``mpsolve``). ``cli`` wraps it all
 into reproducible batch experiments.
-"""
 
-from .covmodel import (
-    FactoredCov,
-    SpectralDistribution,
-    esd,
-)
-from .diffusion import (
-    ClassCSpec,
-    ConstantProfile,
-    CosineProfile,
-    IncrementMatrix,
-    ObservationGrid,
-    PiecewiseProfile,
-    SampledProfile,
-    VolatilityProfile,
-    design_one_profile,
-    design_two_profile,
-    make_grid,
-    simulate_increments,
-)
-from .errors import (
-    BadConfigError,
-    BadGridError,
-    BadProfileError,
-    BadSpecError,
-    NoConvergenceError,
-    NonFiniteError,
-    SpecrcvError,
-    ZeroIncrementError,
-)
-from .estimators import (
-    EstimatorOutput,
-    rcv,
-    sigma_tilde,
-    tvarcv,
-)
-from .mpsolve import (
-    MPLawParams,
-    PopulationSpectrum,
-    RecoveryResult,
-    WeightProfile,
-    WeightedSolveResult,
-    default_bandwidth,
-    invert_stieltjes,
-    mp_density,
-    mp_law_curve,
-    mp_mass_at_zero,
-    mp_stieltjes,
-    mp_support,
-    recover_spectrum,
-    solve_mp,
-    solve_mp_grid,
-    solve_weighted_mp,
-    solve_weighted_mp_grid,
-    weight_profile_from_model,
-    within_tolerance,
-)
-from .spectra import (
-    DensityCurve,
-    StieltjesGrid,
-    empirical_stieltjes,
-    histogram,
-    kolmogorov_distance,
-    levy_distance,
-    zero_roundoff,
-)
+Importing the package loads none of these modules. Each name in ``__all__``
+is imported from its home module on first access (PEP 562), so a CLI
+process loads only the modules its subcommand runs.
+"""
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadConfigError",
-    "BadGridError",
-    "BadProfileError",
-    "BadSpecError",
-    "ClassCSpec",
-    "ConstantProfile",
-    "CosineProfile",
-    "DensityCurve",
-    "EstimatorOutput",
-    "FactoredCov",
-    "IncrementMatrix",
-    "MPLawParams",
-    "NoConvergenceError",
-    "NonFiniteError",
-    "ObservationGrid",
-    "PiecewiseProfile",
-    "PopulationSpectrum",
-    "RecoveryResult",
-    "SampledProfile",
-    "SpecrcvError",
-    "SpectralDistribution",
-    "StieltjesGrid",
-    "VolatilityProfile",
-    "WeightProfile",
-    "WeightedSolveResult",
-    "ZeroIncrementError",
-    "__version__",
-    "default_bandwidth",
-    "design_one_profile",
-    "design_two_profile",
-    "empirical_stieltjes",
-    "esd",
-    "histogram",
-    "invert_stieltjes",
-    "kolmogorov_distance",
-    "levy_distance",
-    "make_grid",
-    "mp_density",
-    "mp_law_curve",
-    "mp_mass_at_zero",
-    "mp_stieltjes",
-    "mp_support",
-    "rcv",
-    "recover_spectrum",
-    "sigma_tilde",
-    "simulate_increments",
-    "solve_mp",
-    "solve_mp_grid",
-    "solve_weighted_mp",
-    "solve_weighted_mp_grid",
-    "tvarcv",
-    "weight_profile_from_model",
-    "within_tolerance",
-    "zero_roundoff",
-]
+
+def _lazy_getattr(namespace: dict, package: str, homes: dict):
+    """A module ``__getattr__`` that imports each name of ``homes`` on first access.
+
+    ``homes`` maps a module of ``package`` to the names it exports. A
+    resolved name is stored in ``namespace``, so later lookups, and any
+    replacement set on the module afterwards, bypass this function.
+    """
+    home_of = {name: module for module, names in homes.items() for name in names}
+
+    def __getattr__(name: str):
+        module = home_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(import_module(f".{module}", package), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+_EXPORTS = {
+    "covmodel": ("FactoredCov", "SpectralDistribution", "esd"),
+    "diffusion": (
+        "ClassCSpec",
+        "ConstantProfile",
+        "CosineProfile",
+        "IncrementMatrix",
+        "ObservationGrid",
+        "PiecewiseProfile",
+        "SampledProfile",
+        "VolatilityProfile",
+        "design_one_profile",
+        "design_two_profile",
+        "make_grid",
+        "simulate_increments",
+    ),
+    "errors": (
+        "BadConfigError",
+        "BadGridError",
+        "BadProfileError",
+        "BadSpecError",
+        "NoConvergenceError",
+        "NonFiniteError",
+        "SpecrcvError",
+        "ZeroIncrementError",
+    ),
+    "estimators": ("EstimatorOutput", "rcv", "sigma_tilde", "tvarcv"),
+    "mpsolve": (
+        "MPLawParams",
+        "PopulationSpectrum",
+        "RecoveryResult",
+        "WeightProfile",
+        "WeightedSolveResult",
+        "default_bandwidth",
+        "invert_stieltjes",
+        "mp_density",
+        "mp_law_curve",
+        "mp_mass_at_zero",
+        "mp_stieltjes",
+        "mp_support",
+        "recover_spectrum",
+        "solve_mp",
+        "solve_mp_grid",
+        "solve_weighted_mp",
+        "solve_weighted_mp_grid",
+        "weight_profile_from_model",
+        "within_tolerance",
+    ),
+    "spectra": (
+        "DensityCurve",
+        "StieltjesGrid",
+        "empirical_stieltjes",
+        "histogram",
+        "kolmogorov_distance",
+        "levy_distance",
+        "zero_roundoff",
+    ),
+}
+
+__all__ = sorted(["__version__", *(name for names in _EXPORTS.values() for name in names)])
+
+__getattr__ = _lazy_getattr(globals(), __name__, _EXPORTS)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

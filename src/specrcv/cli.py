@@ -11,6 +11,12 @@ settings, per-replicate seeds, per-stage timings, and SHA-256 digests of all
 emitted files; re-running a manifest reproduces the CSV outputs byte for
 byte when the BLAS thread setting matches.
 
+Each process loads only the modules its subcommand runs: ``compare`` needs
+``covmodel``, ``spectra`` and ``io``; ``simulate`` adds ``diffusion``,
+``estimate`` adds ``diffusion`` and ``estimators``, and ``solve`` and
+``recover`` add ``mpsolve``. Names from those three modules are resolved as
+attributes of this module on first use.
+
 Exit codes: 0 success, 1 compare threshold exceeded, 2 bad configuration or
 input, 3 numerical non-convergence.
 """
@@ -21,35 +27,16 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, io
+from . import __version__, _lazy_getattr, io
 from .covmodel import esd
-from .diffusion import (
-    ClassCSpec,
-    design_one_profile,
-    design_two_profile,
-    make_grid,
-    simulate_increments,
-)
 from .errors import BadConfigError, NoConvergenceError, SpecrcvError
-from .estimators import rcv, tvarcv
-from .mpsolve import (
-    RECOVER_MAX_ITER,
-    PopulationSpectrum,
-    WeightProfile,
-    default_bandwidth,
-    invert_stieltjes,
-    recover_spectrum,
-    solve_weighted_mp_grid,
-    weight_profile_from_model,
-    within_tolerance,
-)
 from .spectra import (
     DensityCurve,
     StieltjesGrid,
@@ -58,6 +45,22 @@ from .spectra import (
     levy_distance,
     zero_roundoff,
 )
+
+if TYPE_CHECKING:
+    from .mpsolve import PopulationSpectrum, WeightProfile
+
+# Names from the modules that only some subcommands run. Each is imported on
+# first access as an attribute of this module, and call sites look it up
+# there (``_cli.name``), so a replacement set on this module is the one called.
+__getattr__ = _lazy_getattr(globals(), __package__, {
+    "diffusion": ("ClassCSpec", "design_one_profile", "design_two_profile", "make_grid",
+                  "simulate_increments"),
+    "estimators": ("rcv", "tvarcv"),
+    "mpsolve": ("RECOVER_MAX_ITER", "PopulationSpectrum", "WeightProfile", "default_bandwidth",
+                "invert_stieltjes", "recover_spectrum", "solve_weighted_mp_grid",
+                "weight_profile_from_model", "within_tolerance"),
+})
+_cli = sys.modules[__name__]
 
 _DESIGNS = ("design1", "design2")
 _GRIDS = ("equispaced", "poisson")
@@ -136,8 +139,8 @@ class ExperimentConfig:
 
     def profile(self):
         if self.design == "design1":
-            return design_one_profile(self.a, self.b)
-        return design_two_profile(self.c0, self.c1)
+            return _cli.design_one_profile(self.a, self.b)
+        return _cli.design_two_profile(self.c0, self.c1)
 
     def load_lambda(self):
         if self.lambda_file is None:
@@ -154,6 +157,8 @@ def _run_parallel(fn, count: int) -> list:
     workers = min(thread_count(), count)
     if workers <= 1:
         return [fn(r) for r in range(count)]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
 
@@ -209,6 +214,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
+    # Resolved once, before any worker thread starts.
+    make_grid, ClassCSpec, simulate_increments = (
+        _cli.make_grid, _cli.ClassCSpec, _cli.simulate_increments)
 
     def run_one(r: int) -> tuple[Path, dict]:
         # Replicates may run on worker threads, so each keeps its own stage times.
@@ -252,11 +260,11 @@ def cmd_estimate(config: dict) -> int:
     diagnostics = {}
     for path, incr in zip(paths, increments):
         with _stage(timings, "estimate"):
-            base = rcv(incr)
+            base = _cli.rcv(incr)
             entry = {"n": incr.n, "p": incr.p, "trace_over_p_rcv": base.trace_over_p}
             outputs = [base] if which in ("rcv", "both") else []
             if which in ("tvarcv", "both"):
-                adjusted = tvarcv(incr)
+                adjusted = _cli.tvarcv(incr)
                 tr_rcv = base.trace_over_p * incr.p
                 rel = abs(adjusted.trace_over_p * incr.p - tr_rcv) / abs(tr_rcv)
                 if rel > 1e-12:
@@ -287,34 +295,35 @@ def cmd_estimate(config: dict) -> int:
 
 def _parse_spectrum(text: str) -> PopulationSpectrum:
     if text.startswith("point:"):
-        return PopulationSpectrum.point_mass(float(text[len("point:"):]))
+        return _cli.PopulationSpectrum.point_mass(float(text[len("point:"):]))
     path = Path(text)
     if not path.is_file():
         raise BadConfigError(f"spectrum source not found: {text}")
     if path.suffix == ".json":
         return io.read_spectrum_json(path)
     dist, _ = io.read_eigenvalues_csv(path)
-    return PopulationSpectrum.from_esd(dist)
+    return _cli.PopulationSpectrum.from_esd(dist)
 
 
 def _parse_weights(text: str) -> WeightProfile:
     if text.startswith("constant:"):
-        return WeightProfile.constant(float(text[len("constant:"):]))
-    for name, builder in (("design1", design_one_profile), ("design2", design_two_profile)):
+        return _cli.WeightProfile.constant(float(text[len("constant:"):]))
+    for name, builder in (("design1", _cli.design_one_profile),
+                          ("design2", _cli.design_two_profile)):
         if text == name or text.startswith(name + ":"):
             if text == name:
-                return weight_profile_from_model(builder())
+                return _cli.weight_profile_from_model(builder())
             args = [float(v) for v in text[len(name) + 1:].split(",")]
             if len(args) != 2:
                 raise BadConfigError(f"{name} takes two parameters, got {text!r}")
-            return weight_profile_from_model(builder(*args))
+            return _cli.weight_profile_from_model(builder(*args))
     path = Path(text)
     if not path.is_file():
         raise BadConfigError(f"weight profile not recognized: {text!r}")
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     try:
-        return WeightProfile(
+        return _cli.WeightProfile(
             kind=payload["kind"],
             values=np.asarray(payload["values"], dtype=float),
             edges=np.asarray(payload["edges"], dtype=float) if "edges" in payload else None,
@@ -356,7 +365,8 @@ def cmd_solve(config: dict) -> int:
     zero_mass = max(0.0, 1.0 - min(1.0 / y, 1.0 - zero_weight))
     if config.get("xs"):
         xs = _parse_grid_spec(config["xs"])
-        v = bandwidth if bandwidth is not None else default_bandwidth(float(xs[0]), float(xs[-1]))
+        v = (bandwidth if bandwidth is not None
+             else _cli.default_bandwidth(float(xs[0]), float(xs[-1])))
     else:
         # Log-spaced grid to past the largest plausible support edge.
         edge = weights.kappa * float(spectrum.locations[-1]) * (1 + np.sqrt(y)) ** 2
@@ -370,7 +380,7 @@ def cmd_solve(config: dict) -> int:
             # bookkeeping needs a bandwidth tied to the support scale.
             v = 1e-3 * hi
         else:
-            v = default_bandwidth(0.0, hi)
+            v = _cli.default_bandwidth(0.0, hi)
         xs = np.geomspace(min(v / 8.0, hi / 100.0), hi, 800)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -378,12 +388,12 @@ def cmd_solve(config: dict) -> int:
     started = time.perf_counter()
     zs = xs + 1j * v
     with _stage(timings, "solve"):
-        m_fw, big_m, mt, res, its = solve_weighted_mp_grid(spectrum, weights, y, zs)
+        m_fw, big_m, mt, res, its = _cli.solve_weighted_mp_grid(spectrum, weights, y, zs)
     trace_path = out / "solver_trace.csv"
     with _stage(timings, "write"):
         io.write_solver_trace_csv(trace_path, zs, m_fw, res, its, {"y": y, "bandwidth": v})
     files = [trace_path]
-    unconverged = int(np.sum(~within_tolerance(res, np.abs(big_m) + np.abs(mt))))
+    unconverged = int(np.sum(~_cli.within_tolerance(res, np.abs(big_m) + np.abs(mt))))
     # "higher" reports values some probe actually has; interpolating between
     # two infinite residuals would give NaN.
     its_p50, its_p90 = np.percentile(its, [50, 90], method="higher")
@@ -399,7 +409,7 @@ def cmd_solve(config: dict) -> int:
     }
     if unconverged == 0:
         with _stage(timings, "invert"):
-            curve = invert_stieltjes(StieltjesGrid(zs, m_fw), xs, v)
+            curve = _cli.invert_stieltjes(StieltjesGrid(zs, m_fw), xs, v)
             if zero_mass > 1e-12:
                 # At bandwidth v the origin atom shows up in the inverted
                 # density as an exact Cauchy lobe zero_mass * v / (pi * (x^2 + v^2)).
@@ -433,9 +443,11 @@ def cmd_recover(config: dict) -> int:
     if not (np.isfinite(y) and y > 0):
         raise BadConfigError(f"y must be positive, got {y}")
     max_iter = config.get("max_iter")
-    max_iter = RECOVER_MAX_ITER if max_iter is None else int(max_iter)
+    max_iter = _cli.RECOVER_MAX_ITER if max_iter is None else int(max_iter)
     if max_iter < 1:
         raise BadConfigError(f"max_iter must be >= 1, got {max_iter}")
+    # The manifest records the cap the fit ran with, also when it was defaulted.
+    config = {**config, "max_iter": max_iter}
     timings = {}
     started = time.perf_counter()
     with _stage(timings, "read"):
@@ -448,7 +460,7 @@ def cmd_recover(config: dict) -> int:
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     with _stage(timings, "fit"):
-        result = recover_spectrum(dist, y, grid, max_iter=max_iter)
+        result = _cli.recover_spectrum(dist, y, grid, max_iter=max_iter)
     spectrum_path = out / "spectrum.json"
     objective_path = out / "objective.csv"
     with _stage(timings, "write"):
@@ -588,7 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--esd", required=True, help="eigenvalue CSV")
     rec.add_argument("--y", type=float, required=True)
     rec.add_argument("--grid", default=None, help="candidate atoms [log:]lo:hi:count")
-    rec.add_argument("--max-iter", type=int, default=RECOVER_MAX_ITER,
+    rec.add_argument("--max-iter", type=int, default=None,
                      help="cap on active-set steps (>= 1)")
     rec.add_argument("--out", required=True)
 

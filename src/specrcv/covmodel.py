@@ -86,7 +86,8 @@ class SpectralDistribution:
             raise ValueError("empty eigenvalue list")
         if not np.all(np.isfinite(ev)):
             raise NonFiniteError("eigenvalues contain NaN or infinite entries")
-        ev = np.sort(ev)
+        # A stable sort moves elements; the default one may turn 0.0 into -0.0.
+        ev = np.sort(ev, kind="stable")
         ev.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
 

@@ -12,7 +12,6 @@ discretization bias.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,6 +332,8 @@ class ClassCSpec:
         object.__setattr__(self, "drift", drift)
 
     def digest(self, grid: ObservationGrid) -> str:
+        import hashlib
+
         h = hashlib.sha256()
         h.update(b"simulate")
         h.update(np.int64(self.p).tobytes())

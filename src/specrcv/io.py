@@ -12,21 +12,27 @@ writer and one reader:
   NumPy's tokenizer converts each cell with ``PyOS_string_to_double``, the
   correctly rounded conversion behind ``float()``, so every written double
   reads back bit for bit, subnormals and signed zeros included.
+
+The increment and spectrum readers import the types they build from
+``diffusion`` and ``mpsolve`` when called, so reading eigenvalue and density
+files loads neither module.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .covmodel import SpectralDistribution
-from .diffusion import IncrementMatrix, ObservationGrid
 from .errors import BadConfigError
-from .mpsolve import PopulationSpectrum
 from .spectra import DensityCurve
+
+if TYPE_CHECKING:
+    from .diffusion import IncrementMatrix
+    from .mpsolve import PopulationSpectrum
 
 
 def format_float(x: float) -> str:
@@ -35,6 +41,8 @@ def format_float(x: float) -> str:
 
 
 def sha256_file(path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
@@ -112,6 +120,8 @@ def write_increments_csv(path, incr: IncrementMatrix) -> None:
 
 
 def read_increments_csv(path) -> IncrementMatrix:
+    from .diffusion import IncrementMatrix, ObservationGrid
+
     meta, header, data = _read_table(path)
     if meta.get("kind") != "increments" or not header or header[0] != "tau":
         raise BadConfigError(f"{path}: not an increments file")
@@ -203,6 +213,8 @@ def write_spectrum_json(path, spectrum: PopulationSpectrum, extra: dict | None =
 
 
 def read_spectrum_json(path) -> PopulationSpectrum:
+    from .mpsolve import PopulationSpectrum
+
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     atoms = payload.get("atoms")

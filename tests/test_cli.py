@@ -18,6 +18,7 @@ from specrcv.covmodel import SpectralDistribution
 from specrcv.diffusion import design_one_profile
 from specrcv.mpsolve import (
     RECOVER_KKT_TOL,
+    RECOVER_MAX_ITER,
     SOLVER_MAX_ITER,
     MPLawParams,
     mp_law_curve,
@@ -414,6 +415,14 @@ class TestRecover:
         assert objective.shape[0] == diagnostics["iterations"] + 1
         assert objective[-1, 1] == diagnostics["objective"]
 
+    def test_default_max_iter_is_recorded(self, tmp_path):
+        esd_file = tmp_path / "esd.csv"
+        io.write_eigenvalues_csv(esd_file, SpectralDistribution(np.linspace(0.5, 1.5, 20)), {})
+        assert main(["recover", "--esd", str(esd_file), "--y", "0.5",
+                     "--out", str(tmp_path / "rec")]) == 0
+        config = _read_json(tmp_path / "rec" / "manifest.json")["config"]
+        assert config["max_iter"] == RECOVER_MAX_ITER == 10_000
+
 
 class TestCompare:
     def test_file_against_itself_is_zero(self, design1_run, capsys):
@@ -511,6 +520,12 @@ class TestValidationAndWiring:
         for name in ("increments_r0_rcv_eigenvalues.csv",
                      "increments_r0_tvarcv_eigenvalues.csv"):
             assert (tmp_path / name).read_bytes() == (design1_run.est / name).read_bytes()
+
+    def test_help_lists_the_six_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "{simulate,estimate,solve,recover,compare,rerun}" in capsys.readouterr().out
 
     def test_module_entry_point_reports_version(self):
         proc = subprocess.run([sys.executable, "-m", "specrcv", "--version"],

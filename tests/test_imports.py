@@ -1,0 +1,124 @@
+"""Lazy loading: what each subcommand imports, and the contracts it keeps.
+
+The package resolves its exports on first access, and ``specrcv.cli`` loads
+``diffusion``, ``estimators`` and ``mpsolve`` only when a subcommand calls
+into them. Names stay reachable as module attributes, and a replacement set
+on ``specrcv.cli`` is the one the subcommand calls.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import specrcv
+from specrcv import cli, io
+from specrcv.covmodel import SpectralDistribution
+
+# Runs main() on argv and prints the loaded modules as the last stdout line.
+_PROBE = """
+import json, sys
+from specrcv.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+
+def _modules_after(argv) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": str(Path(specrcv.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *map(str, argv)], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["rc"] == 0, proc.stderr
+    return set(result["modules"])
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    assert cli.main(["simulate", "--design", "1", "--p", "3", "--n", "20",
+                     "--out", str(root / "sim")]) == 0
+    assert cli.main(["estimate", "--input", str(root / "sim" / "increments_r0.csv"),
+                     "--bins", "5", "--out", str(root / "est")]) == 0
+    return root
+
+
+def _eigenvalue_file(path, values) -> str:
+    io.write_eigenvalues_csv(path, SpectralDistribution(np.asarray(values)), {})
+    return str(path)
+
+
+class TestSubcommandImports:
+    def test_compare_loads_no_solver_simulator_or_estimator(self, tiny_run):
+        est = tiny_run / "est"
+        loaded = _modules_after(["compare", est / "increments_r0_rcv_eigenvalues.csv",
+                                 est / "increments_r0_tvarcv_density.csv"])
+        assert {m for m in loaded if m.startswith("specrcv")} == {
+            "specrcv", "specrcv.cli", "specrcv.covmodel", "specrcv.errors", "specrcv.io",
+            "specrcv.spectra"}
+        assert "concurrent.futures" not in loaded
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_simulate_and_estimate_do_not_load_the_solver(self, tiny_run, tmp_path, command):
+        if command == "simulate":
+            argv = ["simulate", "--design", "2", "--p", "3", "--n", "20"]
+        else:
+            argv = ["estimate", "--input", tiny_run / "sim" / "increments_r0.csv",
+                    "--bins", "5"]
+        loaded = _modules_after(argv + ["--out", tmp_path / "out"])
+        assert "specrcv.mpsolve" not in loaded
+
+
+class TestPackageExports:
+    def test_every_export_resolves_to_its_home_object(self):
+        listing = dir(specrcv)
+        for name in specrcv.__all__:
+            value = getattr(specrcv, name)
+            assert name in listing
+            if name == "__version__":
+                continue
+            assert value.__module__.startswith("specrcv.")
+            assert getattr(sys.modules[value.__module__], name) is value
+
+    @pytest.mark.parametrize("module", [specrcv, cli], ids=["specrcv", "cli"])
+    def test_unknown_attribute_raises(self, module):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+        assert not hasattr(module, "no_such_name")
+
+
+class TestReplacementOnCli:
+    """A spy set on ``specrcv.cli`` before ``main()`` is the function called."""
+
+    @pytest.mark.parametrize("name", ["kolmogorov_distance", "recover_spectrum",
+                                      "simulate_increments"])
+    def test_spy_is_called(self, tmp_path, monkeypatch, name):
+        # Drop a lazily loaded name first, so the spy replaces an unresolved one.
+        if name != "kolmogorov_distance":
+            monkeypatch.delitem(vars(cli), name, raising=False)
+        calls = []
+        original = getattr(cli, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        out = ["--out", str(tmp_path / "out")]
+        if name == "kolmogorov_distance":
+            argv = ["compare", _eigenvalue_file(tmp_path / "a.csv", [1.0, 2.0]),
+                    _eigenvalue_file(tmp_path / "b.csv", [1.0, 3.0])]
+        elif name == "recover_spectrum":
+            argv = ["recover", "--esd", _eigenvalue_file(tmp_path / "esd.csv",
+                                                         np.linspace(0.5, 1.5, 20)),
+                    "--y", "0.5", *out]
+        else:
+            # Two replicates on two threads: the spy must reach the workers.
+            monkeypatch.setenv("SPECRCV_THREADS", "2")
+            argv = ["simulate", "--design", "1", "--p", "3", "--n", "20",
+                    "--replicates", "2", *out]
+        assert cli.main(argv) == 0
+        assert calls == [name] * (2 if name == "simulate_increments" else 1)

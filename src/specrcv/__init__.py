@@ -44,7 +44,6 @@ _EXPORTS = {
         "IncrementMatrix",
         "ObservationGrid",
         "PiecewiseProfile",
-        "SampledProfile",
         "VolatilityProfile",
         "design_one_profile",
         "design_two_profile",
@@ -56,7 +55,6 @@ _EXPORTS = {
         "BadGridError",
         "BadProfileError",
         "BadSpecError",
-        "NoConvergenceError",
         "NonFiniteError",
         "SpecrcvError",
         "ZeroIncrementError",
@@ -67,18 +65,13 @@ _EXPORTS = {
         "PopulationSpectrum",
         "RecoveryResult",
         "WeightProfile",
-        "WeightedSolveResult",
         "default_bandwidth",
         "invert_stieltjes",
         "mp_density",
         "mp_law_curve",
         "mp_mass_at_zero",
-        "mp_stieltjes",
         "mp_support",
         "recover_spectrum",
-        "solve_mp",
-        "solve_mp_grid",
-        "solve_weighted_mp",
         "solve_weighted_mp_grid",
         "weight_profile_from_model",
         "within_tolerance",

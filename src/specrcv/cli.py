@@ -28,7 +28,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, _lazy_getattr, io
 from .covmodel import esd
-from .errors import BadConfigError, NoConvergenceError, SpecrcvError
+from .errors import BadConfigError, SpecrcvError
 from .spectra import (
     DensityCurve,
     StieltjesGrid,
@@ -90,7 +90,10 @@ def replicate_seed(seed: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated simulation parameters; the manifest echoes exactly these fields."""
+    """Validated simulation parameters; the manifest echoes exactly these fields.
+
+    The field defaults are also the defaults of the ``simulate`` flags.
+    """
 
     design: str
     p: int
@@ -207,7 +210,8 @@ def _write_run_manifest(out: Path, command: str, config: dict, files, seeds,
 # subcommands
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
+def cmd_simulate(config: dict) -> int:
+    cfg = ExperimentConfig.from_dict(config)
     lam = cfg.load_lambda()
     profile = cfg.profile()
     seeds = [replicate_seed(cfg.seed, r) for r in range(cfg.replicates)]
@@ -495,22 +499,9 @@ def cmd_recover(config: dict) -> int:
     return 0
 
 
-def _load_distribution(path: Path):
-    if not path.is_file():
-        raise BadConfigError(f"file not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-    kind = io._parse_meta(first.rstrip("\n"), path).get("kind")
-    if kind == "eigenvalues":
-        return io.read_eigenvalues_csv(path)[0]
-    if kind == "density":
-        return io.read_density_csv(path)[0]
-    raise BadConfigError(f"{path}: expected an eigenvalues or density file, got {kind!r}")
-
-
 def cmd_compare(file_a: str, file_b: str, threshold: float | None) -> int:
-    dist_a = _load_distribution(Path(file_a))
-    dist_b = _load_distribution(Path(file_b))
+    dist_a = io.read_distribution(file_a)
+    dist_b = io.read_distribution(file_b)
     kolmogorov = kolmogorov_distance(dist_a, dist_b)
     levy = levy_distance(dist_a, dist_b)
     print(f"kolmogorov={io.format_float(kolmogorov)}")
@@ -522,6 +513,11 @@ def cmd_compare(file_a: str, file_b: str, threshold: float | None) -> int:
         )
         return 1
     return 0
+
+
+# The subcommands that record their config in a manifest, and so can be re-run.
+_COMMANDS = {"simulate": cmd_simulate, "estimate": cmd_estimate, "solve": cmd_solve,
+             "recover": cmd_recover}
 
 
 def cmd_rerun(manifest_file: str, out_override: str | None) -> int:
@@ -538,15 +534,9 @@ def cmd_rerun(manifest_file: str, out_override: str | None) -> int:
             print(f"warning: BLAS thread setting differs from the recorded run "
                   f"({', '.join(changed)}); eigenvalue files may differ in their last bits",
                   file=sys.stderr)
-    if command == "simulate":
-        return cmd_simulate(ExperimentConfig.from_dict(config))
-    if command == "estimate":
-        return cmd_estimate(config)
-    if command == "solve":
-        return cmd_solve(config)
-    if command == "recover":
-        return cmd_recover(config)
-    raise BadConfigError(f"manifest command {command!r} cannot be re-run")
+    if command not in _COMMANDS:
+        raise BadConfigError(f"manifest command {command!r} cannot be re-run")
+    return _COMMANDS[command](config)
 
 
 # ---------------------------------------------------------------------------
@@ -567,20 +557,22 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="1: two-level step profile; 2: cosine profile")
     sim.add_argument("--p", type=int, required=True, help="process dimension")
     sim.add_argument("--n", type=int, required=True, help="observation intervals")
-    sim.add_argument("--replicates", type=int, default=1)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--grid", choices=_GRIDS, default="equispaced")
-    sim.add_argument("--a", type=float, default=7.0, help="design 1 outer level (x 1e-4)")
-    sim.add_argument("--b", type=float, default=1.0, help="design 1 inner level (x 1e-4)")
-    sim.add_argument("--c0", type=float, default=9e-4, help="design 2 mean of gamma^2")
-    sim.add_argument("--c1", type=float, default=8e-4, help="design 2 cosine amplitude")
-    sim.add_argument("--lambda-file", default=None,
-                     help="CSV with the p x p loading matrix (default identity)")
-    sim.add_argument("--drift", type=float, default=0.0)
+    sim.add_argument("--replicates", type=int)
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--grid", choices=_GRIDS)
+    sim.add_argument("--a", type=float, help="design 1 outer level (x 1e-4)")
+    sim.add_argument("--b", type=float, help="design 1 inner level (x 1e-4)")
+    sim.add_argument("--c0", type=float, help="design 2 mean of gamma^2")
+    sim.add_argument("--c1", type=float, help="design 2 cosine amplitude")
+    sim.add_argument("--lambda-file", help="CSV with the p x p loading matrix (default identity)")
+    sim.add_argument("--drift", type=float)
     sim.add_argument("--out", required=True)
+    sim.set_defaults(**{f.name: f.default for f in fields(ExperimentConfig)
+                        if f.default is not MISSING})
 
     est = sub.add_parser("estimate", help="eigenvalues and histograms from increments")
-    est.add_argument("--input", nargs="+", required=True, help="increments CSV files")
+    est.add_argument("--input", dest="inputs", nargs="+", required=True,
+                     help="increments CSV files")
     est.add_argument("--which", choices=("rcv", "tvarcv", "both"), default="both")
     est.add_argument("--bins", type=int, default=None, help="histogram bin count")
     est.add_argument("--out", required=True)
@@ -617,65 +609,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "simulate":
-        cfg = ExperimentConfig(
-            design=f"design{args.design}",
-            p=args.p,
-            n=args.n,
-            out=args.out,
-            grid=args.grid,
-            replicates=args.replicates,
-            seed=args.seed,
-            a=args.a,
-            b=args.b,
-            c0=args.c0,
-            c1=args.c1,
-            lambda_file=args.lambda_file,
-            drift=args.drift,
-        )
-        return cmd_simulate(cfg)
-    if args.command == "estimate":
-        return cmd_estimate(
-            {
-                "inputs": [str(p) for p in args.input],
-                "which": args.which,
-                "bins": args.bins,
-                "out": args.out,
-            }
-        )
-    if args.command == "solve":
-        return cmd_solve(
-            {
-                "spectrum": args.spectrum,
-                "weights": args.weights,
-                "y": args.y,
-                "xs": args.xs,
-                "bandwidth": args.bandwidth,
-                "out": args.out,
-            }
-        )
-    if args.command == "recover":
-        return cmd_recover(
-            {
-                "esd": args.esd,
-                "y": args.y,
-                "grid": args.grid,
-                "max_iter": args.max_iter,
-                "out": args.out,
-            }
-        )
     if args.command == "compare":
         return cmd_compare(args.file_a, args.file_b, args.threshold)
-    return cmd_rerun(args.manifest, args.out)
+    if args.command == "rerun":
+        return cmd_rerun(args.manifest, args.out)
+    # Each dest is the config key the manifest records.
+    config = {key: value for key, value in vars(args).items() if key != "command"}
+    if args.command == "simulate":
+        config["design"] = f"design{args.design}"
+    return _COMMANDS[args.command](config)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except NoConvergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except (SpecrcvError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -105,14 +105,6 @@ class SpectralDistribution:
         pos = np.searchsorted(self.eigenvalues, np.asarray(x, dtype=float), side="left")
         return pos / self.dim
 
-    def quantile(self, q):
-        """Smallest x with F(x) >= q, for q in (0, 1]."""
-        q = np.asarray(q, dtype=float)
-        if np.any(q <= 0) or np.any(q > 1):
-            raise ValueError("quantile levels must lie in (0, 1]")
-        idx = np.ceil(q * self.dim).astype(int) - 1
-        return self.eigenvalues[np.clip(idx, 0, self.dim - 1)]
-
     def support(self) -> tuple[float, float]:
         return float(self.eigenvalues[0]), float(self.eigenvalues[-1])
 

@@ -25,17 +25,6 @@ MAX_RESCALED_SPACING = 10.0
 # Bound on per-coordinate constant drift magnitudes.
 DRIFT_BOUND = 10.0
 
-# Panels for composite Simpson when a profile has no closed-form integral.
-SIMPSON_PANELS = 64
-
-
-def simpson_weights(panels: int) -> np.ndarray:
-    """Unscaled composite Simpson weights 1, 4, 2, 4, ..., 4, 1 on panels + 1 nodes."""
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
 
 class VolatilityProfile:
     """Deterministic scalar volatility path t -> gamma_t on [0, 1], gamma_t > 0."""
@@ -43,9 +32,6 @@ class VolatilityProfile:
     def gamma_sq(self, t):
         """gamma_t^2, vectorized over t."""
         raise NotImplementedError
-
-    def gamma(self, t):
-        return np.sqrt(self.gamma_sq(t))
 
     def interval_integrals(self, times: np.ndarray) -> np.ndarray:
         """Integrals of gamma^2 over consecutive intervals of ``times``."""
@@ -102,15 +88,6 @@ class PiecewiseProfile(VolatilityProfile):
         cum.setflags(write=False)
         object.__setattr__(self, "_cum", cum)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "PiecewiseProfile":
-        """Build from [(t_k, gamma_k)] where gamma_k applies from t_k onward."""
-        pairs = sorted((float(t), float(g)) for t, g in pairs)
-        if not pairs or pairs[0][0] != 0.0:
-            raise BadSpecError("piecewise pairs must start at t=0")
-        times = [t for t, _ in pairs] + [1.0]
-        return cls(np.asarray(times), np.asarray([g for _, g in pairs]))
-
     def _segment(self, t):
         idx = np.searchsorted(self.edges, np.asarray(t, dtype=float), side="right") - 1
         return np.clip(idx, 0, self.levels.size - 1)
@@ -158,45 +135,6 @@ class CosineProfile(VolatilityProfile):
 
     def descriptor(self):
         return b"cosine:" + np.float64(self.c0).tobytes() + np.float64(self.c1).tobytes()
-
-
-@dataclass(frozen=True, eq=False)
-class SampledProfile(VolatilityProfile):
-    """gamma sampled on a uniform grid over [0, 1], linearly interpolated.
-
-    Integrals use composite Simpson with at least SIMPSON_PANELS panels per
-    requested interval (relative error target 1e-8 for smooth profiles).
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if vals.size < 2:
-            raise BadSpecError("sampled profile needs at least two samples")
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
-            raise BadSpecError("sampled gamma values must be positive and finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        grid = np.linspace(0.0, 1.0, vals.size)
-        grid.setflags(write=False)
-        object.__setattr__(self, "_grid", grid)
-
-    def gamma_sq(self, t):
-        return np.interp(np.asarray(t, dtype=float), self._grid, self.values) ** 2
-
-    def interval_integrals(self, times):
-        times = np.asarray(times, dtype=float)
-        a, b = times[:-1], times[1:]
-        k = np.arange(SIMPSON_PANELS + 1)
-        nodes = a[:, None] + (b - a)[:, None] * (k[None, :] / SIMPSON_PANELS)
-        f = self.gamma_sq(nodes.ravel()).reshape(nodes.shape)
-        w = simpson_weights(SIMPSON_PANELS)
-        h = (b - a) / SIMPSON_PANELS
-        return h / 3.0 * (f * w[None, :]).sum(axis=1)
-
-    def descriptor(self):
-        return b"sampled:" + self.values.tobytes()
 
 
 def design_one_profile(a: float = 7.0, b: float = 1.0) -> PiecewiseProfile:

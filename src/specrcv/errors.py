@@ -33,14 +33,3 @@ class ZeroIncrementError(SpecrcvError):
         self.row = row
         super().__init__(message or f"zero-length increment at row {row}")
 
-
-class NoConvergenceError(SpecrcvError):
-    """A fixed-point or descent iteration failed to reach its tolerance."""
-
-    def __init__(self, iterations: int, residual: float, message: str | None = None):
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(
-            message
-            or f"no convergence after {iterations} iterations (residual {residual:.3e})"
-        )

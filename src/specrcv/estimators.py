@@ -33,10 +33,6 @@ class EstimatorOutput:
     trace_over_p: float
     spec_digest: str = ""
 
-    @property
-    def p(self) -> int:
-        return self.matrix.dim
-
 
 def rcv(incr: IncrementMatrix) -> EstimatorOutput:
     """Realized covariance: sum of increment outer products."""
@@ -50,8 +46,8 @@ def rcv(incr: IncrementMatrix) -> EstimatorOutput:
     )
 
 
-def _unit_rows(incr: IncrementMatrix, drop_zero_rows: bool) -> tuple[np.ndarray, int]:
-    """Rows scaled to unit length, plus the count of rows kept.
+def _unit_rows(incr: IncrementMatrix) -> np.ndarray:
+    """Rows scaled to unit length.
 
     Each row is divided by its largest magnitude before squaring, so a tiny
     but nonzero row neither underflows to zero length nor loses precision in
@@ -61,38 +57,30 @@ def _unit_rows(incr: IncrementMatrix, drop_zero_rows: bool) -> tuple[np.ndarray,
     scale = np.max(np.abs(x), axis=1)
     zero = scale == 0.0
     if np.any(zero):
-        if not drop_zero_rows:
-            raise ZeroIncrementError(int(np.flatnonzero(zero)[0]))
-        x = x[~zero]
-        scale = scale[~zero]
-        if x.shape[0] == 0:
-            raise ZeroIncrementError(0, "all increment rows have zero length")
+        raise ZeroIncrementError(int(np.flatnonzero(zero)[0]))
     u = x / scale[:, None]
     u /= np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
     u.setflags(write=False)
-    return u, x.shape[0]
+    return u
 
 
-def sigma_tilde(incr: IncrementMatrix, drop_zero_rows: bool = False) -> EstimatorOutput:
+def sigma_tilde(incr: IncrementMatrix) -> EstimatorOutput:
     """Self-normalized realized covariance (p/n) * sum of dX dX^T / |dX|^2.
 
-    Its trace equals p identically. Rows with |dX| = 0 raise ZeroIncrementError
-    unless ``drop_zero_rows`` is set, in which case the surviving row count
-    replaces n in the p/n factor.
+    Its trace equals p identically. Rows with |dX| = 0 raise ZeroIncrementError.
     """
-    u, n_eff = _unit_rows(incr, drop_zero_rows)
     p = incr.p
-    mat = FactoredCov(u, p / n_eff)
+    mat = FactoredCov(_unit_rows(incr), p / incr.n)
     return EstimatorOutput(
         matrix=mat,
         kind="sigma_tilde",
-        n=n_eff,
+        n=incr.n,
         trace_over_p=mat.trace() / p,
         spec_digest=incr.spec_digest,
     )
 
 
-def tvarcv(incr: IncrementMatrix, drop_zero_rows: bool = False) -> EstimatorOutput:
+def tvarcv(incr: IncrementMatrix) -> EstimatorOutput:
     """Time-variation adjusted RCV: (tr(RCV)/p) times the self-normalized matrix.
 
     Shares the trace of RCV up to roundoff while its spectral shape follows
@@ -100,7 +88,7 @@ def tvarcv(incr: IncrementMatrix, drop_zero_rows: bool = False) -> EstimatorOutp
     variance is distributed over the day. The realized trace is taken from
     the increments directly, without forming RCV.
     """
-    tilde = sigma_tilde(incr, drop_zero_rows=drop_zero_rows)
+    tilde = sigma_tilde(incr)
     trace_over_p = square_sum(incr.increments) / incr.p
     mat = FactoredCov(tilde.matrix.rows, trace_over_p * tilde.matrix.scale)
     return EstimatorOutput(

@@ -175,6 +175,20 @@ def read_density_csv(path):
     return DensityCurve(data[:, 0], data[:, 1], mass_at_zero=mass0), meta
 
 
+def read_distribution(path):
+    """An eigenvalue file or a density file, told apart by the ``kind`` in its metadata."""
+    path = Path(path)
+    if not path.is_file():
+        raise BadConfigError(f"file not found: {path}")
+    with open(path, "r", encoding="utf-8") as handle:
+        kind = _parse_meta(handle.readline().rstrip("\n"), path).get("kind")
+    if kind == "eigenvalues":
+        return read_eigenvalues_csv(path)[0]
+    if kind == "density":
+        return read_density_csv(path)[0]
+    raise BadConfigError(f"{path}: expected an eigenvalues or density file, got {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # solver traces and objective traces
 

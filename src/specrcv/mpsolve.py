@@ -13,9 +13,10 @@ replaces the i.i.d. sampling weights by a profile w_s on [0, 1]:
     M(z)       = -(1/z) integral_0^1 w_s / (1 + y m~(z) w_s) ds
     m~(z)      = -(1/z) integral tau dH(tau) / (tau M(z) + 1).
 
-One vectorized Newton core (``_pair_core``) solves the pair (M, m~) for
-both: the classical equation is the unit-weight case, in which M is the
-companion transform -(1 - y)/z + y m. A probe x + iv is reached by
+One entry point, ``solve_weighted_mp_grid``, solves both through a
+vectorized Newton core for the pair (M, m~): the classical equation is the
+unit-weight call w = 1, in which M is the companion transform
+-(1 - y)/z + y m and m_Fw is m itself. A probe x + iv is reached by
 continuation in Im z, from a level above the support where the large-|z|
 asymptotics are accurate down to v, halving Im z per level. The damped
 fixed-point map is kept only as the fallback step where Newton makes no
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covmodel import SpectralDistribution
-from .diffusion import ConstantProfile, PiecewiseProfile, VolatilityProfile, simpson_weights
-from .errors import BadGridError, BadProfileError, NoConvergenceError, NonFiniteError
+from .diffusion import ConstantProfile, PiecewiseProfile, VolatilityProfile
+from .errors import BadGridError, BadProfileError, NonFiniteError
 from .spectra import DensityCurve, StieltjesGrid, empirical_stieltjes
 
 SOLVER_TOL = 1e-10
@@ -153,7 +154,11 @@ class WeightProfile:
         else:
             s = np.linspace(0.0, 1.0, _QUAD_NODES)
             nodes = np.interp(s, np.linspace(0.0, 1.0, vals.size), vals)
-            node_weights = simpson_weights(_QUAD_NODES - 1) * (1.0 / (_QUAD_NODES - 1) / 3.0)
+            # Composite Simpson: h/3 times 1, 4, 2, 4, ..., 4, 1.
+            node_weights = np.ones(_QUAD_NODES)
+            node_weights[1:-1:2] = 4.0
+            node_weights[2:-1:2] = 2.0
+            node_weights *= 1.0 / (_QUAD_NODES - 1) / 3.0
         nodes.setflags(write=False)
         node_weights.setflags(write=False)
         object.__setattr__(self, "_nodes", nodes)
@@ -171,22 +176,9 @@ class WeightProfile:
     def from_samples(cls, values, kappa: float | None = None) -> "WeightProfile":
         return cls("sampled", np.asarray(values, dtype=float), kappa=kappa)
 
-    def values_on(self, s):
-        """w_s at the given times."""
-        s = np.asarray(s, dtype=float)
-        if self.kind == "step":
-            idx = np.clip(
-                np.searchsorted(self.edges, s, side="right") - 1, 0, self.values.size - 1
-            )
-            return self.values[idx]
-        return np.interp(s, np.linspace(0.0, 1.0, self.values.size), self.values)
-
     def mean(self) -> float:
         """Integral of w_s over [0, 1]."""
         return float(self._node_weights @ self._nodes)
-
-
-_UNIT_WEIGHT = WeightProfile.constant(1.0)
 
 
 @dataclass(frozen=True)
@@ -201,22 +193,6 @@ class MPLawParams:
             raise ValueError(f"need y > 0, got {self.y}")
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError(f"need sigma2 > 0, got {self.sigma2}")
-
-
-@dataclass(frozen=True)
-class WeightedSolveResult:
-    """Converged solution of the weighted system at one probe point.
-
-    ``M`` and ``m_tilde`` land in the closed first quadrant when z = iv
-    (checked as a test property; general z can rotate them out of it).
-    """
-
-    z: complex
-    m_fw: complex
-    M: complex
-    m_tilde: complex
-    residual: float
-    iterations: int
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +250,12 @@ _EVAL_KEYS = ("res", "gM", "gmt", "a", "b_c")
 
 
 def within_tolerance(residual, scale, tol=SOLVER_TOL):
-    """Probe verdict: finite residual <= max(tol, 8 eps scale), scale = |M| + |m~| or |m|."""
+    """Probe verdict: finite residual <= max(tol, 8 eps scale), scale = |M| + |m~|."""
     bound = np.maximum(tol, 8.0 * np.finfo(float).eps * np.asarray(scale, dtype=float))
     return np.isfinite(residual) & (np.asarray(residual, dtype=float) <= bound)
 
 
-def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, measure=None):
+def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter):
     """Newton solve of the weighted pair system, vectorized over the probes zs.
 
     With F1 = M - g_M(m~), F2 = m~ - g_m~(M) for the right-hand sides g of the
@@ -294,10 +270,10 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, measure=None):
     from the large-|z| asymptotics M = -(1/z) int w ds, m~ = -(1/z) int tau dH,
     and halves Im z level by level down to v, carrying M and m~ over by the
     factor z_old / z_new. Intermediate levels end at relative residual
-    _LEVEL_RTOL; the last one at ``measure(z, M)`` <= tol (default: the pair
-    residual) or where no step helps, which ``within_tolerance`` accepts only
-    at roundoff. Returns (M, m_tilde, residual, iterations) aligned with zs,
-    where iterations counts accepted steps.
+    _LEVEL_RTOL; the last one at pair residual <= tol or where no step helps,
+    which ``within_tolerance`` accepts only at roundoff. Returns (M, m_tilde,
+    residual, iterations) aligned with zs, where iterations counts accepted
+    steps.
     """
     locs = np.asarray(locs, dtype=float)[:, None]
     wts = np.asarray(wts, dtype=float)[:, None]
@@ -362,11 +338,7 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, measure=None):
         while s["idx"].size:
             target = zs[s["idx"]]
             final = s["z"].imag <= target.imag
-            rep = np.full(final.size, np.inf)
-            if measure is None:
-                rep[final] = s["res"][final]
-            elif final.any():
-                rep[final] = measure(s["z"][final], s["M"][final])
+            rep = np.where(final, s["res"], np.inf)
             met = np.where(final, rep <= tol,
                            s["res"] <= _LEVEL_RTOL * (np.abs(s["M"]) + np.abs(s["mt"])))
             stop = (final & (met | s["stuck"])) | (s["its"] >= max_iter)
@@ -404,120 +376,6 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter, measure=None):
     return M_out, mt_out, res_out, it_out
 
 
-def _check_inputs(y, zs) -> np.ndarray:
-    if not (np.isfinite(y) and y > 0):
-        raise ValueError(f"need y > 0, got {y}")
-    zs = np.asarray(zs, dtype=complex).ravel()
-    if zs.size == 0 or not np.all(np.isfinite(zs)) or np.any(zs.imag <= 0):
-        raise BadGridError("probe points must be nonempty and finite with Im z > 0")
-    return zs
-
-
-# ---------------------------------------------------------------------------
-# classical equation
-
-
-def _classical(locs, wts, y, zs, tol, max_iter):
-    """Classical equation as the pair system with unit weight, vectorized over z.
-
-    For w = 1 the pair's M is the companion transform -(1 - y)/z + y m,
-    so m = (M + (1 - y)/z) / y; the reported residual is that of the
-    original m-equation at this m.
-    Returns (m, M, residual, iterations) aligned with the array zs.
-    """
-
-    def m_of(z, M):
-        return (M + (1.0 - y) / z) / y
-
-    def m_residual(z, M):
-        m = m_of(z, M)
-        u = 1.0 - y * (1.0 + z * m)
-        g = np.sum(wts[:, None] / (locs[:, None] * u[None, :] - z[None, :]), axis=0)
-        r = np.abs(g - m)
-        return np.where(np.isfinite(r), r, np.inf)
-
-    M, _, res, it = _pair_core(locs, wts, _UNIT_WEIGHT, y, zs, tol, max_iter,
-                               measure=m_residual)
-    return m_of(zs, M), M, res, it
-
-
-def solve_mp(
-    H: PopulationSpectrum,
-    y: float,
-    z: complex,
-    tol: float = SOLVER_TOL,
-    max_iter: int = SOLVER_MAX_ITER,
-) -> complex:
-    """Stieltjes transform m(z) of the limit law for population spectrum H.
-
-    Newton with continuation in Im z (see _pair_core); the returned value
-    satisfies the defining equation within ``within_tolerance`` and Im m > 0.
-    """
-    m, _, res, it = _classical(H.locations, H.weights, y, _check_inputs(y, [z]), tol, max_iter)
-    if not within_tolerance(res[0], abs(m[0]), tol) or m[0].imag <= 0:
-        raise NoConvergenceError(int(it[0]), float(res[0]))
-    return complex(m[0])
-
-
-def solve_mp_grid(
-    H: PopulationSpectrum,
-    y: float,
-    zs,
-    tol: float = SOLVER_TOL,
-    max_iter: int = SOLVER_MAX_ITER,
-):
-    """Vectorized solve_mp over many probes.
-
-    Returns (values, residuals, iterations); points that ``within_tolerance``
-    rejects at scale |m| did not converge (no exception, so sweeps can report
-    per-probe status).
-    """
-    m, _, res, it = _classical(H.locations, H.weights, y, _check_inputs(y, zs), tol, max_iter)
-    return m, res, it
-
-
-def mp_stieltjes(H: PopulationSpectrum, y: float, tol: float = SOLVER_TOL,
-                 max_iter: int = SOLVER_MAX_ITER):
-    """Callable z-grid -> m values for the classical law; raises on failure."""
-
-    def transform(zs):
-        m, res, it = solve_mp_grid(H, y, zs, tol=tol, max_iter=max_iter)
-        bad = ~within_tolerance(res, np.abs(m), tol)
-        if np.any(bad):
-            worst = int(np.flatnonzero(bad)[np.argmax(res[bad])])
-            raise NoConvergenceError(int(it[worst]), float(res[worst]))
-        return m
-
-    return transform
-
-
-# ---------------------------------------------------------------------------
-# weighted system
-
-
-def solve_weighted_mp(
-    H: PopulationSpectrum,
-    w: WeightProfile,
-    y: float,
-    z: complex,
-    tol: float = SOLVER_TOL,
-    max_iter: int = SOLVER_MAX_ITER,
-) -> WeightedSolveResult:
-    """Solve the weighted pair system at one probe point."""
-    z = complex(z)
-    m_fw, big_m, mt, res, it = solve_weighted_mp_grid(H, w, y, [z], tol, max_iter)
-    if not within_tolerance(res[0], abs(big_m[0]) + abs(mt[0]), tol) or not np.isfinite(m_fw[0]):
-        raise NoConvergenceError(int(it[0]), float(res[0]))
-    return WeightedSolveResult(
-        z=z,
-        m_fw=complex(m_fw[0]),
-        M=complex(big_m[0]),
-        m_tilde=complex(mt[0]),
-        residual=float(res[0]),
-        iterations=int(it[0]),
-    )
-
-
 def solve_weighted_mp_grid(
     H: PopulationSpectrum,
     w: WeightProfile,
@@ -526,8 +384,19 @@ def solve_weighted_mp_grid(
     tol: float = SOLVER_TOL,
     max_iter: int = SOLVER_MAX_ITER,
 ):
-    """Vectorized weighted solve; returns (m_fw, M, m_tilde, residuals, iterations)."""
-    zs = _check_inputs(y, zs)
+    """Solve the weighted system at the probes zs; the only solve entry point.
+
+    Returns (m_fw, M, m_tilde, residuals, iterations) aligned with zs. The
+    classical law of H is the call with ``WeightProfile.constant(1.0)``, whose
+    m_fw is the classical m. A probe has converged when ``within_tolerance``
+    accepts its pair residual at scale |M| + |m~|; the others are returned
+    too, so sweeps can report per-probe status.
+    """
+    if not (np.isfinite(y) and y > 0):
+        raise ValueError(f"need y > 0, got {y}")
+    zs = np.asarray(zs, dtype=complex).ravel()
+    if zs.size == 0 or not np.all(np.isfinite(zs)) or np.any(zs.imag <= 0):
+        raise BadGridError("probe points must be nonempty and finite with Im z > 0")
     big_m, mt, res, it = _pair_core(H.locations, H.weights, w, y, zs, tol, max_iter)
     with np.errstate(all="ignore"):
         d = H.locations[:, None] * big_m[None, :] + 1.0
@@ -588,12 +457,11 @@ def default_bandwidth(lo: float, hi: float) -> float:
     return min(max(1e-3, 0.02 * width), 0.2 * width)
 
 
-def invert_stieltjes(m, xs, v: float) -> DensityCurve:
+def invert_stieltjes(m: StieltjesGrid, xs, v: float) -> DensityCurve:
     """Density f(x) = Im m(x + iv) / pi on the grid, with leftover mass at 0.
 
-    ``m`` is either a callable evaluated at xs + iv or a StieltjesGrid already
-    sampled exactly there. The unaccounted mass max(0, 1 - integral) is
-    reported as ``mass_at_zero``.
+    ``m`` holds the transform sampled exactly at xs + iv. The unaccounted mass
+    max(0, 1 - integral) is reported as ``mass_at_zero``.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     if xs.size < 2 or np.any(np.diff(xs) <= 0):
@@ -601,17 +469,9 @@ def invert_stieltjes(m, xs, v: float) -> DensityCurve:
     if not v > 0:
         raise BadGridError(f"bandwidth must be positive, got {v}")
     zs = xs + 1j * v
-    if isinstance(m, StieltjesGrid):
-        if m.zs.size != zs.size or not np.allclose(m.zs, zs, rtol=1e-9, atol=0.0):
-            raise BadGridError("transform grid does not match xs + iv")
-        values = m.values
-    elif callable(m):
-        values = np.asarray(m(zs), dtype=complex).ravel()
-        if values.size != zs.size:
-            raise BadGridError("callable returned wrong number of values")
-    else:
-        raise TypeError("m must be callable or a StieltjesGrid")
-    ys = np.clip(values.imag / np.pi, 0.0, None)
+    if m.zs.size != zs.size or not np.allclose(m.zs, zs, rtol=1e-9, atol=0.0):
+        raise BadGridError("transform grid does not match xs + iv")
+    ys = np.clip(m.values.imag / np.pi, 0.0, None)
     mass0 = max(0.0, 1.0 - float(np.trapezoid(ys, xs)))
     return DensityCurve(xs, ys, mass_at_zero=mass0)
 

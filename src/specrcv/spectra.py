@@ -66,9 +66,6 @@ class DensityCurve:
         cum.setflags(write=False)
         object.__setattr__(self, "_cum", cum)
 
-    def total_mass(self) -> float:
-        return float(self._cum[-1]) + self.mass_at_zero
-
     def _continuous_cdf(self, x):
         return np.interp(
             np.asarray(x, dtype=float), self.xs, self._cum, left=0.0, right=self._cum[-1]

@@ -72,6 +72,36 @@ def mp_stieltjes_quadratic(y: float, sigma2: float, z: complex) -> complex:
     return complex(upper[0])
 
 
+def two_atom_stieltjes(locations, weights, y: float, zs) -> np.ndarray:
+    """Stieltjes transform of the classical law for a two-atom population spectrum.
+
+    With atoms t_1, t_2 > 0 of weights h_1, h_2, the equation
+    m = sum_j h_j / (t_j (1 - y - y z m) - z) reads m = sum_j h_j / (a_j - b_j m)
+    with a_j = t_j (1 - y) - z and b_j = t_j y z. Clearing denominators gives
+    the cubic
+
+        b_1 b_2 m^3 - (a_1 b_2 + a_2 b_1) m^2 + (a_1 a_2 + h_1 b_2 + h_2 b_1) m
+            - (h_1 a_2 + h_2 a_1) = 0,
+
+    solved for every z at once through the eigenvalues of a batch of 3x3
+    companion matrices. The transform is the root with the largest imaginary
+    part.
+    """
+    (t1, t2), (h1, h2) = locations, weights
+    zs = np.asarray(zs, dtype=complex).ravel()
+    a1, a2 = t1 * (1.0 - y) - zs, t2 * (1.0 - y) - zs
+    b1, b2 = t1 * y * zs, t2 * y * zs
+    c3 = b1 * b2
+    companion = np.zeros((zs.size, 3, 3), dtype=complex)
+    companion[:, 0, 0] = (a1 * b2 + a2 * b1) / c3
+    companion[:, 0, 1] = -(a1 * a2 + h1 * b2 + h2 * b1) / c3
+    companion[:, 0, 2] = (h1 * a2 + h2 * a1) / c3
+    companion[:, 1, 0] = 1.0
+    companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    return roots[np.arange(zs.size), np.argmax(roots.imag, axis=1)]
+
+
 def two_level_weighted_stieltjes(levels, fractions, y: float, zs) -> np.ndarray:
     """Stieltjes transform of the weighted law for a two-level weight profile.
 

@@ -26,15 +26,18 @@ from specrcv.mpsolve import (
     invert_stieltjes,
     mp_law_curve,
     mp_support,
-    solve_mp,
-    solve_mp_grid,
-    solve_weighted_mp,
     solve_weighted_mp_grid,
     weight_profile_from_model,
+    within_tolerance,
 )
 from specrcv.spectra import StieltjesGrid, empirical_stieltjes, kolmogorov_distance
 
-from .oracles import mp_density_reference, two_level_weighted_curve
+from .oracles import (
+    mp_density_reference,
+    mp_stieltjes_quadratic,
+    two_atom_stieltjes,
+    two_level_weighted_curve,
+)
 
 
 def _simulate(p, n, profile, seed, lam=None):
@@ -114,19 +117,31 @@ def test_03_weighted_forward_law_matches_rcv():
             f"K {distance:.4f} (tol 0.05), max residual {res.max():.1e}, {elapsed:.1f}s")
 
 
+def _classical(spectrum, y, zs):
+    """The classical law's m at the probes zs: the unit-weight solve."""
+    m, big_m, mt, res, _ = solve_weighted_mp_grid(spectrum, WeightProfile.constant(1.0), y, zs)
+    return m, res, within_tolerance(res, np.abs(big_m) + np.abs(mt))
+
+
 def test_04_weighted_system_reduces_to_classical():
+    # The classical oracles, the quadratic for a point mass and the cubic for
+    # two atoms, never go through the library's solver.
     two_atom = PopulationSpectrum([0.4, 1.6], [0.5, 0.5])
-    unit = WeightProfile.constant(1.0)
-    probes = [x + 1j * v for v in (0.05, 1.0) for x in np.linspace(0.05, 4.0, 10)]
-    worst = 0.0
-    for spectrum in (PopulationSpectrum.point_mass(1.0), two_atom):
+    zs = np.array([x + 1j * v for v in (0.05, 1.0) for x in np.linspace(0.05, 4.0, 10)])
+    oracles = (
+        (PopulationSpectrum.point_mass(1.0),
+         lambda y: np.array([mp_stieltjes_quadratic(y, 1.0, z) for z in zs])),
+        (two_atom, lambda y: two_atom_stieltjes(two_atom.locations, two_atom.weights, y, zs)),
+    )
+    worst, converged = 0.0, True
+    for spectrum, oracle in oracles:
         for y in (0.1, 0.5, 1.0, 2.0):
-            for z in probes:
-                gap = abs(solve_weighted_mp(spectrum, unit, y, z).m_fw
-                          - solve_mp(spectrum, y, z))
-                worst = max(worst, gap)
-    _report(4, "reduction identity", worst <= 1e-8,
-            f"max |weighted - classical| {worst:.2e} (tol 1e-8) over 160 probes")
+            m, _, ok = _classical(spectrum, y, zs)
+            converged &= bool(ok.all())
+            worst = max(worst, float(np.max(np.abs(m - oracle(y)))))
+    _report(4, "reduction identity", worst <= 1e-8 and converged,
+            f"max |unit-weight solve - classical oracle| {worst:.2e} (tol 1e-8) "
+            f"over 160 probes, all converged: {converged}")
 
 
 def test_05_point_mass_law_matches_closed_form():
@@ -134,15 +149,14 @@ def test_05_point_mass_law_matches_closed_form():
     for y, sigma2 in ((0.25, 1.0), (1.0, 1.0), (2.0, 0.5)):
         a, b = mp_support(MPLawParams(y, sigma2))
         inner = np.linspace(a + 0.05 * (b - a), b - 0.05 * (b - a), 300)
-        m, res, _ = solve_mp_grid(PopulationSpectrum.point_mass(sigma2), y,
-                                  inner + 1e-3j)
+        m, res, _ = _classical(PopulationSpectrum.point_mass(sigma2), y, inner + 1e-3j)
         assert float(res.max()) <= 1e-10
         sups.append(float(np.max(np.abs(m.imag / np.pi
                                         - mp_density_reference(y, sigma2, inner)))))
     _, b = mp_support(MPLawParams(2.0, 0.5))
     v = 1e-3 * b
     xs = np.geomspace(32.0 * v, 1.25 * b, 800)
-    m, res, _ = solve_mp_grid(PopulationSpectrum.point_mass(0.5), 2.0, xs + 1j * v)
+    m, res, _ = _classical(PopulationSpectrum.point_mass(0.5), 2.0, xs + 1j * v)
     assert float(res.max()) <= 1e-10
     mass0 = invert_stieltjes(StieltjesGrid(xs + 1j * v, m), xs, v).mass_at_zero
     ok = max(sups) <= 2e-2 and abs(mass0 - 0.5) <= 1e-2

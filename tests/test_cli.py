@@ -521,6 +521,36 @@ class TestValidationAndWiring:
                      "increments_r0_tvarcv_eigenvalues.csv"):
             assert (tmp_path / name).read_bytes() == (design1_run.est / name).read_bytes()
 
+    def test_manifest_config_is_pinned_per_subcommand(self, tmp_path):
+        # The config object is the rerun contract: rerun feeds it back to the
+        # subcommand, so its keys and defaulted values must not drift.
+        t = str(tmp_path)
+        esd_file = f"{t}/esd.csv"
+        io.write_eigenvalues_csv(esd_file, SpectralDistribution(np.linspace(0.5, 1.5, 20)), {})
+        runs = {
+            "simulate": (["simulate", "--design", "2", "--p", "3", "--n", "20", "--seed", "4"],
+                         {"design": "design2", "p": 3, "n": 20, "grid": "equispaced",
+                          "replicates": 1, "seed": 4, "a": 7.0, "b": 1.0, "c0": 9e-4,
+                          "c1": 8e-4, "lambda_file": None, "drift": 0.0}),
+            "estimate": (["estimate", "--input", f"{t}/simulate/increments_r0.csv",
+                          "--which", "rcv"],
+                         {"inputs": [f"{t}/simulate/increments_r0.csv"], "which": "rcv",
+                          "bins": None}),
+            "solve": (["solve", "--y", "0.5", "--xs", "0.3:2.5:20"],
+                      {"spectrum": "point:1", "weights": "constant:1", "y": 0.5,
+                       "xs": "0.3:2.5:20", "bandwidth": None}),
+            "recover": (["recover", "--esd", esd_file, "--y", "0.5", "--grid", "0.5:1.5:11"],
+                        {"esd": esd_file, "y": 0.5, "grid": "0.5:1.5:11",
+                         "max_iter": RECOVER_MAX_ITER}),
+        }
+        for command, (argv, config) in runs.items():
+            out = f"{t}/{command}"
+            assert main([*argv, "--out", out]) == 0, command
+            assert _read_json(f"{out}/manifest.json")["config"] == {**config, "out": out}
+            again = f"{t}/{command}_rerun"
+            assert main(["rerun", "--manifest", f"{out}/manifest.json", "--out", again]) == 0
+            assert _read_json(f"{again}/manifest.json")["config"] == {**config, "out": again}
+
     def test_help_lists_the_six_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])

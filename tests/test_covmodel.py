@@ -29,14 +29,6 @@ class TestSpectralDistribution:
         for lam in d.eigenvalues[:5]:
             assert d.cdf(lam + 1e-12) == d.cdf(lam)
 
-    def test_quantile(self):
-        d = SpectralDistribution(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert d.quantile(0.25) == 1.0
-        assert d.quantile(0.26) == 2.0
-        assert d.quantile(1.0) == 4.0
-        with pytest.raises(ValueError):
-            d.quantile(0.0)
-
 
 class TestFactoredCov:
     def test_entries_and_trace(self):
@@ -106,18 +98,6 @@ class TestGramSide:
         ev = esd(out.matrix).eigenvalues
         assert np.max(np.abs(ev - dense)) <= 1e-12 * dense[-1]
         assert np.sum(ev == 0.0) == max(0, p - n)
-
-    @pytest.mark.parametrize("estimator", [sigma_tilde, tvarcv])
-    def test_dropped_zero_row_leaves_exact_zeros(self, estimator):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(20, 45))
-        x[7] = 0.0
-        out = estimator(_increments(x), drop_zero_rows=True)
-        ev = esd(out.matrix).eigenvalues
-        assert out.n == 19
-        assert np.sum(ev == 0.0) == 45 - 19
-        dense = np.linalg.eigvalsh(out.matrix.entries)
-        assert np.max(np.abs(ev - dense)) <= 1e-12 * dense[-1]
 
     def test_realized_trace_is_shared(self):
         # RCV and TVARCV's trace factor take sum x^2 from one helper, so they

@@ -10,7 +10,6 @@ from specrcv.diffusion import (
     IncrementMatrix,
     ObservationGrid,
     PiecewiseProfile,
-    SampledProfile,
     design_one_profile,
     design_two_profile,
     make_grid,
@@ -32,9 +31,9 @@ class TestProfiles:
 
     def test_design_one_levels(self):
         prof = design_one_profile()
-        assert prof.gamma(0.1) == pytest.approx(np.sqrt(0.0007))
-        assert prof.gamma(0.5) == pytest.approx(np.sqrt(0.0001))
-        assert prof.gamma(0.9) == pytest.approx(np.sqrt(0.0007))
+        assert prof.gamma_sq(0.1) == pytest.approx(0.0007)
+        assert prof.gamma_sq(0.5) == pytest.approx(0.0001)
+        assert prof.gamma_sq(0.9) == pytest.approx(0.0007)
 
     def test_design_two_total(self):
         # The cosine integrates to zero over a full period.
@@ -53,25 +52,11 @@ class TestProfiles:
             1.0 * 0.25 + 4.0 * 0.25
         )
 
-    def test_sampled_profile_simpson_vs_quadrature(self):
-        values = 1.0 + 0.3 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 401))
-        prof = SampledProfile(values)
-        got = prof.interval_integrals([0.0, 1.0])[0]
-        want = fine_integral(prof.gamma_sq, 0.0, 1.0)
-        assert got == pytest.approx(want, rel=1e-8)
-
     def test_zero_profile_rejected(self):
         with pytest.raises(BadSpecError):
             ConstantProfile(0.0)
         with pytest.raises(BadSpecError):
             PiecewiseProfile(np.array([0.0, 1.0]), np.array([0.0]))
-        with pytest.raises(BadSpecError):
-            SampledProfile(np.array([1.0, 0.0, 1.0]))
-
-    def test_from_pairs(self):
-        prof = PiecewiseProfile.from_pairs([(0.0, 2.0), (0.5, 3.0)])
-        assert prof.gamma(0.25) == 2.0
-        assert prof.gamma(0.75) == 3.0
 
 
 class TestGrids:

@@ -91,17 +91,9 @@ class TestSigmaTilde:
         assert err.value.row == 2
         assert "row 2" in str(err.value)
 
-    def test_zero_row_dropped_on_request(self):
-        x = np.ones((4, 2))
-        x[2] = 0.0
-        out = sigma_tilde(_increments(x), drop_zero_rows=True)
-        # Three surviving rows; the p/n factor uses the reduced count.
-        assert out.matrix.trace() == pytest.approx(2.0)
-        assert out.n == 3
-
     def test_all_rows_zero(self):
         with pytest.raises(ZeroIncrementError):
-            sigma_tilde(_increments(np.zeros((3, 2))), drop_zero_rows=True)
+            sigma_tilde(_increments(np.zeros((3, 2))))
 
 
 class TestTvarcv:
@@ -124,7 +116,7 @@ class TestTvarcv:
         incr = _increments(np.ones((3, 2)))
         out = tvarcv(incr)
         assert out.kind == "tvarcv"
-        assert out.p == 2
+        assert out.matrix.dim == 2
         assert out.spec_digest == incr.spec_digest
 
 

@@ -21,12 +21,8 @@ from specrcv.mpsolve import (
     mp_density,
     mp_law_curve,
     mp_mass_at_zero,
-    mp_stieltjes,
     mp_support,
     recover_spectrum,
-    solve_mp,
-    solve_mp_grid,
-    solve_weighted_mp,
     solve_weighted_mp_grid,
     weight_profile_from_model,
     within_tolerance,
@@ -37,12 +33,26 @@ from .oracles import (
     mp_density_reference,
     mp_quantiles,
     mp_stieltjes_quadratic,
+    two_atom_stieltjes,
     two_level_weighted_stieltjes,
 )
 
 TWO_ATOM = PopulationSpectrum(
     locations=np.array([0.4, 1.6]), weights=np.array([0.5, 0.5])
 )
+UNIT = WeightProfile.constant(1.0)
+
+
+def _solve(h, w, y, zs):
+    """m_fw, M, m~ and iterations at the probes zs, asserting that every probe converged."""
+    m_fw, big_m, mt, res, its = solve_weighted_mp_grid(h, w, y, np.atleast_1d(zs))
+    assert np.all(within_tolerance(res, np.abs(big_m) + np.abs(mt)))
+    return m_fw, big_m, mt, its
+
+
+def _classical(h, y, z):
+    """The classical law's m(z): the unit-weight solve at one probe."""
+    return complex(_solve(h, UNIT, y, z)[0][0])
 
 
 class TestPopulationSpectrum:
@@ -79,12 +89,12 @@ class TestWeightProfile:
     def test_constant(self):
         w = WeightProfile.constant(0.25)
         assert w.mean() == pytest.approx(0.25)
-        assert np.allclose(w.values_on([0.0, 0.5, 1.0]), 0.25)
+        assert np.array_equal(w.values, [0.25]) and np.array_equal(w.edges, [0.0, 1.0])
 
     def test_step_mean_exact(self):
         w = WeightProfile.from_steps([0.0, 0.25, 0.75, 1.0], [7.0, 1.0, 7.0])
         assert w.mean() == pytest.approx(7.0 * 0.5 + 1.0 * 0.5, rel=1e-15)
-        assert np.allclose(w.values_on([0.1, 0.5, 0.9]), [7.0, 1.0, 7.0])
+        assert np.array_equal(w.values, [7.0, 1.0, 7.0])
 
     def test_sampled_mean_simpson(self):
         s = np.linspace(0.0, 1.0, 513)
@@ -160,19 +170,14 @@ class TestMpLaw:
             MPLawParams(1.0, -1.0)
 
 
-def _classical_residual(h: PopulationSpectrum, y: float, z: complex, m: complex) -> float:
-    integrand = h.weights / (h.locations * (1.0 - y * (1.0 + z * m)) - z)
-    return abs(np.sum(integrand) - m)
-
-
 class TestSolveMp:
     def test_zero_spectrum_is_free_resolvent(self):
         h = PopulationSpectrum.point_mass(0.0)
         for y in (0.1, 1.0, 2.0):
-            assert solve_mp(h, y, 1j) == pytest.approx(1j, abs=1e-10)
+            assert _classical(h, y, 1j) == pytest.approx(1j, abs=1e-10)
 
     def test_point_mass_matches_quadratic_root(self):
-        m = solve_mp(PopulationSpectrum.point_mass(1.0), 0.5, 1.0 + 1.0j)
+        m = _classical(PopulationSpectrum.point_mass(1.0), 0.5, 1.0 + 1.0j)
         want = mp_stieltjes_quadratic(0.5, 1.0, 1.0 + 1.0j)
         assert m == pytest.approx(want, abs=1e-9)
 
@@ -180,24 +185,15 @@ class TestSolveMp:
         h = PopulationSpectrum.point_mass(2.0)
         for z in (0.5 + 0.05j, -1.0 + 0.2j, 4.0 + 1e-3j, 10.0 + 5.0j):
             for y in (0.25, 1.0, 2.0):
-                m = solve_mp(h, y, z)
+                m = _classical(h, y, z)
                 assert m == pytest.approx(mp_stieltjes_quadratic(y, 2.0, z), abs=1e-8)
-
-    def test_residual_reevaluates_below_tolerance(self):
-        rng = np.random.default_rng(6)
-        raw = rng.uniform(0.2, 1.0, 5)
-        h = PopulationSpectrum(rng.uniform(0.1, 3.0, 5), raw / raw.sum())
-        for z in (0.3 + 0.01j, 2.0 + 1.0j, -0.5 + 0.5j):
-            m = solve_mp(h, 0.7, z)
-            assert m.imag > 0.0
-            assert _classical_residual(h, 0.7, z, m) <= 1e-10
 
     def test_tiny_spectrum_converges_at_roundoff(self):
         # Residuals stall near one ulp of |m| ~ 1e200; the scale-free verdict
         # accepts them, and the values match the rescaled quadratic root.
         c = 1e-200
         zs = np.linspace(1e-201, 4e-200, 8) + 1e-210j
-        m = mp_stieltjes(PopulationSpectrum.point_mass(c), 1.0)(zs)
+        m = _solve(PopulationSpectrum.point_mass(c), UNIT, 1.0, zs)[0]
         want = np.array([mp_stieltjes_quadratic(1.0, 1.0, z / c) / c for z in zs])
         assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-7
 
@@ -211,53 +207,52 @@ class TestSolveMp:
 
     def test_requires_upper_half_plane(self):
         with pytest.raises(BadGridError):
-            solve_mp(PopulationSpectrum.point_mass(1.0), 0.5, 1.0 - 1j)
+            solve_weighted_mp_grid(PopulationSpectrum.point_mass(1.0), UNIT, 0.5, [1.0 - 1j])
 
     def test_grid_solvers_validate_inputs(self):
         h = PopulationSpectrum.point_mass(1.0)
-        w = WeightProfile.constant(1.0)
         for y in (-1.0, 0.0, np.nan):
             with pytest.raises(ValueError):
-                solve_mp_grid(h, y, np.array([1.0 + 1.0j]))
-            with pytest.raises(ValueError):
-                solve_weighted_mp_grid(h, w, y, np.array([1.0 + 1.0j]))
+                solve_weighted_mp_grid(h, UNIT, y, np.array([1.0 + 1.0j]))
         with pytest.raises(BadGridError):
-            solve_weighted_mp_grid(h, w, 0.5, np.array([complex(1.0, np.inf)]))
+            solve_weighted_mp_grid(h, UNIT, 0.5, np.array([complex(1.0, np.inf)]))
 
     def test_inverted_density_matches_closed_form(self):
         params = MPLawParams(0.5, 1.0)
         a, b = mp_support(params)
         eps = 0.05 * (b - a)
         xs = np.linspace(a + eps, b - eps, 301)
-        curve = invert_stieltjes(mp_stieltjes(PopulationSpectrum.point_mass(1.0), 0.5),
-                                 xs, v=1e-3)
+        zs = xs + 1e-3j
+        m = _solve(PopulationSpectrum.point_mass(1.0), UNIT, 0.5, zs)[0]
+        curve = invert_stieltjes(StieltjesGrid(zs, m), xs, v=1e-3)
         sup = np.max(np.abs(curve.ys - mp_density(params, xs)))
         assert sup <= 2e-2
 
 
 class TestSolveWeightedMp:
     def test_unit_weight_reduces_to_classical(self):
-        w = WeightProfile.constant(1.0)
-        for h in (PopulationSpectrum.point_mass(1.0), TWO_ATOM):
-            for y in (0.1, 2.0):
-                for z in (0.5 + 0.3j, 2.0 + 0.05j):
-                    res = solve_weighted_mp(h, w, y, z)
-                    assert res.m_fw == pytest.approx(solve_mp(h, y, z), abs=1e-8)
+        zs = np.array([0.5 + 0.3j, 2.0 + 0.05j])
+        for y in (0.1, 2.0):
+            point = _solve(PopulationSpectrum.point_mass(1.0), UNIT, y, zs)[0]
+            want = [mp_stieltjes_quadratic(y, 1.0, z) for z in zs]
+            assert np.max(np.abs(point - want)) <= 1e-8
+            two = _solve(TWO_ATOM, UNIT, y, zs)[0]
+            want = two_atom_stieltjes(TWO_ATOM.locations, TWO_ATOM.weights, y, zs)
+            assert np.max(np.abs(two - want)) <= 1e-8
 
     def test_zero_spectrum_free_resolvent_any_weight(self):
         h = PopulationSpectrum.point_mass(0.0)
         w = WeightProfile.from_steps([0.0, 0.25, 1.0], [3.0, 0.5])
-        for z in (1j, 2.0 + 0.1j):
-            res = solve_weighted_mp(h, w, 0.5, z)
-            assert res.m_fw == pytest.approx(-1.0 / z, abs=1e-10)
+        zs = np.array([1j, 2.0 + 0.1j])
+        assert np.max(np.abs(_solve(h, w, 0.5, zs)[0] + 1.0 / zs)) <= 1e-10
 
     def test_constant_weight_is_dilation(self):
         c = 0.3
         w = WeightProfile.constant(c)
         dilated = TWO_ATOM.scaled(c)
-        for z in (0.2 + 0.1j, 1.0 + 0.5j):
-            res = solve_weighted_mp(TWO_ATOM, w, 0.8, z)
-            assert res.m_fw == pytest.approx(solve_mp(dilated, 0.8, z), abs=1e-8)
+        zs = np.array([0.2 + 0.1j, 1.0 + 0.5j])
+        gap = _solve(TWO_ATOM, w, 0.8, zs)[0] - _solve(dilated, UNIT, 0.8, zs)[0]
+        assert np.max(np.abs(gap)) <= 1e-8
 
     def test_step_integral_matches_dense_sampling(self):
         edges = [0.0, 0.25, 0.75, 1.0]
@@ -267,9 +262,9 @@ class TestSolveWeightedMp:
         vals = np.where((s >= 0.25) & (s < 0.75), 1e-4, 7e-4)
         w_samp = WeightProfile.from_samples(vals)
         z = 5e-4 + 5e-5j
-        a = solve_weighted_mp(TWO_ATOM.scaled(4e-4), w_step, 1.0, z)
-        b = solve_weighted_mp(TWO_ATOM.scaled(4e-4), w_samp, 1.0, z)
-        assert a.m_fw == pytest.approx(b.m_fw, rel=1e-3)
+        a = _solve(TWO_ATOM.scaled(4e-4), w_step, 1.0, z)[0][0]
+        b = _solve(TWO_ATOM.scaled(4e-4), w_samp, 1.0, z)[0][0]
+        assert a == pytest.approx(b, rel=1e-3)
 
     def test_two_level_profile_matches_cubic_oracle(self):
         w = weight_profile_from_model(design_one_profile(6.0, 2.0))
@@ -277,8 +272,8 @@ class TestSolveWeightedMp:
         zs = np.array([1e-4 + 1e-4j, 4e-4 + 5e-5j, 9e-4 + 2e-4j, 2e-3 + 1e-3j])
         for y in (0.5, 1.0, 2.0):
             want = two_level_weighted_stieltjes((6e-4, 2e-4), (0.5, 0.5), y, zs)
-            for z, m in zip(zs, want):
-                assert solve_weighted_mp(h, w, y, z).m_fw == pytest.approx(m, rel=1e-7)
+            got = _solve(h, w, y, zs)[0]
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-7
 
     @pytest.mark.parametrize("levels", [(7.0, 1.0), (5.0, 3.0)])
     @pytest.mark.parametrize("y", [0.5, 1.0])
@@ -309,42 +304,51 @@ class TestSolveWeightedMp:
     def test_first_quadrant_on_imaginary_axis(self):
         w = weight_profile_from_model(design_one_profile())
         h = TWO_ATOM.scaled(4e-4)
-        for v in (1e-4, 1e-3, 1.0, 100.0):
-            res = solve_weighted_mp(h, w, 0.5, 1j * v)
-            assert res.M.real >= -1e-12 and res.M.imag >= -1e-12
-            assert res.m_tilde.real >= -1e-12 and res.m_tilde.imag >= -1e-12
-            assert res.residual <= 1e-10
+        zs = 1j * np.array([1e-4, 1e-3, 1.0, 100.0])
+        _, big_m, mt, res, _ = solve_weighted_mp_grid(h, w, 0.5, zs)
+        for value in (big_m, mt):
+            assert np.all(value.real >= -1e-12) and np.all(value.imag >= -1e-12)
+        assert res.max() <= 1e-10
 
     def test_total_mass_tail(self):
         w = weight_profile_from_model(design_two_profile())
         h = TWO_ATOM
         bound = h.locations.max() * 2e-3  # max location x mean weight, with slack
-        for v in (1e2, 1e3, 1e4):
-            res = solve_weighted_mp(h, w, 0.5, 1j * v)
-            assert abs(1j * v * res.m_fw + 1.0) <= 5.0 * bound / v + 1e-12
+        vs = np.array([1e2, 1e3, 1e4])
+        m = _solve(h, w, 0.5, 1j * vs)[0]
+        assert np.all(np.abs(1j * vs * m + 1.0) <= 5.0 * bound / vs + 1e-12)
 
     def test_result_fields(self):
-        res = solve_weighted_mp(TWO_ATOM, WeightProfile.constant(1.0), 0.5, 1j)
-        assert res.z == 1j
-        assert res.iterations >= 1
-        assert res.m_fw.imag > 0.0
+        zs = np.array([1j, 0.5 + 0.1j, 2.0 + 1e-3j])
+        m_fw, big_m, mt, its = _solve(TWO_ATOM, UNIT, 0.5, zs)
+        for value in (m_fw, big_m, mt, its):
+            assert value.shape == zs.shape
+        assert np.all(its >= 1)
+        assert np.all(m_fw.imag > 0.0)
+
+
+def _sampled_at(w: WeightProfile, s):
+    """A sampled profile's linear interpolant at s."""
+    return np.interp(s, np.linspace(0.0, 1.0, w.values.size), w.values)
 
 
 class TestWeightProfileFromModel:
     def test_step_volatility_squares_levels(self):
         w = weight_profile_from_model(design_one_profile())
         assert w.kind == "step"
-        assert np.allclose(w.values_on([0.1, 0.5, 0.9]), [7e-4, 1e-4, 7e-4], rtol=1e-12)
+        assert np.array_equal(w.edges, [0.0, 0.25, 0.75, 1.0])
+        assert np.allclose(w.values, [7e-4, 1e-4, 7e-4], rtol=1e-12)
 
     def test_constant_volatility(self):
         w = weight_profile_from_model(ConstantProfile(0.02))
-        assert np.allclose(w.values_on([0.0, 0.3, 1.0]), 4e-4, rtol=1e-12)
+        assert np.allclose(w.values, 4e-4, rtol=1e-12)
 
     def test_cosine_volatility(self):
         w = weight_profile_from_model(design_two_profile())
-        s = np.array([0.0, 0.2, 0.55, 0.8])
+        assert w.kind == "sampled"
+        s = np.linspace(0.0, 1.0, w.values.size)
         want = 9e-4 + 8e-4 * np.cos(2.0 * np.pi * s)
-        assert np.allclose(w.values_on(s), want, rtol=1e-4, atol=1e-12)
+        assert np.allclose(w.values, want, rtol=1e-4, atol=1e-12)
 
     def test_constant_gamma_with_timechange(self):
         # With constant gamma the weight is sigma^2 times the clock density.
@@ -352,7 +356,7 @@ class TestWeightProfileFromModel:
         upsilon = 0.5 + s  # integrates to 1
         w = weight_profile_from_model(ConstantProfile(2.0), timechange=upsilon)
         probe = np.array([0.1, 0.5, 0.9])
-        assert np.allclose(w.values_on(probe), 4.0 * (0.5 + probe), rtol=1e-3)
+        assert np.allclose(_sampled_at(w, probe), 4.0 * (0.5 + probe), rtol=1e-3)
 
     def test_timechange_warps_clock(self):
         # upsilon = 2s concentrates business time late in the day: w_s equals
@@ -360,7 +364,7 @@ class TestWeightProfileFromModel:
         prof = design_one_profile()
         s = np.linspace(0.0, 1.0, 4097)
         w = weight_profile_from_model(prof, timechange=2.0 * s)
-        got = w.values_on(np.array([0.4, 0.8]))
+        got = _sampled_at(w, np.array([0.4, 0.8]))
         want = prof.gamma_sq(np.array([0.4, 0.8]) ** 2) * 2.0 * np.array([0.4, 0.8])
         assert np.allclose(got, want, rtol=5e-3)
 
@@ -376,13 +380,9 @@ class TestInvertStieltjes:
     def test_point_mass_peak_sharpens(self):
         dist = SpectralDistribution(np.ones(8))
         xs = np.linspace(0.5, 1.5, 401)
-
-        def transform(zs):
-            return empirical_stieltjes(dist, zs).values
-
         masses = []
         for v in (0.05, 0.01):
-            curve = invert_stieltjes(transform, xs, v=v)
+            curve = invert_stieltjes(empirical_stieltjes(dist, xs + 1j * v), xs, v=v)
             assert curve.xs[np.argmax(curve.ys)] == pytest.approx(1.0, abs=0.01)
             masses.append(np.trapezoid(curve.ys, curve.xs))
         assert abs(masses[1] - 1.0) < abs(masses[0] - 1.0)
@@ -396,25 +396,20 @@ class TestInvertStieltjes:
             [np.linspace(max(a - 5.0, 1e-3), a - 10 * v, 50),
              np.linspace(b + 10 * v, b + 5.0, 50)]
         )
-        curve = invert_stieltjes(mp_stieltjes(PopulationSpectrum.point_mass(10.0), 0.5),
-                                 np.sort(xs), v=v)
+        xs = np.sort(xs)
+        m = _solve(PopulationSpectrum.point_mass(10.0), UNIT, 0.5, xs + 1j * v)[0]
+        curve = invert_stieltjes(StieltjesGrid(xs + 1j * v, m), xs, v=v)
         assert np.all(curve.ys <= 5e-3)
 
-    def test_grid_input_equals_callable(self):
-        dist = SpectralDistribution(np.array([0.5, 1.0, 2.0]))
-        xs = np.linspace(0.0, 3.0, 61)
-        v = 0.05
-        zs = xs + 1j * v
-        grid = StieltjesGrid(zs, empirical_stieltjes(dist, zs).values)
-        a = invert_stieltjes(grid, xs, v=v)
-        b = invert_stieltjes(lambda z: empirical_stieltjes(dist, z).values, xs, v=v)
-        assert np.array_equal(a.ys, b.ys)
-
     def test_validation(self):
+        xs = np.array([0.0, 1.0])
+        grid = StieltjesGrid(xs + 0.1j, -1.0 / (xs + 0.1j))
         with pytest.raises(BadGridError):
-            invert_stieltjes(lambda z: -1.0 / z, np.array([0.0, 1.0]), v=0.0)
+            invert_stieltjes(grid, xs, v=0.0)
         with pytest.raises(BadGridError):
-            invert_stieltjes(lambda z: -1.0 / z, np.array([1.0, 0.0]), v=0.1)
+            invert_stieltjes(grid, xs[::-1], v=0.1)
+        with pytest.raises(BadGridError, match="does not match"):
+            invert_stieltjes(grid, xs, v=0.2)
 
 
 class TestDefaultBandwidth:
@@ -494,7 +489,7 @@ class TestRecoverSpectrum:
 )
 def test_point_mass_solver_against_quadratic(y, sigma2, re, im):
     z = complex(re, im)
-    m = solve_mp(PopulationSpectrum.point_mass(sigma2), y, z)
+    m = _classical(PopulationSpectrum.point_mass(sigma2), y, z)
     want = mp_stieltjes_quadratic(y, sigma2, z)
     assert abs(m - want) <= 1e-8
     assert m.imag > 0.0
@@ -509,8 +504,8 @@ def test_point_mass_solver_against_quadratic(y, sigma2, re, im):
 def test_weighted_residual_invariant(locs, v, y):
     h = PopulationSpectrum(np.array(locs), np.full(len(locs), 1.0 / len(locs)))
     w = WeightProfile.from_steps([0.0, 0.5, 1.0], [0.5, 1.5])
-    res = solve_weighted_mp(h, w, y, 1j * v)
-    assert res.residual <= 1e-10
+    _, big_m, mt, res, _ = solve_weighted_mp_grid(h, w, y, [1j * v])
+    assert res[0] <= 1e-10
     # Re-evaluate the defining pair at the returned values.
-    m_tilde_check = -np.sum(h.weights * h.locations / (h.locations * res.M + 1.0)) / (1j * v)
-    assert abs(m_tilde_check - res.m_tilde) <= 1e-9 * max(1.0, abs(res.m_tilde))
+    m_tilde_check = -np.sum(h.weights * h.locations / (h.locations * big_m[0] + 1.0)) / (1j * v)
+    assert abs(m_tilde_check - mt[0]) <= 1e-9 * max(1.0, abs(mt[0]))

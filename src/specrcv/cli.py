@@ -14,8 +14,10 @@ byte when the BLAS thread setting matches.
 Each process loads only the modules its subcommand runs: ``compare`` needs
 ``covmodel``, ``spectra`` and ``io``; ``simulate`` adds ``diffusion``,
 ``estimate`` adds ``diffusion`` and ``estimators``, and ``solve`` and
-``recover`` add ``mpsolve``. Names from those three modules are resolved as
-attributes of this module on first use.
+``recover`` add ``mpsolve``. Only ``solve`` with ``design1`` or ``design2``
+weights also loads ``diffusion``, the simulator module. Names from those
+three modules are resolved as attributes of this module on first use. No
+subcommand loads ``numpy.ma``.
 
 Exit codes: 0 success, 1 compare threshold exceeded, 2 bad configuration or
 input, 3 numerical non-convergence.
@@ -250,6 +252,13 @@ def cmd_estimate(config: dict) -> int:
     paths = [Path(s) for s in config["inputs"]]
     if not paths:
         raise BadConfigError("no input files given")
+    # Outputs are named after the input stem, so two inputs may not share one.
+    seen = {}
+    for path in paths:
+        if path.stem in seen:
+            raise BadConfigError(f"inputs {seen[path.stem]} and {path} share the file stem "
+                                 f"{path.stem!r}, so their outputs would overwrite each other")
+        seen[path.stem] = path
     bins = config.get("bins")
     if bins is not None and bins < 1:
         raise BadConfigError(f"bins must be >= 1, got {bins}")
@@ -312,9 +321,10 @@ def _parse_spectrum(text: str) -> PopulationSpectrum:
 def _parse_weights(text: str) -> WeightProfile:
     if text.startswith("constant:"):
         return _cli.WeightProfile.constant(float(text[len("constant:"):]))
-    for name, builder in (("design1", _cli.design_one_profile),
-                          ("design2", _cli.design_two_profile)):
+    for name, builder_name in (("design1", "design_one_profile"),
+                               ("design2", "design_two_profile")):
         if text == name or text.startswith(name + ":"):
+            builder = getattr(_cli, builder_name)
             if text == name:
                 return _cli.weight_profile_from_model(builder())
             args = [float(v) for v in text[len(name) + 1:].split(",")]
@@ -326,6 +336,8 @@ def _parse_weights(text: str) -> WeightProfile:
         raise BadConfigError(f"weight profile not recognized: {text!r}")
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise BadConfigError(f"{path}: weight profile must be a JSON object")
     try:
         return _cli.WeightProfile(
             kind=payload["kind"],
@@ -536,7 +548,12 @@ def cmd_rerun(manifest_file: str, out_override: str | None) -> int:
                   file=sys.stderr)
     if command not in _COMMANDS:
         raise BadConfigError(f"manifest command {command!r} cannot be re-run")
-    return _COMMANDS[command](config)
+    try:
+        return _COMMANDS[command](config)
+    except KeyError as err:
+        # A subcommand reads its config keys by index; argparse always
+        # supplies them, a hand-edited manifest may not.
+        raise BadConfigError(f"{manifest_file}: config has no key {err}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -231,11 +231,17 @@ def read_spectrum_json(path) -> PopulationSpectrum:
 
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise BadConfigError(f"{path}: spectrum file must hold a JSON object")
     atoms = payload.get("atoms")
     if not atoms:
         raise BadConfigError(f"{path}: no atoms in spectrum file")
-    locs = np.array([a["location"] for a in atoms], dtype=float)
-    wts = np.array([a["weight"] for a in atoms], dtype=float)
+    try:
+        locs = np.array([a["location"] for a in atoms], dtype=float)
+        wts = np.array([a["weight"] for a in atoms], dtype=float)
+    except (KeyError, TypeError):
+        raise BadConfigError(f"{path}: each atom must be an object with a location "
+                             "and a weight") from None
     return PopulationSpectrum(locs, wts)
 
 
@@ -255,6 +261,7 @@ def read_manifest(path) -> dict:
         raise BadConfigError(f"manifest not found: {path}")
     with open(path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    if "command" not in manifest or "config" not in manifest:
+    if (not isinstance(manifest, dict) or "command" not in manifest
+            or not isinstance(manifest.get("config"), dict)):
         raise BadConfigError(f"{path}: not a run manifest")
     return manifest

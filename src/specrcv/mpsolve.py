@@ -35,13 +35,16 @@ probability simplex, solved exactly by an active-set method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .covmodel import SpectralDistribution
-from .diffusion import ConstantProfile, PiecewiseProfile, VolatilityProfile
 from .errors import BadGridError, BadProfileError, NonFiniteError
-from .spectra import DensityCurve, StieltjesGrid, empirical_stieltjes
+from .spectra import DensityCurve, StieltjesGrid, empirical_stieltjes, sorted_unique
+
+if TYPE_CHECKING:
+    from .diffusion import VolatilityProfile
 
 SOLVER_TOL = 1e-10
 SOLVER_MAX_ITER = 100_000
@@ -414,8 +417,11 @@ def weight_profile_from_model(
     ``timechange`` is the limiting time-change density upsilon sampled on a
     uniform grid over [0, 1] (None means upsilon = 1, i.e. equispaced
     observation). It must be nonnegative and integrate to 1, so the time
-    change Upsilon ends at 1.
+    change Upsilon ends at 1. The simulator module is imported here, so
+    solves with constant or JSON weights and recovery never load it.
     """
+    from .diffusion import ConstantProfile, PiecewiseProfile, VolatilityProfile
+
     if not isinstance(profile, VolatilityProfile):
         raise BadProfileError("profile must be a VolatilityProfile")
     if timechange is None:
@@ -563,7 +569,7 @@ def recover_spectrum(
     """
     if not (np.isfinite(y) and y > 0):
         raise ValueError(f"need y > 0, got {y}")
-    locs = np.unique(np.asarray(grid, dtype=float).ravel())
+    locs = sorted_unique(grid)
     if locs.size == 0:
         raise ValueError("candidate grid is empty")
     if np.any(locs < 0) or not np.all(np.isfinite(locs)):

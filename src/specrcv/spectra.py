@@ -3,7 +3,11 @@
 Spectral distributions are purely atomic (p eigenvalues with weight 1/p
 each); density curves are tabulated on a grid with an optional point mass at
 the origin. Both expose right-continuous CDFs and left limits so the
-Kolmogorov distance is exact over the merged jump set.
+Kolmogorov distance is exact over the merged jump set. Both CDFs are
+piecewise linear between their vertices, so the Levy distance is exact too:
+one pass over the vertices of the two completed graphs, no bisection.
+Nothing here calls ``np.unique``, which loads ``numpy.ma``; ``sorted_unique``
+takes its place.
 """
 from __future__ import annotations
 
@@ -19,8 +23,6 @@ ZERO_ATOM_RTOL = 1e-12
 
 # Allowed discretization slack for the total mass of a DensityCurve.
 MASS_BUDGET = 0.03
-
-LEVY_TOL = 1e-6
 
 _STIELTJES_CHUNK = 512
 
@@ -119,6 +121,22 @@ def empirical_stieltjes(dist: SpectralDistribution, zs) -> StieltjesGrid:
     return StieltjesGrid(zs, out)
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct values of a float array, ascending: ``np.unique`` without ``numpy.ma``.
+
+    NumPy 2.x ``np.unique`` imports ``numpy.ma`` on its first call to rule out
+    a masked input. For float arrays it then sorts a copy with the default
+    sort and keeps each element that differs from its predecessor; this does
+    the same, so the result is bit-identical on finite input, signed zeros
+    included.
+    """
+    ordered = np.sort(np.asarray(values, dtype=float).ravel())
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _checkpoints(dist) -> np.ndarray:
     if isinstance(dist, SpectralDistribution):
         return dist.eigenvalues
@@ -134,44 +152,49 @@ def kolmogorov_distance(f, g) -> float:
     Accepts SpectralDistribution or DensityCurve on either side; one-sided
     limits are compared too, so atom jumps are measured exactly.
     """
-    pts = np.unique(np.concatenate([_checkpoints(f), _checkpoints(g)]))
+    pts = sorted_unique(np.concatenate([_checkpoints(f), _checkpoints(g)]))
     d_right = np.max(np.abs(f.cdf(pts) - g.cdf(pts)))
     d_left = np.max(np.abs(f.cdf_left(pts) - g.cdf_left(pts)))
     return float(max(d_right, d_left))
 
 
-def levy_distance(f, g) -> float:
-    """Levy metric inf{eps: F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all x}.
+def _graph_vertices(dist) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the completed CDF graph as (x + u, u), in order along the graph.
 
-    Accepts SpectralDistribution or DensityCurve on either side. Bisection on
-    eps; each feasibility check is exact because both CDFs are piecewise
-    linear between checkpoints, so violations are extremal at checkpoints or
-    their eps-shifts.
+    The completed graph joins each jump by a vertical segment. An ESD has
+    vertices (lambda_k, k/p) and (lambda_k, (k+1)/p); a density curve has
+    (x_j, cum_j), shifted up by the origin atom for x_j > 0, plus (0, C(0))
+    and (0, C(0) + mass_at_zero) when it has that atom. Left and right of
+    the vertices the graph is flat at the first and last u.
     """
-    base = np.unique(np.concatenate([_checkpoints(f), _checkpoints(g)]))
+    if isinstance(dist, SpectralDistribution):
+        xs = np.repeat(dist.eigenvalues, 2)
+        # u = 0, 1/p, 1/p, 2/p, 2/p, ..., 1.
+        us = ((np.arange(xs.size) + 1) // 2) / dist.dim
+    else:
+        xs, us, m0 = dist.xs, dist._cum, dist.mass_at_zero
+        if m0 > 0:
+            lo, hi = np.searchsorted(xs, 0.0, "left"), np.searchsorted(xs, 0.0, "right")
+            c0 = float(dist.cdf_left(0.0))
+            xs = np.concatenate([xs[:lo], [0.0, 0.0], xs[hi:]])
+            us = np.concatenate([us[:lo], [c0, c0 + m0], us[hi:] + m0])
+    return xs + us, us
 
-    def feasible(eps: float) -> bool:
-        pts = np.concatenate([base, base - eps])
-        for a, b in ((f, g), (g, f)):
-            # b(x) <= a(x+eps)+eps must hold for all x; at jumps of b the
-            # left limit of the bound side is the binding one.
-            if np.any(b.cdf(pts) > a.cdf(pts + eps) + eps + 1e-15):
-                return False
-            if np.any(b.cdf_left(pts) > a.cdf_left(pts + eps) + eps + 1e-15):
-                return False
-        return True
 
-    hi = kolmogorov_distance(f, g)
-    if hi == 0.0 or feasible(0.0):
-        return 0.0
-    lo = 0.0
-    while hi - lo > LEVY_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+def levy_distance(f, g) -> float:
+    """Levy metric inf{eps: F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all x}, exactly.
+
+    Accepts SpectralDistribution or DensityCurve on either side. Each line
+    x + u = t crosses the completed graph of a CDF once, at height u(t), and
+    the Levy distance is max over t of |u_F(t) - u_G(t)|. Both u(t) are
+    piecewise linear between the graph vertices, so the maximum is taken at
+    a vertex of F or of G.
+    """
+    tf, uf = _graph_vertices(f)
+    tg, ug = _graph_vertices(g)
+    at_f = np.max(np.abs(uf - np.interp(tf, tg, ug)))
+    at_g = np.max(np.abs(np.interp(tg, tf, uf) - ug))
+    return float(max(at_f, at_g))
 
 
 def zero_roundoff(dist: SpectralDistribution) -> SpectralDistribution:

@@ -216,6 +216,33 @@ def brute_levy(f, g, tol: float = 1e-7) -> float:
     return right
 
 
+def dense_levy(f, g, lo: float, hi: float, points: int = 100_001, tol: float = 1e-10):
+    """Levy distance of any two distributions from a dense grid, by bisection.
+
+    Checks G(x) <= F(x + eps) + eps and the mirrored condition only at the
+    right-continuous CDF values on ``points`` equispaced x in [lo, hi], which
+    must cover both supports. That is a subset of the constraints, so the
+    grid value L_grid is at most the true distance L; between grid points
+    both CDFs are monotone, so L <= L_grid + h for the spacing h. Returns
+    (the bisection value, which is within tol above L_grid, and h).
+    """
+    xs = np.linspace(lo, hi, points)
+
+    def ok(eps: float) -> bool:
+        return all(np.all(b.cdf(xs) <= a.cdf(xs + eps) + eps) for a, b in ((f, g), (g, f)))
+
+    left, right = 0.0, 1.0
+    if ok(left):
+        return 0.0, xs[1] - xs[0]
+    while right - left > tol:
+        mid = 0.5 * (left + right)
+        if ok(mid):
+            right = mid
+        else:
+            left = mid
+    return right, xs[1] - xs[0]
+
+
 def fine_integral(fn, a: float, b: float, points: int = 200_001) -> float:
     """Dense trapezoid integral, the quadrature oracle for profile integrals."""
     xs = np.linspace(a, b, points)

@@ -228,6 +228,19 @@ class TestEstimate:
         assert rc == 2
         assert not out.exists()
 
+    def test_inputs_sharing_a_stem_exit_2_before_writing(self, design1_run, tmp_path, capsys):
+        other = tmp_path / "b" / "increments_r0.csv"
+        other.parent.mkdir()
+        other.write_bytes(design1_run.increments.read_bytes())
+        out = tmp_path / "est"
+        capsys.readouterr()
+        rc = main(["estimate", "--input", str(design1_run.increments), str(other),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(design1_run.increments) in err and str(other) in err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_explicit_grid_matches_closed_form(self, tmp_path):
@@ -442,6 +455,16 @@ class TestCompare:
         rc, _, _ = _compare(capsys, zeros, ones, "--threshold", "0.5")
         assert rc == 1
 
+    def test_levy_is_exact_for_an_atom_inside_the_uniform_law(self, tmp_path, capsys):
+        atom = tmp_path / "atom.csv"
+        uniform = tmp_path / "uniform.csv"
+        io.write_eigenvalues_csv(atom, SpectralDistribution(np.array([0.88])), {})
+        uniform.write_text("# kind=density,mass_at_zero=0.0\nx,density\n0.0,1.0\n1.0,1.0\n")
+        rc, kolmogorov, levy = _compare(capsys, atom, uniform)
+        assert rc == 0
+        assert kolmogorov == pytest.approx(0.88)
+        assert levy == pytest.approx(0.44, abs=1e-12)
+
     def test_rcv_farther_from_limit_than_tvarcv(self, design1_run, capsys):
         _, k_rcv, _ = _compare(capsys, design1_run.rcv_eig, design1_run.curve)
         _, k_tvar, _ = _compare(capsys, design1_run.tvar_eig, design1_run.curve)
@@ -497,6 +520,31 @@ class TestValidationAndWiring:
         assert main(["estimate", "--input", bad, "--out", str(tmp_path / "out")]) == 2
         assert "bad.csv" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["weights_not_object", "atom_without_location",
+                                      "spectrum_not_object", "rerun_config_without_key"])
+    def test_malformed_json_exits_2_naming_the_file(self, tmp_path, capsys, case):
+        bad = tmp_path / "bad.json"
+        solve = ["solve", "--y", "0.5", "--xs", "0.3:2.5:20", "--out", str(tmp_path / "out")]
+        if case == "weights_not_object":
+            bad.write_text("[1.0, 2.0]")
+            argv = [*solve, "--weights", str(bad)]
+        elif case == "atom_without_location":
+            bad.write_text(json.dumps({"atoms": [{"weight": 1.0}]}))
+            argv = [*solve, "--spectrum", str(bad)]
+        elif case == "spectrum_not_object":
+            bad.write_text("[{\"location\": 1.0, \"weight\": 1.0}]")
+            argv = [*solve, "--spectrum", str(bad)]
+        else:
+            assert main(solve) == 0
+            manifest = _read_json(tmp_path / "out" / "manifest.json")
+            del manifest["config"]["spectrum"]
+            bad.write_text(json.dumps(manifest))
+            argv = ["rerun", "--manifest", str(bad), "--out", str(tmp_path / "again")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
 
     def test_wrong_file_kind_exits_2(self, design1_run, tmp_path):
         rc = main(["recover", "--esd", str(design1_run.tvar_hist), "--y", "0.1",

@@ -43,6 +43,8 @@ def tiny_run(tmp_path_factory):
                      "--out", str(root / "sim")]) == 0
     assert cli.main(["estimate", "--input", str(root / "sim" / "increments_r0.csv"),
                      "--bins", "5", "--out", str(root / "est")]) == 0
+    assert cli.main(["recover", "--esd", str(root / "est" / "increments_r0_rcv_eigenvalues.csv"),
+                     "--y", "0.5", "--max-iter", "5", "--out", str(root / "rec")]) == 0
     return root
 
 
@@ -60,6 +62,37 @@ class TestSubcommandImports:
             "specrcv", "specrcv.cli", "specrcv.covmodel", "specrcv.errors", "specrcv.io",
             "specrcv.spectra"}
         assert "concurrent.futures" not in loaded
+
+    @pytest.mark.parametrize("case, loads_simulator", [
+        ("simulate", True), ("estimate", True), ("solve design1", True),
+        ("solve constant", False), ("solve json", False), ("recover", False),
+        ("compare", False), ("rerun recover", False),
+    ])
+    def test_numpy_ma_never_and_simulator_only_where_run(self, tiny_run, tmp_path, case,
+                                                         loads_simulator):
+        est = tiny_run / "est"
+        eig = est / "increments_r0_rcv_eigenvalues.csv"
+        solve = ["solve", "--y", "0.5", "--xs", "0.1:4:20", "--weights"]
+        if case == "solve json":
+            profile = tmp_path / "weights.json"
+            profile.write_text(json.dumps({"kind": "step", "values": [2.0, 1.0],
+                                           "edges": [0.0, 0.5, 1.0]}))
+        argv = {
+            "simulate": ["simulate", "--design", "2", "--p", "3", "--n", "20"],
+            "estimate": ["estimate", "--input", tiny_run / "sim" / "increments_r0.csv",
+                         "--bins", "5"],
+            "solve design1": [*solve, "design1"],
+            "solve constant": [*solve, "constant:2"],
+            "solve json": [*solve, tmp_path / "weights.json"],
+            "recover": ["recover", "--esd", eig, "--y", "0.5", "--max-iter", "5"],
+            "compare": ["compare", eig, est / "increments_r0_tvarcv_density.csv"],
+            "rerun recover": ["rerun", "--manifest", tiny_run / "rec" / "manifest.json"],
+        }[case]
+        if case != "compare":
+            argv = argv + ["--out", tmp_path / "out"]
+        loaded = _modules_after(argv)
+        assert "numpy.ma" not in loaded
+        assert ("specrcv.diffusion" in loaded) == loads_simulator
 
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_simulate_and_estimate_do_not_load_the_solver(self, tiny_run, tmp_path, command):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specrcv.covmodel import SpectralDistribution, esd
@@ -12,9 +12,10 @@ from specrcv.spectra import (
     histogram,
     kolmogorov_distance,
     levy_distance,
+    sorted_unique,
 )
 
-from .oracles import brute_levy, naive_stieltjes
+from .oracles import brute_levy, dense_levy, naive_stieltjes
 
 
 def _point(loc, p=1):
@@ -70,6 +71,44 @@ class TestLevy:
             f = SpectralDistribution(rng.uniform(0.0, 2.0, size=15))
             g = SpectralDistribution(rng.uniform(0.0, 2.0, size=8))
             assert levy_distance(f, g) <= kolmogorov_distance(f, g) + 1e-6
+
+
+    def test_atom_inside_uniform_law(self):
+        # The binding constraint is G(0.88 - eps) <= eps, i.e. 0.88 - eps = eps.
+        # A check of F at (0.88 - eps) + eps, which rounds above 0.88, misses it.
+        atom = SpectralDistribution(np.array([0.88]))
+        uniform = DensityCurve(np.array([0.0, 1.0]), np.ones(2))
+        assert levy_distance(atom, uniform) == pytest.approx(0.44, abs=1e-12)
+        assert levy_distance(uniform, atom) == pytest.approx(0.44, abs=1e-12)
+
+    def test_esd_pairs_match_bruteforce_closely(self):
+        rng = np.random.default_rng(40)
+        for p, q in ((1, 1), (3, 7), (20, 20), (50, 13)):
+            f = SpectralDistribution(rng.uniform(0.0, 3.0, size=p))
+            # Rounded atoms give ties within and across the two ESDs.
+            g = SpectralDistribution(np.round(rng.uniform(0.0, 3.0, size=q), 1))
+            f2 = SpectralDistribution(np.concatenate([f.eigenvalues, g.eigenvalues[:2]]))
+            for a, b in ((f, g), (f2, g)):
+                assert levy_distance(a, b) == pytest.approx(brute_levy(a, b, tol=1e-10),
+                                                            abs=1e-10)
+
+    @pytest.mark.parametrize("case", ["esd_vs_density", "density_vs_density"])
+    def test_density_pairs_match_dense_grid(self, case):
+        rng = np.random.default_rng(6)
+        xs = np.linspace(0.5, 2.0, 301)
+        bump = DensityCurve(xs, np.exp(-8.0 * (xs - 1.2) ** 2) / 0.6235)
+        if case == "esd_vs_density":
+            f = SpectralDistribution(np.concatenate([np.zeros(10),
+                                                     rng.uniform(0.6, 2.2, size=30)]))
+        else:
+            # Origin atom of mass 0.3 under a bulk on [0.2, 1.4].
+            grid = np.linspace(0.2, 1.4, 121)
+            f = DensityCurve(grid, np.full(121, 0.7 / 1.2), mass_at_zero=0.3)
+        for a, b in ((f, bump), (bump, f), (f, DensityCurve(xs - 0.3, bump.ys))):
+            want, h = dense_levy(a, b, -1.0, 3.0)
+            got = levy_distance(a, b)
+            assert want - 1e-10 - 1e-12 <= got <= want + h + 1e-12
+            assert got <= kolmogorov_distance(a, b) + 1e-12
 
 
 class TestEmpiricalStieltjes:
@@ -218,3 +257,26 @@ def test_stieltjes_grid_validation():
     assert np.array_equal(grid.zs, zs)
     with pytest.raises(BadGridError):
         StieltjesGrid(xs - 0.1j, ms)
+
+
+# Finite doubles, with signed zeros, subnormals and repeats drawn often.
+_unique_inputs = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unique_inputs)
+@example([])
+@example([0.0, -0.0])
+@example([-0.0, 0.0, -0.0, 5e-324, 0.0])
+def test_sorted_unique_is_np_unique_bit_for_bit(values):
+    values = np.array(values, dtype=float)
+    got = sorted_unique(values)
+    want = np.unique(values)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -2,9 +2,9 @@
 
 The pipeline: simulate class-C diffusion increments (``diffusion``), form
 realized covariance estimators (``estimators``), compare their eigenvalue
-distributions (``covmodel``, ``spectra``), and connect them to the limiting
-laws predicted by random matrix theory (``mpsolve``). ``cli`` wraps it all
-into reproducible batch experiments.
+distributions (``covmodel``, ``spectra``, ``distances``), and connect them
+to the limiting laws predicted by random matrix theory (``mpsolve``).
+``cli`` wraps it all into reproducible batch experiments.
 
 Importing the package loads none of these modules. Each name in ``__all__``
 is imported from its home module on first access (PEP 562), so a CLI
@@ -37,6 +37,7 @@ def _lazy_getattr(namespace: dict, package: str, homes: dict):
 
 _EXPORTS = {
     "covmodel": ("FactoredCov", "SpectralDistribution", "esd"),
+    "distances": ("kolmogorov_distance", "levy_distance"),
     "diffusion": (
         "ClassCSpec",
         "ConstantProfile",
@@ -81,8 +82,6 @@ _EXPORTS = {
         "StieltjesGrid",
         "empirical_stieltjes",
         "histogram",
-        "kolmogorov_distance",
-        "levy_distance",
         "zero_roundoff",
     ),
 }

@@ -11,13 +11,16 @@ settings, per-replicate seeds, per-stage timings, and SHA-256 digests of all
 emitted files; re-running a manifest reproduces the CSV outputs byte for
 byte when the BLAS thread setting matches.
 
-Each process loads only the modules its subcommand runs: ``compare`` needs
-``covmodel``, ``spectra`` and ``io``; ``simulate`` adds ``diffusion``,
-``estimate`` adds ``diffusion`` and ``estimators``, and ``solve`` and
-``recover`` add ``mpsolve``. Only ``solve`` with ``design1`` or ``design2``
-weights also loads ``diffusion``, the simulator module. Names from those
-three modules are resolved as attributes of this module on first use. No
-subcommand loads ``numpy.ma``.
+Each process loads only the modules its subcommand runs. ``--version`` and
+``--help`` need ``io`` and ``errors``, ``compare`` adds ``distances``, and
+none of them loads NumPy: each subcommand that computes with NumPy imports
+it itself. ``simulate`` adds ``diffusion``; ``estimate`` adds ``covmodel``,
+``spectra``, ``distances``, ``diffusion`` and ``estimators``; ``solve``
+adds ``covmodel``, ``spectra``, ``distances`` and ``mpsolve``, and
+``recover`` the same but ``distances``. Only ``solve`` with ``design1`` or
+``design2`` weights also loads ``diffusion``, the simulator module. Names
+from those modules are resolved as attributes of this module on first use.
+No subcommand loads ``numpy.ma``.
 
 Exit codes: 0 success, 1 compare threshold exceeded, 2 bad configuration or
 input, 3 numerical non-convergence.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -34,33 +38,27 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import __version__, _lazy_getattr, io
-from .covmodel import esd
 from .errors import BadConfigError, SpecrcvError
-from .spectra import (
-    DensityCurve,
-    StieltjesGrid,
-    histogram,
-    kolmogorov_distance,
-    levy_distance,
-    zero_roundoff,
-)
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .mpsolve import PopulationSpectrum, WeightProfile
 
 # Names from the modules that only some subcommands run. Each is imported on
 # first access as an attribute of this module, and call sites look it up
 # there (``_cli.name``), so a replacement set on this module is the one called.
 __getattr__ = _lazy_getattr(globals(), __package__, {
+    "covmodel": ("esd",),
     "diffusion": ("ClassCSpec", "design_one_profile", "design_two_profile", "make_grid",
                   "simulate_increments"),
+    "distances": ("kolmogorov_distance", "levy_distance", "mass_gap"),
     "estimators": ("rcv", "tvarcv"),
     "mpsolve": ("RECOVER_MAX_ITER", "PopulationSpectrum", "WeightProfile", "default_bandwidth",
                 "invert_stieltjes", "recover_spectrum", "solve_weighted_mp_grid",
                 "weight_profile_from_model", "within_tolerance"),
+    "spectra": ("DensityCurve", "StieltjesGrid", "histogram", "zero_roundoff"),
 })
 _cli = sys.modules[__name__]
 
@@ -126,7 +124,7 @@ class ExperimentConfig:
             raise BadConfigError(f"design1 needs a, b > 0, got a={self.a}, b={self.b}")
         if self.design == "design2" and self.c0 <= abs(self.c1):
             raise BadConfigError(f"design2 needs c0 > |c1|, got c0={self.c0}, c1={self.c1}")
-        if not np.isfinite(self.drift) or abs(self.drift) > 10.0:
+        if not math.isfinite(self.drift) or abs(self.drift) > 10.0:
             raise BadConfigError(f"drift must be finite with |drift| <= 10, got {self.drift}")
         if self.lambda_file is not None and not Path(self.lambda_file).is_file():
             raise BadConfigError(f"lambda file not found: {self.lambda_file}")
@@ -150,6 +148,8 @@ class ExperimentConfig:
     def load_lambda(self):
         if self.lambda_file is None:
             return None
+        import numpy as np
+
         lam = np.loadtxt(self.lambda_file, delimiter=",", ndmin=2)
         if lam.shape != (self.p, self.p):
             raise BadConfigError(
@@ -180,6 +180,8 @@ def _stage(timings: dict, name: str):
 
 def _environment() -> dict:
     """Versions and thread settings that can change output bytes."""
+    import numpy as np
+
     return {
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
@@ -289,8 +291,8 @@ def cmd_estimate(config: dict) -> int:
                 outputs.append(adjusted)
             results = []
             for est in outputs:
-                dist = zero_roundoff(esd(est.matrix))
-                results.append((est, dist, histogram(dist, bins)))
+                dist = _cli.zero_roundoff(_cli.esd(est.matrix))
+                results.append((est, dist, _cli.histogram(dist, bins)))
         with _stage(timings, "write"):
             for est, dist, curve in results:
                 meta = {"estimator": est.kind, "n": est.n, "digest": est.spec_digest}
@@ -338,6 +340,8 @@ def _parse_weights(text: str) -> WeightProfile:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise BadConfigError(f"{path}: weight profile must be a JSON object")
+    import numpy as np
+
     try:
         return _cli.WeightProfile(
             kind=payload["kind"],
@@ -359,6 +363,8 @@ def _parse_grid_spec(text: str) -> np.ndarray:
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 2 or not hi > lo:
         raise BadConfigError(f"grid spec needs hi > lo and count >= 2, got {text!r}")
+    import numpy as np
+
     if logspace:
         if lo <= 0:
             raise BadConfigError(f"log grid needs lo > 0, got {lo}")
@@ -367,6 +373,8 @@ def _parse_grid_spec(text: str) -> np.ndarray:
 
 
 def cmd_solve(config: dict) -> int:
+    import numpy as np
+
     spectrum = _parse_spectrum(config["spectrum"])
     weights = _parse_weights(config["weights"])
     y = float(config["y"])
@@ -425,7 +433,7 @@ def cmd_solve(config: dict) -> int:
     }
     if unconverged == 0:
         with _stage(timings, "invert"):
-            curve = _cli.invert_stieltjes(StieltjesGrid(zs, m_fw), xs, v)
+            curve = _cli.invert_stieltjes(_cli.StieltjesGrid(zs, m_fw), xs, v)
             if zero_mass > 1e-12:
                 # At bandwidth v the origin atom shows up in the inverted
                 # density as an exact Cauchy lobe zero_mass * v / (pi * (x^2 + v^2)).
@@ -433,7 +441,7 @@ def cmd_solve(config: dict) -> int:
                 # and the atom lands back in mass_at_zero.
                 lobe = zero_mass * (v / np.pi) / (xs * xs + v * v)
                 ys = np.clip(curve.ys - lobe, 0.0, None)
-                curve = DensityCurve(
+                curve = _cli.DensityCurve(
                     xs, ys, max(0.0, 1.0 - float(np.trapezoid(ys, xs)))
                 )
         density_path = out / "density.csv"
@@ -455,6 +463,8 @@ def cmd_solve(config: dict) -> int:
 
 
 def cmd_recover(config: dict) -> int:
+    import numpy as np
+
     y = float(config["y"])
     if not (np.isfinite(y) and y > 0):
         raise BadConfigError(f"y must be positive, got {y}")
@@ -514,10 +524,11 @@ def cmd_recover(config: dict) -> int:
 def cmd_compare(file_a: str, file_b: str, threshold: float | None) -> int:
     dist_a = io.read_distribution(file_a)
     dist_b = io.read_distribution(file_b)
-    kolmogorov = kolmogorov_distance(dist_a, dist_b)
-    levy = levy_distance(dist_a, dist_b)
+    kolmogorov = _cli.kolmogorov_distance(dist_a, dist_b)
+    levy = _cli.levy_distance(dist_a, dist_b)
     print(f"kolmogorov={io.format_float(kolmogorov)}")
     print(f"levy={io.format_float(levy)}")
+    print(f"mass_gap={io.format_float(max(_cli.mass_gap(dist_a), _cli.mass_gap(dist_b)))}")
     if threshold is not None and kolmogorov > threshold:
         print(
             f"threshold exceeded: kolmogorov {kolmogorov:.6f} > {threshold:.6f}",
@@ -530,6 +541,39 @@ def cmd_compare(file_a: str, file_b: str, threshold: float | None) -> int:
 # The subcommands that record their config in a manifest, and so can be re-run.
 _COMMANDS = {"simulate": cmd_simulate, "estimate": cmd_estimate, "solve": cmd_solve,
              "recover": cmd_recover}
+
+
+def _has_type(value, kind: type) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, kind) or (kind is float and isinstance(value, int))
+
+
+def _check_config_types(manifest_file: str, command: str, config: dict) -> None:
+    """Reject a config value that the subcommand's flags could not have produced.
+
+    The subcommand's parser is the typed table. A value must have the
+    ``type`` of its flag (a string where the flag has none, and an integer
+    passes as a float); it may be null only where the flag defaults to
+    None, and a ``nargs="+"`` value is a nonempty list of such values.
+    """
+    commands = next(action for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for action in commands.choices[command]._actions:
+        if action.dest not in config:
+            continue
+        value = config[action.dest]
+        if value is None and action.default is None and not action.required:
+            continue
+        kind = action.type or str
+        if action.nargs == "+":
+            valid = isinstance(value, list) and value and all(_has_type(v, kind) for v in value)
+        else:
+            valid = _has_type(value, kind)
+        if not valid:
+            expected = f"a list of {kind.__name__}" if action.nargs == "+" else kind.__name__
+            raise BadConfigError(f"{manifest_file}: config key {action.dest!r} must be "
+                                 f"{expected}, got {value!r}")
 
 
 def cmd_rerun(manifest_file: str, out_override: str | None) -> int:
@@ -548,6 +592,7 @@ def cmd_rerun(manifest_file: str, out_override: str | None) -> int:
                   file=sys.stderr)
     if command not in _COMMANDS:
         raise BadConfigError(f"manifest command {command!r} cannot be re-run")
+    _check_config_types(manifest_file, command, config)
     try:
         return _COMMANDS[command](config)
     except KeyError as err:

@@ -2,37 +2,40 @@
 
 Every CSV starts with one ``#`` metadata line of ``key=value`` pairs followed
 by a column header row and one line per data row. All tables go through one
-writer and one reader:
+writer, and rows are read by one of two body parsers after the same header
+code:
 
 - ``_write_table`` joins ``repr`` of native Python floats and ints, the
   shortest decimal that parses back to the same double. Integer columns stay
   integers (``3``, not ``3.0``). With fixed newlines this makes outputs
   byte-identical across re-runs of the same configuration.
-- ``_read_table`` streams the data rows through one ``np.loadtxt`` call.
-  NumPy's tokenizer converts each cell with ``PyOS_string_to_double``, the
+- ``_read_table`` streams the rows of an increment panel through one
+  ``np.loadtxt`` call. ``_read_columns`` reads eigenvalue and density files
+  with ``float`` per cell, without NumPy. Both convert each cell with the
   correctly rounded conversion behind ``float()``, so every written double
   reads back bit for bit, subnormals and signed zeros included.
 
-The increment and spectrum readers import the types they build from
-``diffusion`` and ``mpsolve`` when called, so reading eigenvalue and density
-files loads neither module.
+Each reader and writer imports what it builds with when called: NumPy,
+``covmodel``, ``spectra``, ``distances``, ``diffusion`` or ``mpsolve``. So
+``read_distribution``, which ``compare`` uses, loads ``distances`` and none
+of the others.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .covmodel import SpectralDistribution
-from .errors import BadConfigError
-from .spectra import DensityCurve
+from .errors import BadConfigError, NonFiniteError
 
 if TYPE_CHECKING:
+    from .covmodel import SpectralDistribution
     from .diffusion import IncrementMatrix
+    from .distances import Density
     from .mpsolve import PopulationSpectrum
+    from .spectra import DensityCurve
 
 
 def format_float(x: float) -> str:
@@ -83,10 +86,16 @@ def _write_table(path, meta: dict, header: list[str], rows) -> None:
         handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
+def _read_header(handle, path) -> tuple[dict, list[str]]:
+    meta = _parse_meta(handle.readline().rstrip("\n"), path)
+    return meta, handle.readline().rstrip("\n").split(",")
+
+
 def _read_table(path):
+    import numpy as np
+
     with open(path, "r", encoding="utf-8") as handle:
-        meta = _parse_meta(handle.readline().rstrip("\n"), path)
-        header = handle.readline().rstrip("\n").split(",")
+        meta, header = _read_header(handle, path)
         # loadtxt warns on a body without rows, so find the first row here.
         for first in handle:
             if first.strip():
@@ -105,12 +114,26 @@ def _read_table(path):
     return meta, header, data
 
 
+def _read_columns(handle, path, width: int) -> list[list[float]]:
+    """The remaining rows of ``handle`` as ``width`` columns of floats."""
+    rows = list(filter(str.strip, handle.read().splitlines()))
+    if rows and {row.count(",") for row in rows} != {width - 1}:
+        raise BadConfigError(f"{path}: rows must have the header's {width} columns")
+    try:
+        cells = list(map(float, ",".join(rows).split(","))) if rows else []
+    except ValueError as err:
+        raise BadConfigError(f"{path}: {err}") from None
+    return [cells[k::width] for k in range(width)]
+
+
 # ---------------------------------------------------------------------------
 # increments
 
 
 def write_increments_csv(path, incr: IncrementMatrix) -> None:
     """One row per interval: right endpoint tau, then the p increment entries."""
+    import numpy as np
+
     n, p = incr.increments.shape
     meta = {"kind": "increments", "p": p, "n": n, "digest": incr.spec_digest}
     header = ["tau"] + [f"x{j + 1}" for j in range(p)]
@@ -120,6 +143,8 @@ def write_increments_csv(path, incr: IncrementMatrix) -> None:
 
 
 def read_increments_csv(path) -> IncrementMatrix:
+    import numpy as np
+
     from .diffusion import IncrementMatrix, ObservationGrid
 
     meta, header, data = _read_table(path)
@@ -146,13 +171,47 @@ def write_eigenvalues_csv(path, dist: SpectralDistribution, meta: dict) -> None:
     _write_table(path, full, ["eigenvalue"], dist.eigenvalues[:, None].tolist())
 
 
-def read_eigenvalues_csv(path):
-    meta, header, data = _read_table(path)
-    if meta.get("kind") != "eigenvalues" or header != ["eigenvalue"]:
-        raise BadConfigError(f"{path}: not an eigenvalue file")
-    if data.shape[0] == 0:
+# The column header of each file kind that ``_read_columns`` reads.
+_SPECTRAL_HEADERS = {"eigenvalues": ["eigenvalue"], "density": ["x", "density"]}
+
+
+def _read_spectral(path, kind: str | None = None) -> tuple[str, dict, list[list[float]]]:
+    """Kind, metadata and columns of an eigenvalue or density file, in one read.
+
+    With ``kind`` given, any other kind is rejected.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        meta, header = _read_header(handle, path)
+        found = meta.get("kind")
+        if kind is None and found not in _SPECTRAL_HEADERS:
+            raise BadConfigError(f"{path}: expected an eigenvalues or density file, "
+                                 f"got {found!r}")
+        kind = kind or found
+        if found != kind or header != _SPECTRAL_HEADERS[kind]:
+            article = "an eigenvalue" if kind == "eigenvalues" else "a density"
+            raise BadConfigError(f"{path}: not {article} file")
+        return kind, meta, _read_columns(handle, path, len(header))
+
+
+def _eigenvalue_list(path, columns) -> list[float]:
+    values = columns[0]
+    if not values:
         raise BadConfigError(f"{path}: no eigenvalues")
-    return SpectralDistribution(data[:, 0]), meta
+    return values
+
+
+def _density_columns(path, meta, columns) -> tuple[list[float], list[float], float]:
+    xs, ys = columns
+    if len(xs) < 2:
+        raise BadConfigError(f"{path}: need at least two density rows")
+    return xs, ys, float(meta.get("mass_at_zero", "0.0"))
+
+
+def read_eigenvalues_csv(path):
+    from .covmodel import SpectralDistribution
+
+    _, meta, columns = _read_spectral(path, "eigenvalues")
+    return SpectralDistribution(_eigenvalue_list(path, columns)), meta
 
 
 # ---------------------------------------------------------------------------
@@ -161,32 +220,36 @@ def read_eigenvalues_csv(path):
 
 def write_density_csv(path, curve: DensityCurve, meta: dict) -> None:
     full = {"kind": "density", **meta, "mass_at_zero": float(curve.mass_at_zero)}
-    rows = np.column_stack([curve.xs, curve.ys]).tolist()
+    rows = zip(curve.xs.tolist(), curve.ys.tolist())
     _write_table(path, full, ["x", "density"], rows)
 
 
 def read_density_csv(path):
-    meta, header, data = _read_table(path)
-    if meta.get("kind") != "density" or header != ["x", "density"]:
-        raise BadConfigError(f"{path}: not a density file")
-    if data.shape[0] < 2:
-        raise BadConfigError(f"{path}: need at least two density rows")
-    mass0 = float(meta.get("mass_at_zero", "0.0"))
-    return DensityCurve(data[:, 0], data[:, 1], mass_at_zero=mass0), meta
+    from .spectra import DensityCurve
+
+    _, meta, columns = _read_spectral(path, "density")
+    return DensityCurve(*_density_columns(path, meta, columns)), meta
 
 
-def read_distribution(path):
-    """An eigenvalue file or a density file, told apart by the ``kind`` in its metadata."""
+def read_distribution(path) -> list[float] | Density:
+    """An eigenvalue or density file, told apart by the ``kind`` in its metadata.
+
+    An eigenvalue file gives its eigenvalues in ascending order, a density
+    file its checked ``Density``; the file is read once, without NumPy.
+    """
+    from .distances import density_law
+
     path = Path(path)
     if not path.is_file():
         raise BadConfigError(f"file not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        kind = _parse_meta(handle.readline().rstrip("\n"), path).get("kind")
-    if kind == "eigenvalues":
-        return read_eigenvalues_csv(path)[0]
+    kind, meta, columns = _read_spectral(path)
     if kind == "density":
-        return read_density_csv(path)[0]
-    raise BadConfigError(f"{path}: expected an eigenvalues or density file, got {kind!r}")
+        return density_law(*_density_columns(path, meta, columns))
+    values = _eigenvalue_list(path, columns)
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteError(f"{path}: eigenvalues contain NaN or infinite entries")
+    values.sort()
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +257,8 @@ def read_distribution(path):
 
 
 def write_solver_trace_csv(path, zs, values, residuals, iterations, meta: dict) -> None:
+    import numpy as np
+
     zs = np.asarray(zs, dtype=complex).ravel()
     values = np.asarray(values, dtype=complex).ravel()
     res = np.asarray(residuals, dtype=float).ravel()
@@ -205,6 +270,8 @@ def write_solver_trace_csv(path, zs, values, residuals, iterations, meta: dict) 
 
 
 def write_objective_csv(path, trace, meta: dict) -> None:
+    import numpy as np
+
     trace = np.asarray(trace, dtype=float).ravel()
     full = {"kind": "objective_trace", **meta}
     rows = list(enumerate(trace.tolist()))
@@ -227,6 +294,8 @@ def write_spectrum_json(path, spectrum: PopulationSpectrum, extra: dict | None =
 
 
 def read_spectrum_json(path) -> PopulationSpectrum:
+    import numpy as np
+
     from .mpsolve import PopulationSpectrum
 
     with open(path, "r", encoding="utf-8") as handle:

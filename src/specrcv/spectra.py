@@ -1,13 +1,11 @@
-"""Distribution-level utilities: distances, histograms, Stieltjes transforms.
+"""Distribution-level utilities: histograms, density curves, Stieltjes transforms.
 
 Spectral distributions are purely atomic (p eigenvalues with weight 1/p
 each); density curves are tabulated on a grid with an optional point mass at
-the origin. Both expose right-continuous CDFs and left limits so the
-Kolmogorov distance is exact over the merged jump set. Both CDFs are
-piecewise linear between their vertices, so the Levy distance is exact too:
-one pass over the vertices of the two completed graphs, no bisection.
-Nothing here calls ``np.unique``, which loads ``numpy.ma``; ``sorted_unique``
-takes its place.
+the origin. Both expose right-continuous CDFs and left limits. The
+distances between them live in ``distances``, which needs no NumPy.
+Nothing here calls ``np.unique``, which loads ``numpy.ma``;
+``sorted_unique`` takes its place.
 """
 from __future__ import annotations
 
@@ -21,9 +19,6 @@ from .errors import BadGridError, NonFiniteError
 # Eigenvalues within this relative threshold of zero count as the origin atom.
 ZERO_ATOM_RTOL = 1e-12
 
-# Allowed discretization slack for the total mass of a DensityCurve.
-MASS_BUDGET = 0.03
-
 _STIELTJES_CHUNK = 512
 
 
@@ -31,9 +26,10 @@ _STIELTJES_CHUNK = 512
 class DensityCurve:
     """Tabulated density on an increasing grid plus a point mass at zero.
 
-    The trapezoid integral plus ``mass_at_zero`` must lie within
-    MASS_BUDGET of 1; curves that lose more mass than that signal a bad
-    grid or bandwidth and are rejected at construction.
+    ``distances.density_law`` checks the curve and integrates it: the
+    trapezoid integral plus ``mass_at_zero`` must lie within MASS_BUDGET of
+    1; curves that lose more mass than that signal a bad grid or bandwidth
+    and are rejected at construction. The result is kept as ``law``.
     """
 
     xs: np.ndarray
@@ -41,37 +37,21 @@ class DensityCurve:
     mass_at_zero: float = 0.0
 
     def __post_init__(self):
+        # Imported here, so that a process that builds no curve never loads it.
+        from .distances import density_law
+
         xs = np.asarray(self.xs, dtype=float).ravel()
         ys = np.asarray(self.ys, dtype=float).ravel()
-        if xs.size < 2 or xs.size != ys.size:
-            raise ValueError(f"need matching grids of >= 2 points, got {xs.size}, {ys.size}")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise NonFiniteError("density curve contains NaN or infinite entries")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("xs must be strictly increasing")
-        if np.any(ys < 0):
-            raise ValueError("densities must be nonnegative")
-        if not 0.0 <= self.mass_at_zero <= 1.0:
-            raise ValueError(f"mass_at_zero must lie in [0,1], got {self.mass_at_zero}")
-        total = float(np.trapezoid(ys, xs)) + self.mass_at_zero
-        if not (1.0 - MASS_BUDGET <= total <= 1.0 + MASS_BUDGET):
-            raise ValueError(
-                f"total mass {total:.4f} outside [{1 - MASS_BUDGET}, {1 + MASS_BUDGET}]"
-            )
+        law = density_law(xs, ys, self.mass_at_zero)
         xs.setflags(write=False)
         ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))]
-        )
-        cum.setflags(write=False)
-        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "law", law)
 
     def _continuous_cdf(self, x):
-        return np.interp(
-            np.asarray(x, dtype=float), self.xs, self._cum, left=0.0, right=self._cum[-1]
-        )
+        cum = self.law.cum
+        return np.interp(np.asarray(x, dtype=float), self.xs, cum, left=0.0, right=cum[-1])
 
     def cdf(self, x):
         """Right-continuous CDF (atom at 0 included for x >= 0)."""
@@ -135,66 +115,6 @@ def sorted_unique(values) -> np.ndarray:
     keep[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
-
-
-def _checkpoints(dist) -> np.ndarray:
-    if isinstance(dist, SpectralDistribution):
-        return dist.eigenvalues
-    pts = dist.xs
-    if dist.mass_at_zero > 0:
-        pts = np.concatenate([pts, [0.0]])
-    return pts
-
-
-def kolmogorov_distance(f, g) -> float:
-    """sup_x |F(x) - G(x)| over the merged jump and grid points.
-
-    Accepts SpectralDistribution or DensityCurve on either side; one-sided
-    limits are compared too, so atom jumps are measured exactly.
-    """
-    pts = sorted_unique(np.concatenate([_checkpoints(f), _checkpoints(g)]))
-    d_right = np.max(np.abs(f.cdf(pts) - g.cdf(pts)))
-    d_left = np.max(np.abs(f.cdf_left(pts) - g.cdf_left(pts)))
-    return float(max(d_right, d_left))
-
-
-def _graph_vertices(dist) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices of the completed CDF graph as (x + u, u), in order along the graph.
-
-    The completed graph joins each jump by a vertical segment. An ESD has
-    vertices (lambda_k, k/p) and (lambda_k, (k+1)/p); a density curve has
-    (x_j, cum_j), shifted up by the origin atom for x_j > 0, plus (0, C(0))
-    and (0, C(0) + mass_at_zero) when it has that atom. Left and right of
-    the vertices the graph is flat at the first and last u.
-    """
-    if isinstance(dist, SpectralDistribution):
-        xs = np.repeat(dist.eigenvalues, 2)
-        # u = 0, 1/p, 1/p, 2/p, 2/p, ..., 1.
-        us = ((np.arange(xs.size) + 1) // 2) / dist.dim
-    else:
-        xs, us, m0 = dist.xs, dist._cum, dist.mass_at_zero
-        if m0 > 0:
-            lo, hi = np.searchsorted(xs, 0.0, "left"), np.searchsorted(xs, 0.0, "right")
-            c0 = float(dist.cdf_left(0.0))
-            xs = np.concatenate([xs[:lo], [0.0, 0.0], xs[hi:]])
-            us = np.concatenate([us[:lo], [c0, c0 + m0], us[hi:] + m0])
-    return xs + us, us
-
-
-def levy_distance(f, g) -> float:
-    """Levy metric inf{eps: F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all x}, exactly.
-
-    Accepts SpectralDistribution or DensityCurve on either side. Each line
-    x + u = t crosses the completed graph of a CDF once, at height u(t), and
-    the Levy distance is max over t of |u_F(t) - u_G(t)|. Both u(t) are
-    piecewise linear between the graph vertices, so the maximum is taken at
-    a vertex of F or of G.
-    """
-    tf, uf = _graph_vertices(f)
-    tg, ug = _graph_vertices(g)
-    at_f = np.max(np.abs(uf - np.interp(tf, tg, ug)))
-    at_g = np.max(np.abs(np.interp(tg, tf, uf) - ug))
-    return float(max(at_f, at_g))
 
 
 def zero_roundoff(dist: SpectralDistribution) -> SpectralDistribution:

@@ -18,6 +18,7 @@ from specrcv.diffusion import (
     make_grid,
     simulate_increments,
 )
+from specrcv.distances import kolmogorov_distance
 from specrcv.estimators import rcv, sigma_tilde, tvarcv
 from specrcv.mpsolve import (
     MPLawParams,
@@ -30,7 +31,7 @@ from specrcv.mpsolve import (
     weight_profile_from_model,
     within_tolerance,
 )
-from specrcv.spectra import StieltjesGrid, empirical_stieltjes, kolmogorov_distance
+from specrcv.spectra import StieltjesGrid, empirical_stieltjes
 
 from .oracles import (
     mp_density_reference,

@@ -4,7 +4,9 @@ Everything runs through ``specrcv.cli.main`` in process so exit codes and
 stdout are observable; one test shells out to check the ``-m`` entry point.
 """
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -16,6 +18,7 @@ from specrcv import io
 from specrcv.cli import main
 from specrcv.covmodel import SpectralDistribution
 from specrcv.diffusion import design_one_profile
+from specrcv.distances import kolmogorov_distance
 from specrcv.mpsolve import (
     RECOVER_KKT_TOL,
     RECOVER_MAX_ITER,
@@ -24,7 +27,6 @@ from specrcv.mpsolve import (
     mp_law_curve,
     weight_profile_from_model,
 )
-from specrcv.spectra import kolmogorov_distance
 
 from .oracles import (
     mp_density_reference,
@@ -437,6 +439,79 @@ class TestRecover:
         assert config["max_iter"] == RECOVER_MAX_ITER == 10_000
 
 
+def _eigen_file(path, values):
+    rows = "".join(f"{v!r}\n" for v in values)
+    path.write_text(f"# kind=eigenvalues,p={len(values)}\neigenvalue\n{rows}")
+    return path
+
+
+def _density_file(path, xs, ys, mass_at_zero):
+    rows = "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys))
+    path.write_text(f"# kind=density,mass_at_zero={mass_at_zero!r}\nx,density\n{rows}")
+    return path
+
+
+def _mp_density(y, xs):
+    """Marchenko-Pastur density of ratio y at unit scale; its mass is 1/y when y > 1."""
+    lo, hi = (1 - math.sqrt(y)) ** 2, (1 + math.sqrt(y)) ** 2
+    return [math.sqrt((hi - x) * (x - lo)) / (2 * math.pi * y * x) if lo < x < hi else 0.0
+            for x in xs]
+
+
+def _grid(lo, hi, count):
+    return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+
+
+def _pinned_pairs(root):
+    """Spectral file pairs built from Python's own RNG and arithmetic."""
+    rng = random.Random(20261018)
+    pairs = {}
+    a = [round(rng.uniform(0.0, 3.0), 2) for _ in range(300)]
+    b = [round(rng.uniform(0.2, 2.8), 1) for _ in range(200)] + a[:25]
+    pairs["esd_ties"] = (_eigen_file(root / "ties_a.csv", a), _eigen_file(root / "ties_b.csv", b))
+    zeros = [0.0 if k % 2 else -0.0 for k in range(25)]
+    bulk = [rng.uniform(0.0, 6.0) for _ in range(25)]
+    xs = _grid(0.0857864376269049, 5.82842712474619, 200)
+    pairs["signed_zeros_vs_atom"] = (
+        _eigen_file(root / "zeros.csv", zeros + bulk),
+        _density_file(root / "mp2.csv", xs, _mp_density(2.0, xs), 0.5))
+    xs1 = _grid(0.25, 2.25, 150)
+    xs2 = [0.2 * 1.03 ** k for k in range(97)]
+    pairs["density_grids"] = (
+        _density_file(root / "mp025.csv", xs1, _mp_density(0.25, xs1), 0.0),
+        _density_file(root / "mp03.csv", xs2, _mp_density(0.3, xs2), 0.0))
+    pairs["atom_in_uniform"] = (
+        _eigen_file(root / "atom.csv", [0.88]),
+        _density_file(root / "uniform.csv", [0.0, 1.0], [1.0, 1.0], 0.0))
+    big = [0.0] * 1500 + sorted(rng.uniform(0.9, 9.0) for _ in range(500))
+    xs4 = _grid(1.0, 9.0, 400)
+    pairs["p2000_zeros"] = (_eigen_file(root / "p2000.csv", big),
+                            _density_file(root / "mp4.csv", xs4, _mp_density(4.0, xs4), 0.75))
+    xs0 = _grid(-0.5, 1.5, 41)
+    ys0 = [0.8 * (1.0 - abs(x - 0.5)) if abs(x - 0.5) < 1.0 else 0.0 for x in xs0]
+    pairs["grid_holds_zero"] = (
+        _density_file(root / "hat.csv", xs0, ys0, 0.2),
+        _eigen_file(root / "mixed.csv", [0.0] * 7 + [rng.uniform(-0.4, 1.4) for _ in range(33)]))
+    return pairs
+
+
+# What ``compare`` printed for each pair when the distances were vectorized NumPy code.
+_PINNED_LINES = {
+    # ESD against ESD, with ties within and across the two.
+    "esd_ties": ["kolmogorov=0.0955555555555555", "levy=0.07000000000000006"],
+    # Roundoff zeros of both signs against the y = 2 law and its origin atom 1/2.
+    "signed_zeros_vs_atom": ["kolmogorov=0.21344196658348336", "levy=0.19661971533413625"],
+    # Two densities on different grids.
+    "density_grids": ["kolmogorov=0.0404690149409906", "levy=0.022116029319620395"],
+    # An atom at 0.88 against the uniform law on [0, 1].
+    "atom_in_uniform": ["kolmogorov=0.88", "levy=0.44"],
+    # p = 2000 with 1,500 exact zeros against the y = 4 law (origin atom 3/4).
+    "p2000_zeros": ["kolmogorov=0.04855666946633985", "levy=0.04738851022422874"],
+    # A density whose grid holds 0.0, with its origin atom there.
+    "grid_holds_zero": ["kolmogorov=0.12213072471136688", "levy=0.09210066519400825"],
+}
+
+
 class TestCompare:
     def test_file_against_itself_is_zero(self, design1_run, capsys):
         rc, kolmogorov, levy = _compare(capsys, design1_run.tvar_eig,
@@ -469,6 +544,26 @@ class TestCompare:
         _, k_rcv, _ = _compare(capsys, design1_run.rcv_eig, design1_run.curve)
         _, k_tvar, _ = _compare(capsys, design1_run.tvar_eig, design1_run.curve)
         assert k_rcv > k_tvar
+
+    def test_mass_gap_is_printed_and_bounds_both_distances(self, tmp_path, capsys):
+        # The uniform law on [0, 1] tabulated at height 1.0017 ends at 1.0017.
+        esd = _eigen_file(tmp_path / "esd.csv", [(k + 0.5) / 200 for k in range(200)])
+        heavy = _density_file(tmp_path / "heavy.csv", [0.0, 1.0], [1.0017, 1.0017], 0.0)
+        for pair in ((esd, heavy), (heavy, esd)):
+            assert main(["compare", *map(str, pair)]) == 0
+            printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+            gap = float(printed["mass_gap"])
+            assert gap == pytest.approx(0.0017, rel=1e-9)
+            assert float(printed["kolmogorov"]) >= gap
+            assert float(printed["levy"]) >= gap
+        assert main(["compare", str(esd), str(esd)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "mass_gap=0.0"
+
+    @pytest.mark.parametrize("name", list(_PINNED_LINES))
+    def test_printed_distances_are_pinned(self, tmp_path, capsys, name):
+        file_a, file_b = _pinned_pairs(tmp_path)[name]
+        assert main(["compare", str(file_a), str(file_b)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == _PINNED_LINES[name]
 
 
 # Four intervals of a p = 3 panel on the equispaced grid.
@@ -545,6 +640,35 @@ class TestValidationAndWiring:
         assert main(argv) == 2
         assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "again").exists()
+
+    @pytest.mark.parametrize("key, value", [("y", None), ("xs", 5)], ids=["null_y", "int_xs"])
+    def test_rerun_rejects_a_config_value_of_the_wrong_type(self, tmp_path, capsys, key, value):
+        assert main(["solve", "--y", "0.5", "--xs", "0.3:2.5:20",
+                     "--out", str(tmp_path / "out")]) == 0
+        manifest = _read_json(tmp_path / "out" / "manifest.json")
+        manifest["config"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(bad), "--out", str(tmp_path / "again")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(key) in err
+        assert not (tmp_path / "again").exists()
+
+    @pytest.mark.parametrize("text", [
+        "# kind=eigenvalues,p=2\neigenvalue\n0.5\nabc\n",
+        "# kind=eigenvalues,p=2\neigenvalue\n0.5\nnan\n",
+        "# kind=eigenvalues,p=0\neigenvalue\n",
+        "# kind=density,mass_at_zero=0.0\nx,density\n0.0,1.0\n1.0\n",
+        "# kind=density,mass_at_zero=0.0\nx,density\n0.0,1.0\n0.0,1.0\n",
+        "# kind=density,mass_at_zero=0.0\nx,density\n0.0,1.0\n1.0,1.5\n",
+    ], ids=["non_numeric", "nan", "no_rows", "ragged", "grid_not_increasing", "mass_off"])
+    def test_compare_rejects_a_malformed_file_with_exit_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        good = _eigen_file(tmp_path / "good.csv", [0.5, 1.0])
+        assert main(["compare", str(good), str(bad)]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_wrong_file_kind_exits_2(self, design1_run, tmp_path):
         rc = main(["recover", "--esd", str(design1_run.tvar_hist), "--y", "0.1",

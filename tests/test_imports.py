@@ -1,9 +1,11 @@
 """Lazy loading: what each subcommand imports, and the contracts it keeps.
 
 The package resolves its exports on first access, and ``specrcv.cli`` loads
-``diffusion``, ``estimators`` and ``mpsolve`` only when a subcommand calls
-into them. Names stay reachable as module attributes, and a replacement set
-on ``specrcv.cli`` is the one the subcommand calls.
+``covmodel``, ``spectra``, ``distances``, ``diffusion``, ``estimators`` and
+``mpsolve`` only when a subcommand calls into them; ``compare``,
+``--version`` and ``--help`` run without NumPy. Names stay reachable as
+module attributes, and a replacement set on ``specrcv.cli`` is the one the
+subcommand calls.
 """
 import json
 import os
@@ -27,10 +29,29 @@ print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
 
-def _modules_after(argv) -> set[str]:
+# Runs main() on argv in a process where any import of numpy fails.
+_WITHOUT_NUMPY = """
+import sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockNumpy())
+from specrcv.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _run(code: str, argv, check: bool = True) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(Path(specrcv.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *map(str, argv)], env=env,
-                          capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, check=check)
+
+
+def _modules_after(argv) -> set[str]:
+    proc = _run(_PROBE, argv)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["rc"] == 0, proc.stderr
     return set(result["modules"])
@@ -59,9 +80,24 @@ class TestSubcommandImports:
         loaded = _modules_after(["compare", est / "increments_r0_rcv_eigenvalues.csv",
                                  est / "increments_r0_tvarcv_density.csv"])
         assert {m for m in loaded if m.startswith("specrcv")} == {
-            "specrcv", "specrcv.cli", "specrcv.covmodel", "specrcv.errors", "specrcv.io",
-            "specrcv.spectra"}
+            "specrcv", "specrcv.cli", "specrcv.distances", "specrcv.errors", "specrcv.io"}
+        assert "numpy" not in loaded
         assert "concurrent.futures" not in loaded
+
+    @pytest.mark.parametrize("case", ["compare", "version", "help", "argparse error"])
+    def test_runs_where_numpy_cannot_be_imported(self, tiny_run, case):
+        est = tiny_run / "est"
+        argv, code, stream, text = {
+            "compare": (["compare", est / "increments_r0_rcv_eigenvalues.csv",
+                         est / "increments_r0_tvarcv_density.csv"], 0, "stdout", "levy="),
+            "version": (["--version"], 0, "stdout", "specrcv "),
+            "help": (["--help"], 0, "stdout", "usage: specrcv"),
+            "argparse error": (["solve", "--y", "half"], 2, "stderr", "invalid float value"),
+        }[case]
+        proc = _run(_WITHOUT_NUMPY, argv, check=False)
+        assert proc.returncode == code, proc.stderr
+        assert text in getattr(proc, stream)
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("case, loads_simulator", [
         ("simulate", True), ("estimate", True), ("solve design1", True),

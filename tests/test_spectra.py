@@ -4,14 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specrcv.covmodel import SpectralDistribution, esd
+from specrcv.distances import kolmogorov_distance, levy_distance
 from specrcv.errors import BadGridError
 from specrcv.spectra import (
     DensityCurve,
     StieltjesGrid,
     empirical_stieltjes,
     histogram,
-    kolmogorov_distance,
-    levy_distance,
     sorted_unique,
 )
 

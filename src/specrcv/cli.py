@@ -522,6 +522,8 @@ def cmd_recover(config: dict) -> int:
 
 
 def cmd_compare(file_a: str, file_b: str, threshold: float | None) -> int:
+    if threshold is not None and not threshold >= 0:
+        raise BadConfigError(f"--threshold must be a nonnegative number, got {threshold}")
     dist_a = io.read_distribution(file_a)
     dist_b = io.read_distribution(file_b)
     kolmogorov = _cli.kolmogorov_distance(dist_a, dist_b)

@@ -19,7 +19,7 @@ class BadGridError(SpecrcvError):
 
 
 class BadProfileError(SpecrcvError):
-    """A weight or time-change profile violates its constraints."""
+    """A weight profile violates its constraints."""
 
 
 class BadConfigError(SpecrcvError):

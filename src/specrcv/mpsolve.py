@@ -18,13 +18,12 @@ vectorized Newton core for the pair (M, m~): the classical equation is the
 unit-weight call w = 1, in which M is the companion transform
 -(1 - y)/z + y m and m_Fw is m itself. A probe x + iv is reached by
 continuation in Im z, from a level above the support where the large-|z|
-asymptotics are accurate down to v, halving Im z per level. The damped
-fixed-point map is kept only as the fallback step where Newton makes no
-progress, and a probe on which neither step lowers the residual stops there
-instead of running to SOLVER_MAX_ITER. Iteration counts are accepted Newton
-and fallback steps. The Newton derivative in tau^2 is formed as tau/c
-times tau, with c a power of two at or below tau_max, so it stays finite for
-atoms above 1e154, where tau^2 overflows.
+asymptotics are accurate down to v, halving Im z per level. A probe on
+which no Newton step lowers the residual stops there instead of running to
+SOLVER_MAX_ITER. Iteration counts are accepted Newton steps. The Newton
+derivative in tau^2 is formed as tau/c times tau, with c a power of two at
+or below tau_max, so it stays finite for atoms above 1e154, where tau^2
+overflows.
 
 Densities come out by Stieltjes inversion f(x) = Im m(x + iv) / pi. Population
 spectra go back in through 1/m_ + z = y integral tau dH(tau) / (1 + tau m_),
@@ -55,6 +54,8 @@ RECOVER_KKT_TOL = 1e-9
 
 # Uniform quadrature nodes for sampled weight profiles (512 Simpson panels).
 _QUAD_NODES = 513
+# Uniform points at which weight_profile_from_model samples a smooth gamma^2.
+_MODEL_SAMPLES = 1025
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +118,7 @@ class WeightProfile:
     on a uniform grid (linear interpolation) and integrates by composite
     Simpson on 512 panels. Either way the solver sees one quadrature rule,
     nodes ``_nodes`` with weights ``_node_weights``. ``kappa`` is the
-    declared upper bound; it defaults to the observed maximum.
+    declared finite upper bound; it defaults to the observed maximum.
     """
 
     kind: str
@@ -147,6 +148,8 @@ class WeightProfile:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         kappa = float(vals.max()) if self.kappa is None else float(self.kappa)
+        if not np.isfinite(kappa):
+            raise BadProfileError(f"kappa must be finite, got {kappa}")
         if vals.max() > kappa:
             raise BadProfileError(
                 f"values exceed declared bound kappa={kappa}: max {vals.max()}"
@@ -245,9 +248,8 @@ def mp_law_curve(params: MPLawParams, points: int = 2001) -> DensityCurve:
 
 # Relative residual at which an intermediate continuation level ends.
 _LEVEL_RTOL = 1e-6
-# Step lengths 1, 1/2, ..., 1/16 tried along a search direction. A Newton step
-# that must be cut further marks a region where the damped fixed-point map,
-# which keeps to the upper half-plane branch, does better.
+# Step lengths 1, 1/2, ..., 1/16 tried along the Newton direction. A probe on
+# which none lowers the residual is stuck at its level.
 _STEP_HALVINGS = 5
 _EVAL_KEYS = ("res", "gM", "gmt", "a", "b_c")
 
@@ -265,18 +267,17 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter):
     pair equations, a = g_M'(m~) = (y/z) int w^2/(1 + y m~ w)^2 ds and
     b = g_m~'(M) = (1/z) int tau^2/(tau M + 1)^2 dH, the Newton step is
     dM = -(F1 + a F2)/(1 - a b), dm~ = -F2 + b dM. A step is halved until it
-    lowers the pair residual |F1| + |F2| and keeps Im M, Im m~ >= 0. When no
-    Newton step does, the damped fixed-point step (M, m~) -> (g_M, g_m~) is
-    tried the same way; a probe on which neither makes progress stops.
+    lowers the pair residual |F1| + |F2| and keeps Im M, Im m~ >= 0; a probe
+    on which no step length does is stuck.
 
     Each probe x + iv starts at Im z = max(|x|, v, kappa tau_max (1 + sqrt y)^2)
     from the large-|z| asymptotics M = -(1/z) int w ds, m~ = -(1/z) int tau dH,
     and halves Im z level by level down to v, carrying M and m~ over by the
     factor z_old / z_new. Intermediate levels end at relative residual
-    _LEVEL_RTOL; the last one at pair residual <= tol or where no step helps,
-    which ``within_tolerance`` accepts only at roundoff. Returns (M, m_tilde,
-    residual, iterations) aligned with zs, where iterations counts accepted
-    steps.
+    _LEVEL_RTOL; the last one at pair residual <= tol or where the probe is
+    stuck, which ``within_tolerance`` accepts only at roundoff. Returns (M,
+    m_tilde, residual, iterations) aligned with zs, where iterations counts
+    accepted Newton steps.
     """
     locs = np.asarray(locs, dtype=float)[:, None]
     wts = np.asarray(wts, dtype=float)[:, None]
@@ -370,11 +371,7 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter):
             a, b = s["a"][sel], c * s["b_c"][sel]
             dM = -(F1 + a * F2) / (1.0 - a * b)
             moved = search(s, sel, dM, -F2 + b * dM)
-            rest = np.flatnonzero(~moved)
-            if rest.size:
-                damped = search(s, sel[rest], -F1[rest], -F2[rest])
-                moved[rest] = damped
-                s["stuck"][sel[rest[~damped]]] = True
+            s["stuck"][sel[~moved]] = True
             s["its"][sel] += moved
     return M_out, mt_out, res_out, it_out
 
@@ -407,43 +404,23 @@ def solve_weighted_mp_grid(
     return m_fw, big_m, mt, res, it
 
 
-def weight_profile_from_model(
-    profile: VolatilityProfile,
-    timechange=None,
-    samples: int = 1025,
-) -> WeightProfile:
-    """Weight profile w_s = gamma(Upsilon_s)^2 upsilon_s of a volatility model.
+def weight_profile_from_model(profile: VolatilityProfile) -> WeightProfile:
+    """Weight profile w_s = gamma_s^2 of a volatility model on equispaced observation.
 
-    ``timechange`` is the limiting time-change density upsilon sampled on a
-    uniform grid over [0, 1] (None means upsilon = 1, i.e. equispaced
-    observation). It must be nonnegative and integrate to 1, so the time
-    change Upsilon ends at 1. The simulator module is imported here, so
-    solves with constant or JSON weights and recovery never load it.
+    Constant and piecewise profiles give exact step profiles; any other is
+    sampled at _MODEL_SAMPLES uniform points. The simulator module is
+    imported here, so solves with constant or JSON weights and recovery
+    never load it.
     """
     from .diffusion import ConstantProfile, PiecewiseProfile, VolatilityProfile
 
     if not isinstance(profile, VolatilityProfile):
         raise BadProfileError("profile must be a VolatilityProfile")
-    if timechange is None:
-        if isinstance(profile, ConstantProfile):
-            return WeightProfile.constant(profile.sigma**2)
-        if isinstance(profile, PiecewiseProfile):
-            return WeightProfile.from_steps(profile.edges, profile.levels**2)
-        s = np.linspace(0.0, 1.0, samples)
-        return WeightProfile.from_samples(profile.gamma_sq(s))
-    ups = np.asarray(timechange, dtype=float).ravel()
-    if ups.size < 2 or not np.all(np.isfinite(ups)) or np.any(ups < 0):
-        raise BadProfileError("time-change density must be nonnegative and finite")
-    s_in = np.linspace(0.0, 1.0, ups.size)
-    total = float(np.trapezoid(ups, s_in))
-    if abs(total - 1.0) > 1e-3:
-        raise BadProfileError(f"time-change density must integrate to 1, got {total:.6f}")
-    ups = ups / total
-    s = np.linspace(0.0, 1.0, samples)
-    dens = np.interp(s, s_in, ups)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(s))])
-    upsilon = np.clip(cum / cum[-1], 0.0, 1.0)
-    return WeightProfile.from_samples(profile.gamma_sq(upsilon) * dens)
+    if isinstance(profile, ConstantProfile):
+        return WeightProfile.constant(profile.sigma**2)
+    if isinstance(profile, PiecewiseProfile):
+        return WeightProfile.from_steps(profile.edges, profile.levels**2)
+    return WeightProfile.from_samples(profile.gamma_sq(np.linspace(0.0, 1.0, _MODEL_SAMPLES)))
 
 
 # ---------------------------------------------------------------------------

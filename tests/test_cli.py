@@ -347,6 +347,30 @@ class TestSolve:
         want = np.array([mp_stieltjes_quadratic(1.0, 1.0, z / c) / c for z in zs])
         assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-7
 
+    def test_tiny_atom_on_the_automatic_grid_converges_to_rescaled_oracle(self, tmp_path):
+        # mass_at_zero is not checked: at this scale the automatic grid's
+        # bandwidth books smoothed-away mass as a phantom origin atom.
+        c = 1e-200
+        assert main(["solve", "--spectrum", "point:1e-200", "--weights", "constant:1",
+                     "--y", "0.5", "--out", str(tmp_path)]) == 0
+        trace = np.loadtxt(tmp_path / "solver_trace.csv", delimiter=",", skiprows=2)
+        assert np.all(trace[:, 5] < SOLVER_MAX_ITER)
+        zs = trace[:, 0] + 1j * trace[:, 1]
+        m = trace[:, 2] + 1j * trace[:, 3]
+        want = np.array([mp_stieltjes_quadratic(0.5, 1.0, z / c) / c for z in zs])
+        assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-7
+
+    @pytest.mark.parametrize("kappa", ["NaN", "Infinity"])
+    def test_profile_with_nonfinite_kappa_exits_2(self, tmp_path, capsys, kappa):
+        profile = tmp_path / "weights.json"
+        profile.write_text(f'{{"kind": "step", "values": [1.0], "edges": [0.0, 1.0], '
+                           f'"kappa": {kappa}}}')
+        capsys.readouterr()
+        assert main(["solve", "--weights", str(profile), "--y", "0.5",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "kappa" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "density.csv").exists()
+
     def test_nonconvergence_exits_3_without_density(self, tmp_path, capsys):
         # At y < 1 the companion transform grows like -(1 - y)/z near 0, so at
         # subnormal probes it overflows and no probe can meet the tolerance.
@@ -558,6 +582,15 @@ class TestCompare:
             assert float(printed["levy"]) >= gap
         assert main(["compare", str(esd), str(esd)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "mass_gap=0.0"
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.1"])
+    def test_nan_or_negative_threshold_exits_2(self, tmp_path, capsys, threshold):
+        # kolmogorov > nan is never true, so a NaN threshold would pass silently.
+        esd = _eigen_file(tmp_path / "esd.csv", [0.5, 1.0])
+        assert main(["compare", str(esd), str(esd), "--threshold", threshold]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--threshold" in captured.err
 
     @pytest.mark.parametrize("name", list(_PINNED_LINES))
     def test_printed_distances_are_pinned(self, tmp_path, capsys, name):

@@ -99,6 +99,13 @@ class TestSubcommandImports:
         assert text in getattr(proc, stream)
         assert "Traceback" not in proc.stderr
 
+    def test_compare_rejects_a_nan_threshold_without_numpy(self, tiny_run):
+        eig = tiny_run / "est" / "increments_r0_rcv_eigenvalues.csv"
+        proc = _run(_WITHOUT_NUMPY, ["compare", eig, eig, "--threshold", "nan"], check=False)
+        assert proc.returncode == 2
+        assert "--threshold" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("case, loads_simulator", [
         ("simulate", True), ("estimate", True), ("solve design1", True),
         ("solve constant", False), ("solve json", False), ("recover", False),

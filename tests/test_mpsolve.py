@@ -107,6 +107,12 @@ class TestWeightProfile:
         with pytest.raises(BadProfileError):
             WeightProfile.from_samples(np.array([0.5, 1.5, 0.5]), kappa=1.0)
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
+    def test_kappa_must_be_finite(self, kappa):
+        # NaN and inf pass the bound check values.max() > kappa.
+        with pytest.raises(BadProfileError, match="kappa"):
+            WeightProfile.from_steps([0.0, 1.0], [3.0], kappa=kappa)
+
     def test_negative_rejected(self):
         with pytest.raises(BadProfileError):
             WeightProfile.from_steps([0.0, 0.5, 1.0], [1.0, -0.1])
@@ -327,11 +333,6 @@ class TestSolveWeightedMp:
         assert np.all(m_fw.imag > 0.0)
 
 
-def _sampled_at(w: WeightProfile, s):
-    """A sampled profile's linear interpolant at s."""
-    return np.interp(s, np.linspace(0.0, 1.0, w.values.size), w.values)
-
-
 class TestWeightProfileFromModel:
     def test_step_volatility_squares_levels(self):
         w = weight_profile_from_model(design_one_profile())
@@ -349,31 +350,6 @@ class TestWeightProfileFromModel:
         s = np.linspace(0.0, 1.0, w.values.size)
         want = 9e-4 + 8e-4 * np.cos(2.0 * np.pi * s)
         assert np.allclose(w.values, want, rtol=1e-4, atol=1e-12)
-
-    def test_constant_gamma_with_timechange(self):
-        # With constant gamma the weight is sigma^2 times the clock density.
-        s = np.linspace(0.0, 1.0, 1025)
-        upsilon = 0.5 + s  # integrates to 1
-        w = weight_profile_from_model(ConstantProfile(2.0), timechange=upsilon)
-        probe = np.array([0.1, 0.5, 0.9])
-        assert np.allclose(_sampled_at(w, probe), 4.0 * (0.5 + probe), rtol=1e-3)
-
-    def test_timechange_warps_clock(self):
-        # upsilon = 2s concentrates business time late in the day: w_s equals
-        # gamma(s^2)^2 * 2s, so early s reads the early-day gamma level.
-        prof = design_one_profile()
-        s = np.linspace(0.0, 1.0, 4097)
-        w = weight_profile_from_model(prof, timechange=2.0 * s)
-        got = _sampled_at(w, np.array([0.4, 0.8]))
-        want = prof.gamma_sq(np.array([0.4, 0.8]) ** 2) * 2.0 * np.array([0.4, 0.8])
-        assert np.allclose(got, want, rtol=5e-3)
-
-    def test_bad_timechange_mass(self):
-        s = np.linspace(0.0, 1.0, 101)
-        with pytest.raises(BadProfileError):
-            weight_profile_from_model(ConstantProfile(1.0), timechange=0.5 * np.ones_like(s))
-        with pytest.raises(BadProfileError):
-            weight_profile_from_model(ConstantProfile(1.0), timechange=-np.ones_like(s))
 
 
 class TestInvertStieltjes:

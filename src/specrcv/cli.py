@@ -11,6 +11,12 @@ settings, per-replicate seeds, per-stage timings, and SHA-256 digests of all
 emitted files; re-running a manifest reproduces the CSV outputs byte for
 byte when the BLAS thread setting matches.
 
+Each subcommand's parser is the one table of its config: every flag's
+``dest`` is a config key and its ``default`` the key's default, the
+subcommand reads the config dict as argparse built it, and the manifest
+records that dict. ``rerun`` checks a manifest's config against the same
+parser (keys, then value types) before any subcommand code runs.
+
 Each process loads only the modules its subcommand runs. ``--version`` and
 ``--help`` need ``io`` and ``errors``, ``compare`` adds ``distances``, and
 none of them loads NumPy: each subcommand that computes with NumPy imports
@@ -29,12 +35,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -86,76 +90,6 @@ def thread_count() -> int:
 
 def replicate_seed(seed: int, r: int) -> int:
     return (seed ^ r) & _SEED_MASK
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated simulation parameters; the manifest echoes exactly these fields.
-
-    The field defaults are also the defaults of the ``simulate`` flags.
-    """
-
-    design: str
-    p: int
-    n: int
-    out: str
-    grid: str = "equispaced"
-    replicates: int = 1
-    seed: int = 0
-    a: float = 7.0
-    b: float = 1.0
-    c0: float = 9e-4
-    c1: float = 8e-4
-    lambda_file: str | None = None
-    drift: float = 0.0
-
-    def __post_init__(self):
-        if self.design not in _DESIGNS:
-            raise BadConfigError(f"design must be one of {_DESIGNS}, got {self.design!r}")
-        if self.grid not in _GRIDS:
-            raise BadConfigError(f"grid must be one of {_GRIDS}, got {self.grid!r}")
-        for name in ("p", "n", "replicates"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise BadConfigError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _SEED_MASK:
-            raise BadConfigError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
-        if self.design == "design1" and (self.a <= 0 or self.b <= 0):
-            raise BadConfigError(f"design1 needs a, b > 0, got a={self.a}, b={self.b}")
-        if self.design == "design2" and self.c0 <= abs(self.c1):
-            raise BadConfigError(f"design2 needs c0 > |c1|, got c0={self.c0}, c1={self.c1}")
-        if not math.isfinite(self.drift) or abs(self.drift) > 10.0:
-            raise BadConfigError(f"drift must be finite with |drift| <= 10, got {self.drift}")
-        if self.lambda_file is not None and not Path(self.lambda_file).is_file():
-            raise BadConfigError(f"lambda file not found: {self.lambda_file}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise BadConfigError(f"unknown config keys: {unknown}")
-        try:
-            return cls(**data)
-        except TypeError as err:
-            raise BadConfigError(f"incomplete config: {err}") from None
-
-    def profile(self):
-        if self.design == "design1":
-            return _cli.design_one_profile(self.a, self.b)
-        return _cli.design_two_profile(self.c0, self.c1)
-
-    def load_lambda(self):
-        if self.lambda_file is None:
-            return None
-        import numpy as np
-
-        lam = np.loadtxt(self.lambda_file, delimiter=",", ndmin=2)
-        if lam.shape != (self.p, self.p):
-            raise BadConfigError(
-                f"lambda file must be {self.p}x{self.p}, got shape {lam.shape}"
-            )
-        return lam
 
 
 def _run_parallel(fn, count: int) -> list:
@@ -215,33 +149,53 @@ def _write_run_manifest(out: Path, command: str, config: dict, files, seeds,
 
 
 def cmd_simulate(config: dict) -> int:
-    cfg = ExperimentConfig.from_dict(config)
-    lam = cfg.load_lambda()
-    profile = cfg.profile()
-    seeds = [replicate_seed(cfg.seed, r) for r in range(cfg.replicates)]
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
+    design, grid_kind, seed = config["design"], config["grid"], config["seed"]
+    if design not in _DESIGNS:
+        raise BadConfigError(f"design must be one of {_DESIGNS}, got {design!r}")
+    if grid_kind not in _GRIDS:
+        raise BadConfigError(f"grid must be one of {_GRIDS}, got {grid_kind!r}")
+    for name in ("n", "replicates"):
+        if config[name] < 1:
+            raise BadConfigError(f"{name} must be >= 1, got {config[name]}")
+    if not 0 <= seed <= _SEED_MASK:
+        raise BadConfigError(f"seed must be a 64-bit nonnegative integer, got {seed}")
+    lam = None
+    if config["lambda_file"] is not None:
+        import numpy as np
+
+        lam = np.loadtxt(config["lambda_file"], delimiter=",", ndmin=2)
+    if design == "design1":
+        profile = _cli.design_one_profile(config["a"], config["b"])
+    else:
+        profile = _cli.design_two_profile(config["c0"], config["c1"])
+    seeds = [replicate_seed(seed, r) for r in range(config["replicates"])]
     # Resolved once, before any worker thread starts.
     make_grid, ClassCSpec, simulate_increments = (
         _cli.make_grid, _cli.ClassCSpec, _cli.simulate_increments)
+    # The spec checks p, the drift and Lambda's shape before anything is written.
+    ClassCSpec(p=config["p"], profile=profile, lam=lam, drift=config["drift"], seed=seeds[0])
+    out = Path(config["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
 
     def run_one(r: int) -> tuple[Path, dict]:
         # Replicates may run on worker threads, so each keeps its own stage times.
         stages = {}
         with _stage(stages, "draw"):
-            grid = make_grid(cfg.grid, cfg.n, seed=(seeds[r] ^ _GRID_SEED_SALT) & _SEED_MASK)
-            spec = ClassCSpec(p=cfg.p, profile=profile, lam=lam, drift=cfg.drift, seed=seeds[r])
+            grid = make_grid(grid_kind, config["n"],
+                             seed=(seeds[r] ^ _GRID_SEED_SALT) & _SEED_MASK)
+            spec = ClassCSpec(p=config["p"], profile=profile, lam=lam, drift=config["drift"],
+                              seed=seeds[r])
             incr = simulate_increments(spec, grid)
         path = out / f"increments_r{r}.csv"
         with _stage(stages, "write"):
             io.write_increments_csv(path, incr)
         return path, stages
 
-    results = _run_parallel(run_one, cfg.replicates)
+    results = _run_parallel(run_one, len(seeds))
     files = [path for path, _ in results]
     timings = {name: sum(stages[name] for _, stages in results) for name in ("draw", "write")}
-    manifest = _write_run_manifest(out, "simulate", asdict(cfg), files, seeds, timings, {},
+    manifest = _write_run_manifest(out, "simulate", dict(config), files, seeds, timings, {},
                                    started)
     print(manifest)
     return 0
@@ -340,34 +294,34 @@ def _parse_weights(text: str) -> WeightProfile:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise BadConfigError(f"{path}: weight profile must be a JSON object")
+    missing = [key for key in ("kind", "values") if key not in payload]
+    if missing:
+        raise BadConfigError(f"{path}: missing weight profile key {missing[0]!r}")
     import numpy as np
 
-    try:
-        return _cli.WeightProfile(
-            kind=payload["kind"],
-            values=np.asarray(payload["values"], dtype=float),
-            edges=np.asarray(payload["edges"], dtype=float) if "edges" in payload else None,
-            kappa=payload.get("kappa"),
-        )
-    except KeyError as err:
-        raise BadConfigError(f"{path}: missing weight profile key {err}") from None
+    return _cli.WeightProfile(
+        kind=payload["kind"],
+        values=np.asarray(payload["values"], dtype=float),
+        edges=np.asarray(payload["edges"], dtype=float) if "edges" in payload else None,
+        kappa=payload.get("kappa"),
+    )
 
 
-def _parse_grid_spec(text: str) -> np.ndarray:
+def _parse_grid_spec(flag: str, text: str) -> np.ndarray:
+    import numpy as np
+
     parts = text.split(":")
     logspace = parts and parts[0] == "log"
     if logspace:
         parts = parts[1:]
     if len(parts) != 3:
-        raise BadConfigError(f"grid spec must be [log:]lo:hi:count, got {text!r}")
+        raise BadConfigError(f"{flag} must be [log:]lo:hi:count, got {text!r}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 2 or not hi > lo:
-        raise BadConfigError(f"grid spec needs hi > lo and count >= 2, got {text!r}")
-    import numpy as np
-
+    if count < 2 or not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+        raise BadConfigError(f"{flag} needs finite lo < hi and count >= 2, got {text!r}")
     if logspace:
         if lo <= 0:
-            raise BadConfigError(f"log grid needs lo > 0, got {lo}")
+            raise BadConfigError(f"{flag} log grid needs lo > 0, got {lo}")
         return np.geomspace(lo, hi, count)
     return np.linspace(lo, hi, count)
 
@@ -381,14 +335,14 @@ def cmd_solve(config: dict) -> int:
     if not (np.isfinite(y) and y > 0):
         raise BadConfigError(f"y must be positive, got {y}")
     bandwidth = config.get("bandwidth")
-    if bandwidth is not None and not bandwidth > 0:
-        raise BadConfigError(f"bandwidth must be positive, got {bandwidth}")
+    if bandwidth is not None and not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise BadConfigError(f"--bandwidth must be finite and positive, got {bandwidth}")
     # Rank deficiency (y > 1) or an explicit zero atom in H puts a point mass
     # at the origin of the limit law.
     zero_weight = float(np.sum(spectrum.weights[spectrum.locations == 0.0]))
     zero_mass = max(0.0, 1.0 - min(1.0 / y, 1.0 - zero_weight))
     if config.get("xs"):
-        xs = _parse_grid_spec(config["xs"])
+        xs = _parse_grid_spec("--xs", config["xs"])
         v = (bandwidth if bandwidth is not None
              else _cli.default_bandwidth(float(xs[0]), float(xs[-1])))
     else:
@@ -479,7 +433,7 @@ def cmd_recover(config: dict) -> int:
     with _stage(timings, "read"):
         dist, _ = io.read_eigenvalues_csv(Path(config["esd"]))
     if config.get("grid"):
-        grid = _parse_grid_spec(config["grid"])
+        grid = _parse_grid_spec("--grid", config["grid"])
     else:
         scale = float(np.mean(dist.eigenvalues))
         grid = np.linspace(0.05 * scale, 3.0 * scale, 60) if scale > 0 else np.array([0.0])
@@ -551,19 +505,26 @@ def _has_type(value, kind: type) -> bool:
     return isinstance(value, kind) or (kind is float and isinstance(value, int))
 
 
-def _check_config_types(manifest_file: str, command: str, config: dict) -> None:
-    """Reject a config value that the subcommand's flags could not have produced.
+def _check_config(manifest_file: str, command: str, config: dict) -> None:
+    """Reject a config that the subcommand's flags could not have produced.
 
-    The subcommand's parser is the typed table. A value must have the
-    ``type`` of its flag (a string where the flag has none, and an integer
-    passes as a float); it may be null only where the flag defaults to
-    None, and a ``nargs="+"`` value is a nonempty list of such values.
+    The subcommand's parser is the one table of config keys. The config must
+    hold exactly one key per flag ``dest``, no more and no fewer. A value
+    must have the ``type`` of its flag (a string where the flag has none, and
+    an integer passes as a float); it may be null only where the flag
+    defaults to None, and a ``nargs="+"`` value is a nonempty list of such
+    values.
     """
     commands = next(action for action in _build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
-    for action in commands.choices[command]._actions:
+    actions = [action for action in commands.choices[command]._actions
+               if not isinstance(action, argparse._HelpAction)]
+    unknown = sorted(set(config) - {action.dest for action in actions})
+    if unknown:
+        raise BadConfigError(f"{manifest_file}: unknown config keys {unknown}")
+    for action in actions:
         if action.dest not in config:
-            continue
+            raise BadConfigError(f"{manifest_file}: config has no key {action.dest!r}")
         value = config[action.dest]
         if value is None and action.default is None and not action.required:
             continue
@@ -594,13 +555,8 @@ def cmd_rerun(manifest_file: str, out_override: str | None) -> int:
                   file=sys.stderr)
     if command not in _COMMANDS:
         raise BadConfigError(f"manifest command {command!r} cannot be re-run")
-    _check_config_types(manifest_file, command, config)
-    try:
-        return _COMMANDS[command](config)
-    except KeyError as err:
-        # A subcommand reads its config keys by index; argparse always
-        # supplies them, a hand-edited manifest may not.
-        raise BadConfigError(f"{manifest_file}: config has no key {err}") from None
+    _check_config(manifest_file, command, config)
+    return _COMMANDS[command](config)
 
 
 # ---------------------------------------------------------------------------
@@ -621,18 +577,17 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="1: two-level step profile; 2: cosine profile")
     sim.add_argument("--p", type=int, required=True, help="process dimension")
     sim.add_argument("--n", type=int, required=True, help="observation intervals")
-    sim.add_argument("--replicates", type=int)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--grid", choices=_GRIDS)
-    sim.add_argument("--a", type=float, help="design 1 outer level (x 1e-4)")
-    sim.add_argument("--b", type=float, help="design 1 inner level (x 1e-4)")
-    sim.add_argument("--c0", type=float, help="design 2 mean of gamma^2")
-    sim.add_argument("--c1", type=float, help="design 2 cosine amplitude")
-    sim.add_argument("--lambda-file", help="CSV with the p x p loading matrix (default identity)")
-    sim.add_argument("--drift", type=float)
+    sim.add_argument("--replicates", type=int, default=1)
+    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--grid", choices=_GRIDS, default="equispaced")
+    sim.add_argument("--a", type=float, default=7.0, help="design 1 outer level (x 1e-4)")
+    sim.add_argument("--b", type=float, default=1.0, help="design 1 inner level (x 1e-4)")
+    sim.add_argument("--c0", type=float, default=9e-4, help="design 2 mean of gamma^2")
+    sim.add_argument("--c1", type=float, default=8e-4, help="design 2 cosine amplitude")
+    sim.add_argument("--lambda-file", default=None,
+                     help="CSV with the p x p loading matrix (default identity)")
+    sim.add_argument("--drift", type=float, default=0.0)
     sim.add_argument("--out", required=True)
-    sim.set_defaults(**{f.name: f.default for f in fields(ExperimentConfig)
-                        if f.default is not MISSING})
 
     est = sub.add_parser("estimate", help="eigenvalues and histograms from increments")
     est.add_argument("--input", dest="inputs", nargs="+", required=True,

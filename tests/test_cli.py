@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -603,6 +604,30 @@ class TestCompare:
 _PANEL_ROWS = "".join(f"{tau},0.1,-0.2,0.3\n" for tau in (0.25, 0.5, 0.75, 1.0))
 
 
+def _small_run(root, command):
+    """Run ``command`` on a tiny input under ``root`` and return its manifest path."""
+    if command == "simulate":
+        argv = ["simulate", "--design", "1", "--p", "3", "--n", "20"]
+    elif command == "estimate":
+        panel = _small_run(root, "simulate").parent / "increments_r0.csv"
+        argv = ["estimate", "--input", str(panel), "--which", "rcv"]
+    elif command == "solve":
+        argv = ["solve", "--y", "0.5", "--xs", "0.3:2.5:20"]
+    else:
+        esd_file = root / "esd.csv"
+        io.write_eigenvalues_csv(esd_file, SpectralDistribution(np.linspace(0.5, 1.5, 20)), {})
+        argv = ["recover", "--esd", str(esd_file), "--y", "0.5", "--max-iter", "5"]
+    out = root / command
+    assert main([*argv, "--out", str(out)]) == 0
+    return out / "manifest.json"
+
+
+# Config keys deleted from a manifest: a required one, and two that have defaults.
+_RERUN_WITHOUT_KEY = {"rerun_config_without_key": ("solve", "spectrum"),
+                      "rerun_config_without_grid": ("simulate", "grid"),
+                      "rerun_config_without_bandwidth": ("solve", "bandwidth")}
+
+
 class TestValidationAndWiring:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--design", "1", "--p", "0", "--n", "10"],
@@ -649,13 +674,17 @@ class TestValidationAndWiring:
         assert "bad.csv" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["weights_not_object", "atom_without_location",
-                                      "spectrum_not_object", "rerun_config_without_key"])
+    @pytest.mark.parametrize("case", ["weights_not_object", "weights_without_values",
+                                      "atom_without_location", "spectrum_not_object",
+                                      *_RERUN_WITHOUT_KEY])
     def test_malformed_json_exits_2_naming_the_file(self, tmp_path, capsys, case):
         bad = tmp_path / "bad.json"
         solve = ["solve", "--y", "0.5", "--xs", "0.3:2.5:20", "--out", str(tmp_path / "out")]
         if case == "weights_not_object":
             bad.write_text("[1.0, 2.0]")
+            argv = [*solve, "--weights", str(bad)]
+        elif case == "weights_without_values":
+            bad.write_text(json.dumps({"kind": "step", "edges": [0.0, 1.0]}))
             argv = [*solve, "--weights", str(bad)]
         elif case == "atom_without_location":
             bad.write_text(json.dumps({"atoms": [{"weight": 1.0}]}))
@@ -664,15 +693,50 @@ class TestValidationAndWiring:
             bad.write_text("[{\"location\": 1.0, \"weight\": 1.0}]")
             argv = [*solve, "--spectrum", str(bad)]
         else:
-            assert main(solve) == 0
-            manifest = _read_json(tmp_path / "out" / "manifest.json")
-            del manifest["config"]["spectrum"]
+            command, key = _RERUN_WITHOUT_KEY[case]
+            manifest = _read_json(_small_run(tmp_path, command))
+            del manifest["config"][key]
             bad.write_text(json.dumps(manifest))
             argv = ["rerun", "--manifest", str(bad), "--out", str(tmp_path / "again")]
         capsys.readouterr()
         assert main(argv) == 2
-        assert str(bad) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        if case in _RERUN_WITHOUT_KEY:
+            assert repr(key) in err
         assert not (tmp_path / "again").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "solve", "recover"])
+    def test_rerun_rejects_an_unknown_config_key(self, tmp_path, capsys, command):
+        manifest = _read_json(_small_run(tmp_path, command))
+        manifest["config"]["bandwith"] = 1e-3
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(bad), "--out", str(tmp_path / "again")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "bandwith" in err
+        assert not (tmp_path / "again").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve", "--y", "0.5", "--bandwidth", "inf"], "--bandwidth"),
+        (["solve", "--y", "0.5", "--xs", "0:inf:10"], "--xs"),
+        (["solve", "--y", "0.5", "--xs=-inf:1:10"], "--xs"),
+        (["solve", "--y", "0.5", "--xs", "log:1:inf:10"], "--xs"),
+        (["recover", "--esd", "ESD", "--y", "0.5", "--grid", "0:inf:10"], "--grid"),
+    ], ids=["bandwidth_inf", "xs_hi_inf", "xs_lo_minus_inf", "log_xs_hi_inf", "grid_hi_inf"])
+    def test_nonfinite_bandwidth_or_grid_end_exits_2_naming_the_flag(self, tmp_path, capsys,
+                                                                   argv, flag):
+        esd_file = tmp_path / "esd.csv"
+        io.write_eigenvalues_csv(esd_file, SpectralDistribution(np.linspace(0.5, 1.5, 20)), {})
+        argv = [str(esd_file) if a == "ESD" else a for a in argv]
+        capsys.readouterr()
+        # A NumPy warning from building the grid would mean the check came too late.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("y", None), ("xs", 5)], ids=["null_y", "int_xs"])
     def test_rerun_rejects_a_config_value_of_the_wrong_type(self, tmp_path, capsys, key, value):

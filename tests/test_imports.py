@@ -20,11 +20,15 @@ import specrcv
 from specrcv import cli, io
 from specrcv.covmodel import SpectralDistribution
 
-# Runs main() on argv and prints the loaded modules as the last stdout line.
+# Runs main() on argv and prints its exit code and the loaded modules as the last
+# stdout line; --version and --help end main() with SystemExit.
 _PROBE = """
 import json, sys
 from specrcv.cli import main
-rc = main(sys.argv[1:])
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as stop:
+    rc = stop.code
 print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
@@ -83,6 +87,16 @@ class TestSubcommandImports:
             "specrcv", "specrcv.cli", "specrcv.distances", "specrcv.errors", "specrcv.io"}
         assert "numpy" not in loaded
         assert "concurrent.futures" not in loaded
+
+    @pytest.mark.parametrize("case", ["compare", "version", "help"])
+    def test_compare_version_and_help_load_no_dataclasses(self, tiny_run, case):
+        est = tiny_run / "est"
+        argv = {"compare": ["compare", est / "increments_r0_rcv_eigenvalues.csv",
+                            est / "increments_r0_tvarcv_density.csv"],
+                "version": ["--version"], "help": ["--help"]}[case]
+        loaded = _modules_after(argv)
+        assert "dataclasses" not in loaded
+        assert "inspect" not in loaded
 
     @pytest.mark.parametrize("case", ["compare", "version", "help", "argparse error"])
     def test_runs_where_numpy_cannot_be_imported(self, tiny_run, case):

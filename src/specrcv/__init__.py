@@ -62,16 +62,11 @@ _EXPORTS = {
     ),
     "estimators": ("EstimatorOutput", "rcv", "sigma_tilde", "tvarcv"),
     "mpsolve": (
-        "MPLawParams",
         "PopulationSpectrum",
         "RecoveryResult",
         "WeightProfile",
         "default_bandwidth",
         "invert_stieltjes",
-        "mp_density",
-        "mp_law_curve",
-        "mp_mass_at_zero",
-        "mp_support",
         "recover_spectrum",
         "solve_weighted_mp_grid",
         "weight_profile_from_model",
@@ -79,7 +74,6 @@ _EXPORTS = {
     ),
     "spectra": (
         "DensityCurve",
-        "StieltjesGrid",
         "empirical_stieltjes",
         "histogram",
         "zero_roundoff",

@@ -62,7 +62,7 @@ __getattr__ = _lazy_getattr(globals(), __package__, {
     "mpsolve": ("RECOVER_MAX_ITER", "PopulationSpectrum", "WeightProfile", "default_bandwidth",
                 "invert_stieltjes", "recover_spectrum", "solve_weighted_mp_grid",
                 "weight_profile_from_model", "within_tolerance"),
-    "spectra": ("DensityCurve", "StieltjesGrid", "histogram", "zero_roundoff"),
+    "spectra": ("DensityCurve", "histogram", "zero_roundoff"),
 })
 _cli = sys.modules[__name__]
 
@@ -72,6 +72,10 @@ _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _GRID_SEED_SALT = 0x9E3779B97F4A7C15
 # BLAS threads change the summation order of matrix products and eigvalsh.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# Cap on the point counts of --xs and --grid and on --bins. A 513-node
+# sampled-profile solve holds a few (513 x count) complex temporaries, each
+# under 82 MB at this cap.
+_MAX_POINTS = 10_000
 
 
 def thread_count() -> int:
@@ -216,8 +220,8 @@ def cmd_estimate(config: dict) -> int:
                                  f"{path.stem!r}, so their outputs would overwrite each other")
         seen[path.stem] = path
     bins = config.get("bins")
-    if bins is not None and bins < 1:
-        raise BadConfigError(f"bins must be >= 1, got {bins}")
+    if bins is not None and not 1 <= bins <= _MAX_POINTS:
+        raise BadConfigError(f"--bins must be between 1 and {_MAX_POINTS}, got {bins}")
     timings = {}
     started = time.perf_counter()
     # Read every input up front so a bad file cannot leave partial outputs.
@@ -262,9 +266,19 @@ def cmd_estimate(config: dict) -> int:
     return 0
 
 
+def _number(kind: type, flag: str, text: str, part: str):
+    """``kind(part)`` for a part of the ``flag`` value ``text``; exit 2 naming both if it fails."""
+    try:
+        return kind(part)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise BadConfigError(f"{flag} {text!r}: {part!r} is not {noun}") from None
+
+
 def _parse_spectrum(text: str) -> PopulationSpectrum:
     if text.startswith("point:"):
-        return _cli.PopulationSpectrum.point_mass(float(text[len("point:"):]))
+        loc = _number(float, "--spectrum", text, text[len("point:"):])
+        return _cli.PopulationSpectrum.point_mass(loc)
     path = Path(text)
     if not path.is_file():
         raise BadConfigError(f"spectrum source not found: {text}")
@@ -276,16 +290,17 @@ def _parse_spectrum(text: str) -> PopulationSpectrum:
 
 def _parse_weights(text: str) -> WeightProfile:
     if text.startswith("constant:"):
-        return _cli.WeightProfile.constant(float(text[len("constant:"):]))
+        level = _number(float, "--weights", text, text[len("constant:"):])
+        return _cli.WeightProfile.constant(level)
     for name, builder_name in (("design1", "design_one_profile"),
                                ("design2", "design_two_profile")):
         if text == name or text.startswith(name + ":"):
             builder = getattr(_cli, builder_name)
             if text == name:
                 return _cli.weight_profile_from_model(builder())
-            args = [float(v) for v in text[len(name) + 1:].split(",")]
+            args = [_number(float, "--weights", text, v) for v in text[len(name) + 1:].split(",")]
             if len(args) != 2:
-                raise BadConfigError(f"{name} takes two parameters, got {text!r}")
+                raise BadConfigError(f"--weights {text!r}: {name} takes two parameters")
             return _cli.weight_profile_from_model(builder(*args))
     path = Path(text)
     if not path.is_file():
@@ -316,9 +331,11 @@ def _parse_grid_spec(flag: str, text: str) -> np.ndarray:
         parts = parts[1:]
     if len(parts) != 3:
         raise BadConfigError(f"{flag} must be [log:]lo:hi:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 2 or not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
-        raise BadConfigError(f"{flag} needs finite lo < hi and count >= 2, got {text!r}")
+    lo, hi = _number(float, flag, text, parts[0]), _number(float, flag, text, parts[1])
+    count = _number(int, flag, text, parts[2])
+    if not (2 <= count <= _MAX_POINTS and np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+        raise BadConfigError(f"{flag} needs finite lo < hi and 2 <= count <= {_MAX_POINTS}, "
+                             f"got {text!r}")
     if logspace:
         if lo <= 0:
             raise BadConfigError(f"{flag} log grid needs lo > 0, got {lo}")
@@ -387,7 +404,7 @@ def cmd_solve(config: dict) -> int:
     }
     if unconverged == 0:
         with _stage(timings, "invert"):
-            curve = _cli.invert_stieltjes(_cli.StieltjesGrid(zs, m_fw), xs, v)
+            curve = _cli.invert_stieltjes(m_fw, xs, v)
             if zero_mass > 1e-12:
                 # At bandwidth v the origin atom shows up in the inverted
                 # density as an exact Cauchy lobe zero_mass * v / (pi * (x^2 + v^2)).

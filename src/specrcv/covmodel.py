@@ -74,8 +74,8 @@ class FactoredCov:
 class SpectralDistribution:
     """Empirical spectral distribution: the uniform law on p eigenvalues.
 
-    Eigenvalues are stored sorted ascending. ``cdf`` is the right-continuous
-    step function F(x) = #{lambda_j <= x} / p.
+    Eigenvalues are stored sorted ascending. Its CDF, the right-continuous
+    step function F(x) = #{lambda_j <= x} / p, is evaluated in ``distances``.
     """
 
     eigenvalues: np.ndarray
@@ -95,21 +95,8 @@ class SpectralDistribution:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def cdf(self, x):
-        """F(x), vectorized; right-continuous."""
-        pos = np.searchsorted(self.eigenvalues, np.asarray(x, dtype=float), side="right")
-        return pos / self.dim
-
-    def cdf_left(self, x):
-        """Left limit F(x-), vectorized."""
-        pos = np.searchsorted(self.eigenvalues, np.asarray(x, dtype=float), side="left")
-        return pos / self.dim
-
     def support(self) -> tuple[float, float]:
         return float(self.eigenvalues[0]), float(self.eigenvalues[-1])
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues)))
 
 
 def esd(a: FactoredCov | np.ndarray) -> SpectralDistribution:

@@ -29,7 +29,7 @@ class BadConfigError(SpecrcvError):
 class ZeroIncrementError(SpecrcvError):
     """An increment row has zero length where a positive norm is required."""
 
-    def __init__(self, row: int, message: str | None = None):
+    def __init__(self, row: int):
         self.row = row
-        super().__init__(message or f"zero-length increment at row {row}")
+        super().__init__(f"zero-length increment at row {row}")
 

@@ -5,9 +5,8 @@ transform of a sample-covariance-type limit law,
 
     m(z) = integral dH(tau) / (tau (1 - y (1 + z m(z))) - z),   Im z > 0,
 
-its closed-form solution for a single-atom H (the square-root law on
-[sigma^2 (1-sqrt y)^2, sigma^2 (1+sqrt y)^2]), and the weighted system that
-replaces the i.i.d. sampling weights by a profile w_s on [0, 1]:
+and the weighted system that replaces the i.i.d. sampling weights by a
+profile w_s on [0, 1]:
 
     m_Fw(z)    = -(1/z) integral dH(tau) / (tau M(z) + 1)
     M(z)       = -(1/z) integral_0^1 w_s / (1 + y m~(z) w_s) ds
@@ -40,7 +39,7 @@ import numpy as np
 
 from .covmodel import SpectralDistribution
 from .errors import BadGridError, BadProfileError, NonFiniteError
-from .spectra import DensityCurve, StieltjesGrid, empirical_stieltjes, sorted_unique
+from .spectra import DensityCurve, empirical_stieltjes, sorted_unique
 
 if TYPE_CHECKING:
     from .diffusion import VolatilityProfile
@@ -99,14 +98,6 @@ class PopulationSpectrum:
     @classmethod
     def from_esd(cls, dist: SpectralDistribution) -> "PopulationSpectrum":
         return cls(dist.eigenvalues, np.full(dist.dim, 1.0 / dist.dim))
-
-    def scaled(self, c: float) -> "PopulationSpectrum":
-        if c < 0:
-            raise ValueError("scale must be nonnegative")
-        return PopulationSpectrum(c * self.locations, self.weights)
-
-    def mean(self) -> float:
-        return float(self.locations @ self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,72 +166,16 @@ class WeightProfile:
         return cls("step", np.array([float(c)]), edges=np.array([0.0, 1.0]))
 
     @classmethod
-    def from_steps(cls, edges, values, kappa: float | None = None) -> "WeightProfile":
-        return cls("step", np.asarray(values, dtype=float), edges=np.asarray(edges, dtype=float), kappa=kappa)
+    def from_steps(cls, edges, values) -> "WeightProfile":
+        return cls("step", np.asarray(values, dtype=float), edges=np.asarray(edges, dtype=float))
 
     @classmethod
-    def from_samples(cls, values, kappa: float | None = None) -> "WeightProfile":
-        return cls("sampled", np.asarray(values, dtype=float), kappa=kappa)
+    def from_samples(cls, values) -> "WeightProfile":
+        return cls("sampled", np.asarray(values, dtype=float))
 
     def mean(self) -> float:
         """Integral of w_s over [0, 1]."""
         return float(self._node_weights @ self._nodes)
-
-
-@dataclass(frozen=True)
-class MPLawParams:
-    """Ratio index y and scale index sigma2 of the square-root limit law."""
-
-    y: float
-    sigma2: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.y) and self.y > 0):
-            raise ValueError(f"need y > 0, got {self.y}")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError(f"need sigma2 > 0, got {self.sigma2}")
-
-
-# ---------------------------------------------------------------------------
-# closed-form law
-
-
-def mp_support(params: MPLawParams) -> tuple[float, float]:
-    """Bulk support endpoints a = sigma^2 (1 - sqrt y)^2, b = sigma^2 (1 + sqrt y)^2."""
-    ry = np.sqrt(params.y)
-    return params.sigma2 * (1 - ry) ** 2, params.sigma2 * (1 + ry) ** 2
-
-
-def mp_mass_at_zero(params: MPLawParams) -> float:
-    """Point mass at the origin, max(0, 1 - 1/y)."""
-    return max(0.0, 1.0 - 1.0 / params.y)
-
-
-def mp_density(params: MPLawParams, x):
-    """Bulk density sqrt((b-x)(x-a)) / (2 pi sigma2 x y) on [a, b], else 0.
-
-    The origin point mass for y > 1 is reported by mp_mass_at_zero, not here.
-    """
-    a, b = mp_support(params)
-    arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(arr, dtype=float)
-    mask = (arr >= a) & (arr <= b) & (arr > 0)
-    xv = arr[mask]
-    out[mask] = np.sqrt((b - xv) * (xv - a)) / (2 * np.pi * params.sigma2 * xv * params.y)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def mp_law_curve(params: MPLawParams, points: int = 2001) -> DensityCurve:
-    """Tabulate the closed-form law as a DensityCurve (atom at 0 included)."""
-    a, b = mp_support(params)
-    if a > 0:
-        xs = np.linspace(a, b, points)
-    else:
-        # Integrable inverse-square-root edge at 0: cluster points there. The
-        # first node must stay O(b/points^2) out, or the trapezoid cell against
-        # the near-singular value swamps the mass budget.
-        xs = b * np.linspace(1.0 / points, 1.0, points) ** 2
-    return DensityCurve(xs, mp_density(params, xs), mass_at_zero=mp_mass_at_zero(params))
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +189,13 @@ _STEP_HALVINGS = 5
 _EVAL_KEYS = ("res", "gM", "gmt", "a", "b_c")
 
 
-def within_tolerance(residual, scale, tol=SOLVER_TOL):
-    """Probe verdict: finite residual <= max(tol, 8 eps scale), scale = |M| + |m~|."""
-    bound = np.maximum(tol, 8.0 * np.finfo(float).eps * np.asarray(scale, dtype=float))
+def within_tolerance(residual, scale):
+    """Probe verdict: finite residual <= max(SOLVER_TOL, 8 eps scale), scale = |M| + |m~|."""
+    bound = np.maximum(SOLVER_TOL, 8.0 * np.finfo(float).eps * np.asarray(scale, dtype=float))
     return np.isfinite(residual) & (np.asarray(residual, dtype=float) <= bound)
 
 
-def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter):
+def _pair_core(locs, wts, w: WeightProfile, y, zs):
     """Newton solve of the weighted pair system, vectorized over the probes zs.
 
     With F1 = M - g_M(m~), F2 = m~ - g_m~(M) for the right-hand sides g of the
@@ -274,7 +209,7 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter):
     from the large-|z| asymptotics M = -(1/z) int w ds, m~ = -(1/z) int tau dH,
     and halves Im z level by level down to v, carrying M and m~ over by the
     factor z_old / z_new. Intermediate levels end at relative residual
-    _LEVEL_RTOL; the last one at pair residual <= tol or where the probe is
+    _LEVEL_RTOL; the last one at pair residual <= SOLVER_TOL or where the probe is
     stuck, which ``within_tolerance`` accepts only at roundoff. Returns (M,
     m_tilde, residual, iterations) aligned with zs, where iterations counts
     accepted Newton steps.
@@ -343,9 +278,9 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter):
             target = zs[s["idx"]]
             final = s["z"].imag <= target.imag
             rep = np.where(final, s["res"], np.inf)
-            met = np.where(final, rep <= tol,
+            met = np.where(final, rep <= SOLVER_TOL,
                            s["res"] <= _LEVEL_RTOL * (np.abs(s["M"]) + np.abs(s["mt"])))
-            stop = (final & (met | s["stuck"])) | (s["its"] >= max_iter)
+            stop = (final & (met | s["stuck"])) | (s["its"] >= SOLVER_MAX_ITER)
             if stop.any():
                 sel = s["idx"][stop]
                 M_out[sel], mt_out[sel] = s["M"][stop], s["mt"][stop]
@@ -376,14 +311,7 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs, tol, max_iter):
     return M_out, mt_out, res_out, it_out
 
 
-def solve_weighted_mp_grid(
-    H: PopulationSpectrum,
-    w: WeightProfile,
-    y: float,
-    zs,
-    tol: float = SOLVER_TOL,
-    max_iter: int = SOLVER_MAX_ITER,
-):
+def solve_weighted_mp_grid(H: PopulationSpectrum, w: WeightProfile, y: float, zs):
     """Solve the weighted system at the probes zs; the only solve entry point.
 
     Returns (m_fw, M, m_tilde, residuals, iterations) aligned with zs. The
@@ -397,7 +325,7 @@ def solve_weighted_mp_grid(
     zs = np.asarray(zs, dtype=complex).ravel()
     if zs.size == 0 or not np.all(np.isfinite(zs)) or np.any(zs.imag <= 0):
         raise BadGridError("probe points must be nonempty and finite with Im z > 0")
-    big_m, mt, res, it = _pair_core(H.locations, H.weights, w, y, zs, tol, max_iter)
+    big_m, mt, res, it = _pair_core(H.locations, H.weights, w, y, zs)
     with np.errstate(all="ignore"):
         d = H.locations[:, None] * big_m[None, :] + 1.0
         m_fw = -(1.0 / zs) * np.sum(H.weights[:, None] / d, axis=0)
@@ -440,21 +368,23 @@ def default_bandwidth(lo: float, hi: float) -> float:
     return min(max(1e-3, 0.02 * width), 0.2 * width)
 
 
-def invert_stieltjes(m: StieltjesGrid, xs, v: float) -> DensityCurve:
+def invert_stieltjes(m, xs, v: float) -> DensityCurve:
     """Density f(x) = Im m(x + iv) / pi on the grid, with leftover mass at 0.
 
-    ``m`` holds the transform sampled exactly at xs + iv. The unaccounted mass
-    max(0, 1 - integral) is reported as ``mass_at_zero``.
+    ``m`` holds the transform values at xs + iv, one per grid point. The
+    unaccounted mass max(0, 1 - integral) is reported as ``mass_at_zero``.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     if xs.size < 2 or np.any(np.diff(xs) <= 0):
         raise BadGridError("xs must be strictly increasing with >= 2 points")
     if not v > 0:
         raise BadGridError(f"bandwidth must be positive, got {v}")
-    zs = xs + 1j * v
-    if m.zs.size != zs.size or not np.allclose(m.zs, zs, rtol=1e-9, atol=0.0):
-        raise BadGridError("transform grid does not match xs + iv")
-    ys = np.clip(m.values.imag / np.pi, 0.0, None)
+    m = np.asarray(m, dtype=complex).ravel()
+    if m.size != xs.size:
+        raise BadGridError(f"need one transform value per grid point, got {m.size} for {xs.size}")
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteError("transform values contain NaN or infinite entries")
+    ys = np.clip(m.imag / np.pi, 0.0, None)
     mass0 = max(0.0, 1.0 - float(np.trapezoid(ys, xs)))
     return DensityCurve(xs, ys, mass_at_zero=mass0)
 
@@ -560,7 +490,7 @@ def recover_spectrum(
     zs = np.asarray(zs, dtype=complex).ravel()
     if np.any(zs.imag <= 0):
         raise BadGridError("probe points must have Im z > 0")
-    m_c = -(1.0 - y) / zs + y * empirical_stieltjes(esd, zs).values
+    m_c = -(1.0 - y) / zs + y * empirical_stieltjes(esd, zs)
     A = y * locs[None, :] / (1.0 + locs[None, :] * m_c[:, None])
     b = 1.0 / m_c + zs
     h, trace, steps, gap = _simplex_lsq(np.concatenate([A.real, A.imag]),

@@ -2,8 +2,8 @@
 
 Spectral distributions are purely atomic (p eigenvalues with weight 1/p
 each); density curves are tabulated on a grid with an optional point mass at
-the origin. Both expose right-continuous CDFs and left limits. The
-distances between them live in ``distances``, which needs no NumPy.
+the origin. Neither evaluates its CDF: the only CDF code is in
+``distances``, which computes the distances between them and needs no NumPy.
 Nothing here calls ``np.unique``, which loads ``numpy.ma``;
 ``sorted_unique`` takes its place.
 """
@@ -49,45 +49,9 @@ class DensityCurve:
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "law", law)
 
-    def _continuous_cdf(self, x):
-        cum = self.law.cum
-        return np.interp(np.asarray(x, dtype=float), self.xs, cum, left=0.0, right=cum[-1])
 
-    def cdf(self, x):
-        """Right-continuous CDF (atom at 0 included for x >= 0)."""
-        x = np.asarray(x, dtype=float)
-        return self._continuous_cdf(x) + self.mass_at_zero * (x >= 0.0)
-
-    def cdf_left(self, x):
-        """Left limit of the CDF."""
-        x = np.asarray(x, dtype=float)
-        return self._continuous_cdf(x) + self.mass_at_zero * (x > 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class StieltjesGrid:
-    """Stieltjes transform samples m(z) on probe points z with Im z > 0."""
-
-    zs: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        zs = np.asarray(self.zs, dtype=complex).ravel()
-        vals = np.asarray(self.values, dtype=complex).ravel()
-        if zs.size == 0 or zs.size != vals.size:
-            raise BadGridError(f"need matching nonempty grids, got {zs.size}, {vals.size}")
-        if np.any(zs.imag <= 0):
-            raise BadGridError("all probe points must have Im z > 0")
-        if not (np.all(np.isfinite(zs)) and np.all(np.isfinite(vals))):
-            raise NonFiniteError("transform grid contains NaN or infinite entries")
-        zs.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "zs", zs)
-        object.__setattr__(self, "values", vals)
-
-
-def empirical_stieltjes(dist: SpectralDistribution, zs) -> StieltjesGrid:
-    """m(z) = (1/p) sum_j 1/(lambda_j - z) on the given probe points."""
+def empirical_stieltjes(dist: SpectralDistribution, zs) -> np.ndarray:
+    """m(z) = (1/p) sum_j 1/(lambda_j - z) on the given probe points, as an array."""
     zs = np.asarray(zs, dtype=complex).ravel()
     if zs.size == 0 or np.any(zs.imag <= 0):
         raise BadGridError("probe points must be nonempty with Im z > 0")
@@ -98,7 +62,9 @@ def empirical_stieltjes(dist: SpectralDistribution, zs) -> StieltjesGrid:
         out[start : start + _STIELTJES_CHUNK] = np.mean(
             1.0 / (ev[:, None] - block[None, :]), axis=0
         )
-    return StieltjesGrid(zs, out)
+    if not (np.all(np.isfinite(zs)) and np.all(np.isfinite(out))):
+        raise NonFiniteError("transform grid contains NaN or infinite entries")
+    return out
 
 
 def sorted_unique(values) -> np.ndarray:

@@ -152,10 +152,14 @@ def two_level_weighted_curve(levels, fractions, y: float,
                         mass_at_zero=max(0.0, 1.0 - 1.0 / y))
 
 
+def mp_support(y: float, sigma2: float) -> tuple[float, float]:
+    """Bulk support endpoints a = sigma2 (1 - sqrt y)^2, b = sigma2 (1 + sqrt y)^2."""
+    return sigma2 * (1.0 - np.sqrt(y)) ** 2, sigma2 * (1.0 + np.sqrt(y)) ** 2
+
+
 def mp_density_reference(y: float, sigma2: float, x: np.ndarray) -> np.ndarray:
     """Bulk density of the square-root law, recomputed from its formula."""
-    a = sigma2 * (1.0 - np.sqrt(y)) ** 2
-    b = sigma2 * (1.0 + np.sqrt(y)) ** 2
+    a, b = mp_support(y, sigma2)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     mask = (x > max(a, 0.0)) & (x < b) if a == 0 else (x >= a) & (x <= b)
@@ -164,10 +168,26 @@ def mp_density_reference(y: float, sigma2: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def mp_law_curve(y: float, sigma2: float, points: int = 2001) -> DensityCurve:
+    """The square-root law as a DensityCurve, with its origin atom max(0, 1 - 1/y).
+
+    When a = 0 the density has an integrable inverse-square-root edge there,
+    so the grid clusters quadratically at 0. Its first node stays O(b /
+    points^2) out, or the trapezoid cell against the near-singular value
+    swamps the mass budget.
+    """
+    a, b = mp_support(y, sigma2)
+    if a > 0:
+        xs = np.linspace(a, b, points)
+    else:
+        xs = b * np.linspace(1.0 / points, 1.0, points) ** 2
+    return DensityCurve(xs, mp_density_reference(y, sigma2, xs),
+                        mass_at_zero=max(0.0, 1.0 - 1.0 / y))
+
+
 def mp_quantiles(y: float, sigma2: float, qs, points: int = 400_001) -> np.ndarray:
     """Quantiles of the square-root law by dense-grid CDF inversion."""
-    a = sigma2 * (1.0 - np.sqrt(y)) ** 2
-    b = sigma2 * (1.0 + np.sqrt(y)) ** 2
+    a, b = mp_support(y, sigma2)
     mass0 = max(0.0, 1.0 - 1.0 / y)
     # Quadratic clustering resolves the inverse-square-root edge when a = 0.
     u = np.linspace(0.0, 1.0, points)
@@ -184,6 +204,23 @@ def mp_quantiles(y: float, sigma2: float, qs, points: int = 400_001) -> np.ndarr
     return out.reshape(qs.shape)
 
 
+def cdf(dist, x, left: bool = False) -> np.ndarray:
+    """F(x), or its left limit F(x-), of a SpectralDistribution or a DensityCurve.
+
+    An ESD counts its eigenvalues with ``searchsorted``; a curve interpolates
+    its own cumulative trapezoid integral and adds the origin atom at x >= 0
+    (x > 0 for the left limit). Nothing here goes through ``distances``.
+    """
+    x = np.asarray(x, dtype=float)
+    if isinstance(dist, DensityCurve):
+        cells = 0.5 * (dist.ys[1:] + dist.ys[:-1]) * np.diff(dist.xs)
+        cum = np.concatenate([[0.0], np.cumsum(cells)])
+        at_zero = (x > 0.0) if left else (x >= 0.0)
+        return np.interp(x, dist.xs, cum, left=0.0, right=cum[-1]) + dist.mass_at_zero * at_zero
+    ev = dist.eigenvalues
+    return np.searchsorted(ev, x, side="left" if left else "right") / ev.size
+
+
 def brute_levy(f, g, tol: float = 1e-7) -> float:
     """Levy distance of two atomic distributions by brute-force bisection.
 
@@ -196,9 +233,9 @@ def brute_levy(f, g, tol: float = 1e-7) -> float:
         for a, b in ((f, g), (g, f)):
             b_atoms = np.asarray(b.eigenvalues, dtype=float)
             a_atoms = np.asarray(a.eigenvalues, dtype=float)
-            if np.any(b.cdf(b_atoms) > a.cdf(b_atoms + eps) + eps + 1e-15):
+            if np.any(cdf(b, b_atoms) > cdf(a, b_atoms + eps) + eps + 1e-15):
                 return False
-            if np.any(b.cdf_left(a_atoms - eps) > a.cdf_left(a_atoms) + eps + 1e-15):
+            if np.any(cdf(b, a_atoms - eps, True) > cdf(a, a_atoms, True) + eps + 1e-15):
                 return False
         return True
 
@@ -229,7 +266,7 @@ def dense_levy(f, g, lo: float, hi: float, points: int = 100_001, tol: float = 1
     xs = np.linspace(lo, hi, points)
 
     def ok(eps: float) -> bool:
-        return all(np.all(b.cdf(xs) <= a.cdf(xs + eps) + eps) for a, b in ((f, g), (g, f)))
+        return all(np.all(cdf(b, xs) <= cdf(a, xs + eps) + eps) for a, b in ((f, g), (g, f)))
 
     left, right = 0.0, 1.0
     if ok(left):

@@ -1,10 +1,16 @@
-"""Every public function and class in ``src/specrcv`` has a caller in the program.
+"""Every public function, class and class member in ``src/specrcv`` has a caller.
 
 A definition counts as called when code outside its own body names it: in any
 ``specrcv`` module, or anywhere under ``perfbench/``, whose tracing table
 names the functions it wraps as strings. The package ``__init__`` does not
 count, since its export table names everything, and neither do the tests, so
-an API that only tests reach fails here unless it is allow-listed below.
+an API that only tests reach fails here.
+
+Members are the public methods, properties and classmethods of public
+classes. A member's body does not count as its own caller, but the other
+members of its class do. Matching is by name, as for top-level definitions:
+a member whose name is also used for something else (``mean``, ``cdf``) counts
+as called wherever that name appears.
 """
 import ast
 from pathlib import Path
@@ -13,11 +19,6 @@ import specrcv
 
 SRC = Path(specrcv.__file__).resolve().parent
 PERFBENCH = SRC.parents[1] / "perfbench"
-
-# Reached only from tests, on purpose: the closed-form square-root law is the
-# reference that criteria 1, 2 and 5 compare against. MPLawParams, mp_support,
-# mp_density and mp_mass_at_zero are called through it.
-TEST_ONLY = {"mp_law_curve"}
 
 
 def _names(node, strings: bool) -> set[str]:
@@ -39,29 +40,53 @@ def _modules() -> dict[str, list[ast.stmt]]:
             for path in sorted(SRC.glob("*.py"))}
 
 
-def _public_definitions(modules) -> list[tuple[str, ast.stmt]]:
-    return [(module, node) for module, body in modules.items() for node in body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+def _public(nodes, kinds) -> list:
+    return [node for node in nodes if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def _units(modules) -> list[tuple[ast.stmt, ast.AST, set[str]]]:
+    """(top-level statement, part, names the part uses) for every part of the program.
+
+    A class splits into its header (decorators and bases) and its body
+    statements, so that each member's names are kept apart from the others'.
+    """
+    units = []
+    for module, body in modules.items():
+        if module == "__init__":
+            continue
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                header = [*node.decorator_list, *node.bases, *node.keywords]
+                units.append((node, node, set().union(*(_names(h, strings=False)
+                                                        for h in header))))
+                units += [(node, stmt, _names(stmt, strings=False)) for stmt in node.body]
+            else:
+                units.append((node, node, _names(node, strings=False)))
+    return units
 
 
 def _uncalled() -> list[str]:
     modules = _modules()
-    # Names used by each top-level statement, so that a definition's own body
-    # can be left out of its callers.
-    used = [(node, _names(node, strings=False))
-            for module, body in modules.items() if module != "__init__" for node in body]
+    units = _units(modules)
     bench = set()
     for path in sorted(PERFBENCH.glob("*.py")):
         bench |= _names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
-    return [f"{module}.{node.name}" for module, node in _public_definitions(modules)
-            if node.name not in bench | TEST_ONLY
-            and not any(node.name in names for other, names in used if other is not node)]
+
+    def called(name: str, skip) -> bool:
+        return name in bench or any(name in names for top, part, names in units
+                                    if not skip(top, part))
+
+    out = []
+    for module, body in modules.items():
+        for node in _public(body, (ast.FunctionDef, ast.ClassDef)):
+            if not called(node.name, lambda top, part: top is node):
+                out.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out += [f"{module}.{node.name}.{member.name}"
+                        for member in _public(node.body, ast.FunctionDef)
+                        if not called(member.name, lambda top, part: part is member)]
+    return out
 
 
 def test_every_public_definition_has_a_caller():
     assert _uncalled() == []
-
-
-def test_allow_list_names_existing_definitions():
-    assert TEST_ONLY <= {node.name for _, node in _public_definitions(_modules())}

@@ -24,13 +24,12 @@ from specrcv.mpsolve import (
     RECOVER_KKT_TOL,
     RECOVER_MAX_ITER,
     SOLVER_MAX_ITER,
-    MPLawParams,
-    mp_law_curve,
     weight_profile_from_model,
 )
 
 from .oracles import (
     mp_density_reference,
+    mp_law_curve,
     mp_quantiles,
     mp_stieltjes_quadratic,
     two_level_weighted_stieltjes,
@@ -61,7 +60,7 @@ def design1_run(tmp_path_factory):
     assert main(["estimate", "--input", str(sim / "increments_r0.csv"),
                  "--which", "both", "--out", str(est)]) == 0
     curve_path = root / "mp_curve.csv"
-    io.write_density_csv(curve_path, mp_law_curve(MPLawParams(0.1, 4e-4)),
+    io.write_density_csv(curve_path, mp_law_curve(0.1, 4e-4),
                          {"label": "limit"})
     return SimpleNamespace(
         sim=sim,
@@ -295,7 +294,7 @@ class TestSolve:
                      "--y", "1", "--out", str(tmp_path)]) == 0
         curve, _ = io.read_density_csv(tmp_path / "density.csv")
         weights = weight_profile_from_model(design_one_profile())
-        unweighted = mp_law_curve(MPLawParams(1.0, weights.mean()))
+        unweighted = mp_law_curve(1.0, weights.mean())
         assert kolmogorov_distance(curve, unweighted) > 0.1
 
     @pytest.mark.parametrize("weights,y,grid,oracle", [
@@ -724,12 +723,28 @@ class TestValidationAndWiring:
         (["solve", "--y", "0.5", "--xs=-inf:1:10"], "--xs"),
         (["solve", "--y", "0.5", "--xs", "log:1:inf:10"], "--xs"),
         (["recover", "--esd", "ESD", "--y", "0.5", "--grid", "0:inf:10"], "--grid"),
-    ], ids=["bandwidth_inf", "xs_hi_inf", "xs_lo_minus_inf", "log_xs_hi_inf", "grid_hi_inf"])
+        # Counts above the cap would each allocate hundreds of GB.
+        (["solve", "--y", "0.5", "--xs", "0.1:2:100000000000"], "--xs"),
+        (["recover", "--esd", "ESD", "--y", "0.5", "--grid", "log:0.1:2:100000000000"],
+         "--grid"),
+        (["solve", "--y", "0.5", "--xs", "1:2:abc"], "--xs '1:2:abc'"),
+        (["solve", "--y", "0.5", "--xs", "1:x:10"], "--xs '1:x:10'"),
+        (["solve", "--y", "0.5", "--spectrum", "point:abc"], "--spectrum 'point:abc'"),
+        (["solve", "--y", "0.5", "--weights", "constant:abc"], "--weights 'constant:abc'"),
+        (["solve", "--y", "0.5", "--weights", "design1:1,x"], "--weights 'design1:1,x'"),
+        (["estimate", "--input", "PANEL", "--bins", "100000000000"], "--bins"),
+    ], ids=["bandwidth_inf", "xs_hi_inf", "xs_lo_minus_inf", "log_xs_hi_inf", "grid_hi_inf",
+            "xs_count_huge", "log_grid_count_huge", "xs_count_not_integer", "xs_hi_not_number",
+            "point_spectrum_not_number", "constant_weights_not_number",
+            "design1_weights_not_number", "bins_huge"])
     def test_nonfinite_bandwidth_or_grid_end_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                                    argv, flag):
         esd_file = tmp_path / "esd.csv"
         io.write_eigenvalues_csv(esd_file, SpectralDistribution(np.linspace(0.5, 1.5, 20)), {})
-        argv = [str(esd_file) if a == "ESD" else a for a in argv]
+        panel = tmp_path / "panel.csv"
+        panel.write_text(f"# kind=increments,p=3,n=4,digest=0\ntau,x1,x2,x3\n{_PANEL_ROWS}")
+        # "ESD" and "PANEL" stand for readable input files, so only the flag is at fault.
+        argv = [{"ESD": str(esd_file), "PANEL": str(panel)}.get(a, a) for a in argv]
         capsys.readouterr()
         # A NumPy warning from building the grid would mean the check came too late.
         with warnings.catch_warnings():

@@ -9,30 +9,27 @@ from specrcv.diffusion import (
     design_one_profile,
     design_two_profile,
 )
-from specrcv.errors import BadGridError, BadProfileError
+from specrcv.errors import BadGridError, BadProfileError, NonFiniteError
 from specrcv.mpsolve import (
     RECOVER_KKT_TOL,
     SOLVER_TOL,
-    MPLawParams,
     PopulationSpectrum,
     WeightProfile,
     default_bandwidth,
     invert_stieltjes,
-    mp_density,
-    mp_law_curve,
-    mp_mass_at_zero,
-    mp_support,
     recover_spectrum,
     solve_weighted_mp_grid,
     weight_profile_from_model,
     within_tolerance,
 )
-from specrcv.spectra import StieltjesGrid, empirical_stieltjes
+from specrcv.spectra import empirical_stieltjes
 
 from .oracles import (
     mp_density_reference,
+    mp_law_curve,
     mp_quantiles,
     mp_stieltjes_quadratic,
+    mp_support,
     two_atom_stieltjes,
     two_level_weighted_stieltjes,
 )
@@ -48,6 +45,11 @@ def _solve(h, w, y, zs):
     m_fw, big_m, mt, res, its = solve_weighted_mp_grid(h, w, y, np.atleast_1d(zs))
     assert np.all(within_tolerance(res, np.abs(big_m) + np.abs(mt)))
     return m_fw, big_m, mt, its
+
+
+def _scaled(h, c):
+    """H dilated by c: atoms c tau_j with the same weights."""
+    return PopulationSpectrum(c * h.locations, h.weights)
 
 
 def _classical(h, y, z):
@@ -71,10 +73,6 @@ class TestPopulationSpectrum:
         h = PopulationSpectrum.from_esd(SpectralDistribution(np.array([1.0, 1.0, 4.0])))
         assert np.allclose(h.weights, 1.0 / 3.0)
         assert h.weights[h.locations == 1.0].sum() == pytest.approx(2.0 / 3.0)
-
-    def test_scaled_and_mean(self):
-        assert TWO_ATOM.mean() == pytest.approx(1.0)
-        assert np.array_equal(TWO_ATOM.scaled(0.5).locations, [0.2, 0.8])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -102,16 +100,17 @@ class TestWeightProfile:
         assert w.mean() == pytest.approx(2.0, abs=1e-9)
 
     def test_kappa_bound(self):
+        # A declared kappa comes only through the constructor, as from profile JSON.
         with pytest.raises(BadProfileError):
-            WeightProfile.from_steps([0.0, 1.0], [3.0], kappa=2.0)
+            WeightProfile("step", np.array([3.0]), edges=np.array([0.0, 1.0]), kappa=2.0)
         with pytest.raises(BadProfileError):
-            WeightProfile.from_samples(np.array([0.5, 1.5, 0.5]), kappa=1.0)
+            WeightProfile("sampled", np.array([0.5, 1.5, 0.5]), kappa=1.0)
 
     @pytest.mark.parametrize("kappa", [np.nan, np.inf])
     def test_kappa_must_be_finite(self, kappa):
         # NaN and inf pass the bound check values.max() > kappa.
         with pytest.raises(BadProfileError, match="kappa"):
-            WeightProfile.from_steps([0.0, 1.0], [3.0], kappa=kappa)
+            WeightProfile("step", np.array([3.0]), edges=np.array([0.0, 1.0]), kappa=kappa)
 
     def test_negative_rejected(self):
         with pytest.raises(BadProfileError):
@@ -125,55 +124,49 @@ class TestWeightProfile:
 
 
 class TestMpLaw:
+    """The closed-form square-root law in ``oracles``, the reference of criteria 1, 2 and 5."""
+
     def test_support_square_case(self):
-        assert mp_support(MPLawParams(1.0, 1.0)) == pytest.approx((0.0, 4.0))
+        assert mp_support(1.0, 1.0) == pytest.approx((0.0, 4.0))
 
     def test_support_quarter_ratio(self):
-        assert mp_support(MPLawParams(0.25, 1.0)) == pytest.approx((0.25, 2.25))
+        assert mp_support(0.25, 1.0) == pytest.approx((0.25, 2.25))
 
     def test_support_scaled(self):
-        a, b = mp_support(MPLawParams(0.1, 4e-4))
+        a, b = mp_support(0.1, 4e-4)
         assert a == pytest.approx(4e-4 * (1.0 - np.sqrt(0.1)) ** 2, rel=1e-15)
         assert b == pytest.approx(4e-4 * (1.0 + np.sqrt(0.1)) ** 2, rel=1e-15)
 
     def test_density_outside_support(self):
-        params = MPLawParams(0.25, 1.0)
-        assert mp_density(params, 0.1) == 0.0
-        assert mp_density(params, 3.0) == 0.0
-        assert mp_density(params, -1.0) == 0.0
+        assert np.array_equal(mp_density_reference(0.25, 1.0, [0.1, 3.0, -1.0]), np.zeros(3))
 
     def test_density_midpoint_value(self):
-        assert mp_density(MPLawParams(1.0, 1.0), 2.0) == pytest.approx(1.0 / (2.0 * np.pi))
+        assert mp_density_reference(1.0, 1.0, 2.0) == pytest.approx(1.0 / (2.0 * np.pi))
 
     @pytest.mark.parametrize("y,s2", [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5), (0.1, 4e-4)])
     def test_density_normalization(self, y, s2):
-        params = MPLawParams(y, s2)
-        a, b = mp_support(params)
+        a, b = mp_support(y, s2)
         # Quadratic clustering resolves the inverse-square-root edges.
         u = np.linspace(0.0, np.pi, 20001)
         xs = a + (b - a) * (1.0 - np.cos(u)) / 2.0
-        total = np.trapezoid(mp_density(params, xs), xs) + mp_mass_at_zero(params)
+        total = np.trapezoid(mp_density_reference(y, s2, xs), xs) + max(0.0, 1.0 - 1.0 / y)
         assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_mass_at_zero(self):
-        assert mp_mass_at_zero(MPLawParams(2.0, 1.0)) == pytest.approx(0.5)
-        assert mp_mass_at_zero(MPLawParams(0.5, 1.0)) == 0.0
+        assert mp_law_curve(2.0, 1.0).mass_at_zero == pytest.approx(0.5)
+        assert mp_law_curve(0.5, 1.0).mass_at_zero == 0.0
 
     def test_law_curve_integrates_to_one(self):
-        curve = mp_law_curve(MPLawParams(2.0, 0.5))
+        curve = mp_law_curve(2.0, 0.5)
         total = np.trapezoid(curve.ys, curve.xs) + curve.mass_at_zero
         assert total == pytest.approx(1.0, abs=0.01)
 
     def test_matches_reference_formula(self):
-        params = MPLawParams(0.5, 2.0)
-        xs = np.linspace(0.1, 6.0, 97)
-        assert np.allclose(mp_density(params, xs), mp_density_reference(0.5, 2.0, xs))
-
-    def test_params_validated(self):
-        with pytest.raises(ValueError):
-            MPLawParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            MPLawParams(1.0, -1.0)
+        # The formula against the other oracle, the quadratic's root just
+        # above the real axis, inside the bulk (0.172, 5.83).
+        xs = np.linspace(0.2, 5.8, 97)
+        m = np.array([mp_stieltjes_quadratic(0.5, 2.0, x + 1e-9j) for x in xs])
+        assert np.allclose(m.imag / np.pi, mp_density_reference(0.5, 2.0, xs), rtol=1e-5)
 
 
 class TestSolveMp:
@@ -224,14 +217,13 @@ class TestSolveMp:
             solve_weighted_mp_grid(h, UNIT, 0.5, np.array([complex(1.0, np.inf)]))
 
     def test_inverted_density_matches_closed_form(self):
-        params = MPLawParams(0.5, 1.0)
-        a, b = mp_support(params)
+        a, b = mp_support(0.5, 1.0)
         eps = 0.05 * (b - a)
         xs = np.linspace(a + eps, b - eps, 301)
         zs = xs + 1e-3j
         m = _solve(PopulationSpectrum.point_mass(1.0), UNIT, 0.5, zs)[0]
-        curve = invert_stieltjes(StieltjesGrid(zs, m), xs, v=1e-3)
-        sup = np.max(np.abs(curve.ys - mp_density(params, xs)))
+        curve = invert_stieltjes(m, xs, v=1e-3)
+        sup = np.max(np.abs(curve.ys - mp_density_reference(0.5, 1.0, xs)))
         assert sup <= 2e-2
 
 
@@ -255,7 +247,7 @@ class TestSolveWeightedMp:
     def test_constant_weight_is_dilation(self):
         c = 0.3
         w = WeightProfile.constant(c)
-        dilated = TWO_ATOM.scaled(c)
+        dilated = _scaled(TWO_ATOM, c)
         zs = np.array([0.2 + 0.1j, 1.0 + 0.5j])
         gap = _solve(TWO_ATOM, w, 0.8, zs)[0] - _solve(dilated, UNIT, 0.8, zs)[0]
         assert np.max(np.abs(gap)) <= 1e-8
@@ -268,8 +260,8 @@ class TestSolveWeightedMp:
         vals = np.where((s >= 0.25) & (s < 0.75), 1e-4, 7e-4)
         w_samp = WeightProfile.from_samples(vals)
         z = 5e-4 + 5e-5j
-        a = _solve(TWO_ATOM.scaled(4e-4), w_step, 1.0, z)[0][0]
-        b = _solve(TWO_ATOM.scaled(4e-4), w_samp, 1.0, z)[0][0]
+        a = _solve(_scaled(TWO_ATOM, 4e-4), w_step, 1.0, z)[0][0]
+        b = _solve(_scaled(TWO_ATOM, 4e-4), w_samp, 1.0, z)[0][0]
         assert a == pytest.approx(b, rel=1e-3)
 
     def test_two_level_profile_matches_cubic_oracle(self):
@@ -309,7 +301,7 @@ class TestSolveWeightedMp:
 
     def test_first_quadrant_on_imaginary_axis(self):
         w = weight_profile_from_model(design_one_profile())
-        h = TWO_ATOM.scaled(4e-4)
+        h = _scaled(TWO_ATOM, 4e-4)
         zs = 1j * np.array([1e-4, 1e-3, 1.0, 100.0])
         _, big_m, mt, res, _ = solve_weighted_mp_grid(h, w, 0.5, zs)
         for value in (big_m, mt):
@@ -366,26 +358,27 @@ class TestInvertStieltjes:
 
     def test_density_vanishes_off_support(self):
         v = 1e-3
-        params = MPLawParams(0.5, 10.0)
-        a, b = mp_support(params)
+        a, b = mp_support(0.5, 10.0)
         xs = np.concatenate(
             [np.linspace(max(a - 5.0, 1e-3), a - 10 * v, 50),
              np.linspace(b + 10 * v, b + 5.0, 50)]
         )
         xs = np.sort(xs)
         m = _solve(PopulationSpectrum.point_mass(10.0), UNIT, 0.5, xs + 1j * v)[0]
-        curve = invert_stieltjes(StieltjesGrid(xs + 1j * v, m), xs, v=v)
+        curve = invert_stieltjes(m, xs, v=v)
         assert np.all(curve.ys <= 5e-3)
 
     def test_validation(self):
         xs = np.array([0.0, 1.0])
-        grid = StieltjesGrid(xs + 0.1j, -1.0 / (xs + 0.1j))
+        m = -1.0 / (xs + 0.1j)
         with pytest.raises(BadGridError):
-            invert_stieltjes(grid, xs, v=0.0)
+            invert_stieltjes(m, xs, v=0.0)
         with pytest.raises(BadGridError):
-            invert_stieltjes(grid, xs[::-1], v=0.1)
-        with pytest.raises(BadGridError, match="does not match"):
-            invert_stieltjes(grid, xs, v=0.2)
+            invert_stieltjes(m, xs[::-1], v=0.1)
+        with pytest.raises(BadGridError, match="one transform value per grid point"):
+            invert_stieltjes(m[:1], xs, v=0.1)
+        with pytest.raises(NonFiniteError):
+            invert_stieltjes(np.array([m[0], complex(np.nan, 1.0)]), xs, v=0.1)
 
 
 class TestDefaultBandwidth:

@@ -11,6 +11,14 @@ settings, per-replicate seeds, per-stage timings, and SHA-256 digests of all
 emitted files; re-running a manifest reproduces the CSV outputs byte for
 byte when the BLAS thread setting matches.
 
+``simulate`` writes each panel as ``increments_r{r}.csv`` plus its binary
+twin ``increments_r{r}.npy``, and its manifest hashes both. ``estimate``
+reads each input through ``io.read_increments_csv``, which takes the rows
+from the twin when that manifest vouches for both files and parses the CSV
+otherwise; the ``estimate`` manifest's per-input diagnostics record the
+input's ``sha256`` and the ``reader`` used (``npy`` or ``csv``). The output
+files are the same either way.
+
 Each subcommand's parser is the one table of its config: every flag's
 ``dest`` is a config key and its ``default`` the key's default, the
 subcommand reads the config dict as argparse built it, and the manifest
@@ -197,7 +205,7 @@ def cmd_simulate(config: dict) -> int:
         return path, stages
 
     results = _run_parallel(run_one, len(seeds))
-    files = [path for path, _ in results]
+    files = [f for path, _ in results for f in (path, io.twin_path(path))]
     timings = {name: sum(stages[name] for _, stages in results) for name in ("draw", "write")}
     manifest = _write_run_manifest(out, "simulate", dict(config), files, seeds, timings, {},
                                    started)
@@ -234,7 +242,8 @@ def cmd_estimate(config: dict) -> int:
     for path, incr in zip(paths, increments):
         with _stage(timings, "estimate"):
             base = _cli.rcv(incr)
-            entry = {"n": incr.n, "p": incr.p, "trace_over_p_rcv": base.trace_over_p}
+            entry = {"n": incr.n, "p": incr.p, **incr.source,
+                     "trace_over_p_rcv": base.trace_over_p}
             outputs = [base] if which in ("rcv", "both") else []
             if which in ("tvarcv", "both"):
                 adjusted = _cli.tvarcv(incr)
@@ -275,33 +284,49 @@ def _number(kind: type, flag: str, text: str, part: str):
         raise BadConfigError(f"{flag} {text!r}: {part!r} is not {noun}") from None
 
 
+@contextmanager
+def _naming(flag: str, text: str):
+    """Re-raise a builder's error for the ``flag`` value ``text`` as exit 2 naming both."""
+    try:
+        yield
+    except BadConfigError:
+        raise
+    except (SpecrcvError, ValueError) as err:
+        raise BadConfigError(f"{flag} {text!r}: {err}") from None
+
+
 def _parse_spectrum(text: str) -> PopulationSpectrum:
     if text.startswith("point:"):
         loc = _number(float, "--spectrum", text, text[len("point:"):])
-        return _cli.PopulationSpectrum.point_mass(loc)
+        with _naming("--spectrum", text):
+            return _cli.PopulationSpectrum.point_mass(loc)
     path = Path(text)
     if not path.is_file():
         raise BadConfigError(f"spectrum source not found: {text}")
-    if path.suffix == ".json":
-        return io.read_spectrum_json(path)
-    dist, _ = io.read_eigenvalues_csv(path)
-    return _cli.PopulationSpectrum.from_esd(dist)
+    with _naming("--spectrum", text):
+        if path.suffix == ".json":
+            return io.read_spectrum_json(path)
+        dist, _ = io.read_eigenvalues_csv(path)
+        return _cli.PopulationSpectrum.from_esd(dist)
 
 
 def _parse_weights(text: str) -> WeightProfile:
     if text.startswith("constant:"):
         level = _number(float, "--weights", text, text[len("constant:"):])
-        return _cli.WeightProfile.constant(level)
+        with _naming("--weights", text):
+            return _cli.WeightProfile.constant(level)
     for name, builder_name in (("design1", "design_one_profile"),
                                ("design2", "design_two_profile")):
         if text == name or text.startswith(name + ":"):
             builder = getattr(_cli, builder_name)
-            if text == name:
-                return _cli.weight_profile_from_model(builder())
-            args = [_number(float, "--weights", text, v) for v in text[len(name) + 1:].split(",")]
-            if len(args) != 2:
-                raise BadConfigError(f"--weights {text!r}: {name} takes two parameters")
-            return _cli.weight_profile_from_model(builder(*args))
+            args = []
+            if text != name:
+                args = [_number(float, "--weights", text, v)
+                        for v in text[len(name) + 1:].split(",")]
+                if len(args) != 2:
+                    raise BadConfigError(f"--weights {text!r}: {name} takes two parameters")
+            with _naming("--weights", text):
+                return _cli.weight_profile_from_model(builder(*args))
     path = Path(text)
     if not path.is_file():
         raise BadConfigError(f"weight profile not recognized: {text!r}")
@@ -314,12 +339,13 @@ def _parse_weights(text: str) -> WeightProfile:
         raise BadConfigError(f"{path}: missing weight profile key {missing[0]!r}")
     import numpy as np
 
-    return _cli.WeightProfile(
-        kind=payload["kind"],
-        values=np.asarray(payload["values"], dtype=float),
-        edges=np.asarray(payload["edges"], dtype=float) if "edges" in payload else None,
-        kappa=payload.get("kappa"),
-    )
+    with _naming("--weights", text):
+        return _cli.WeightProfile(
+            kind=payload["kind"],
+            values=np.asarray(payload["values"], dtype=float),
+            edges=np.asarray(payload["edges"], dtype=float) if "edges" in payload else None,
+            kappa=payload.get("kappa"),
+        )
 
 
 def _parse_grid_spec(flag: str, text: str) -> np.ndarray:

@@ -12,7 +12,7 @@ discretization bias.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -291,6 +291,9 @@ class IncrementMatrix:
     increments: np.ndarray
     grid: ObservationGrid
     spec_digest: str = ""
+    # For a panel read from a file: the file's ``sha256`` and the ``reader``
+    # that gave the rows ("csv" or "npy"); empty for a simulated panel.
+    source: dict = field(default_factory=dict)
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)

@@ -1,4 +1,5 @@
-"""File formats: headered CSV for data, JSON for spectra and manifests.
+"""File formats: headered CSV for data, JSON for spectra and manifests, and
+a binary ``.npy`` twin beside each increments CSV.
 
 Every CSV starts with one ``#`` metadata line of ``key=value`` pairs followed
 by a column header row and one line per data row. All tables go through one
@@ -9,11 +10,20 @@ code:
   shortest decimal that parses back to the same double. Integer columns stay
   integers (``3``, not ``3.0``). With fixed newlines this makes outputs
   byte-identical across re-runs of the same configuration.
-- ``_read_table`` streams the rows of an increment panel through one
+- ``_read_body`` streams the rows of an increment panel through one
   ``np.loadtxt`` call. ``_read_columns`` reads eigenvalue and density files
   with ``float`` per cell, without NumPy. Both convert each cell with the
   correctly rounded conversion behind ``float()``, so every written double
   reads back bit for bit, subnormals and signed zeros included.
+
+Parsing panel text is the slow part of reading a panel, so
+``write_increments_csv`` also saves the same table with ``np.save`` as
+``increments_r0.npy`` beside ``increments_r0.csv``. ``read_increments_csv``
+always reads the CSV's metadata and header, but takes the rows from the twin
+only when a ``simulate`` manifest in the same directory records the SHA-256
+of both files and both still match; any other CSV is parsed. A vouched-for
+twin whose dtype or shape disagrees with the header raises
+``BadConfigError``; it is never skipped in silence.
 
 Each reader and writer imports what it builds with when called: NumPy,
 ``covmodel``, ``spectra``, ``distances``, ``diffusion`` or ``mpsolve``. So
@@ -91,27 +101,26 @@ def _read_header(handle, path) -> tuple[dict, list[str]]:
     return meta, handle.readline().rstrip("\n").split(",")
 
 
-def _read_table(path):
+def _read_body(handle, path, width: int):
+    """The remaining rows of ``handle`` as an array, through one ``np.loadtxt`` call."""
     import numpy as np
 
-    with open(path, "r", encoding="utf-8") as handle:
-        meta, header = _read_header(handle, path)
-        # loadtxt warns on a body without rows, so find the first row here.
-        for first in handle:
-            if first.strip():
-                break
-        else:
-            return meta, header, np.empty((0, len(header)))
-        try:
-            data = np.loadtxt(itertools.chain([first], handle), delimiter=",",
-                              ndmin=2, comments=None)
-        except ValueError as err:
-            raise BadConfigError(f"{path}: {err}") from None
-    if data.shape[1] != len(header):
+    # loadtxt warns on a body without rows, so find the first row here.
+    for first in handle:
+        if first.strip():
+            break
+    else:
+        return np.empty((0, width))
+    try:
+        data = np.loadtxt(itertools.chain([first], handle), delimiter=",",
+                          ndmin=2, comments=None)
+    except ValueError as err:
+        raise BadConfigError(f"{path}: {err}") from None
+    if data.shape[1] != width:
         raise BadConfigError(
-            f"{path}: rows have {data.shape[1]} columns but the header names {len(header)}"
+            f"{path}: rows have {data.shape[1]} columns but the header names {width}"
         )
-    return meta, header, data
+    return data
 
 
 def _read_columns(handle, path, width: int) -> list[list[float]]:
@@ -130,26 +139,97 @@ def _read_columns(handle, path, width: int) -> list[list[float]]:
 # increments
 
 
+def twin_path(path) -> Path:
+    """The binary twin written beside the increments CSV ``path``."""
+    return Path(path).with_suffix(".npy")
+
+
 def write_increments_csv(path, incr: IncrementMatrix) -> None:
-    """One row per interval: right endpoint tau, then the p increment entries."""
+    """One row per interval: right endpoint tau, then the p increment entries.
+
+    The same n x (p+1) float64 table also goes to ``twin_path(path)`` as
+    ``.npy``, which ``read_increments_csv`` loads in place of the CSV body
+    when a ``simulate`` manifest vouches for both files.
+    """
     import numpy as np
 
+    twin = twin_path(path)
+    if twin == Path(path):
+        raise BadConfigError(f"{path}: an increments CSV may not be named .npy")
     n, p = incr.increments.shape
     meta = {"kind": "increments", "p": p, "n": n, "digest": incr.spec_digest}
     header = ["tau"] + [f"x{j + 1}" for j in range(p)]
     table = np.column_stack([incr.grid.times[1:], incr.increments])
     # Row by row, so the panel never exists as one list of Python floats.
     _write_table(path, meta, header, (row.tolist() for row in table))
+    with open(twin, "wb") as handle:
+        np.save(handle, table, allow_pickle=False)
+
+
+def _vouched_twin(path: Path, digest: str) -> Path | None:
+    """The twin of ``path`` if it is vouched for, else None.
+
+    Vouched for means that a ``simulate`` manifest beside ``path`` records the
+    digests of both files and both files still have them.
+    """
+    twin = twin_path(path)
+    try:
+        with open(path.parent / "manifest.json", "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(manifest, dict) or manifest.get("command") != "simulate":
+        return None
+    files = manifest.get("files")
+    if (not isinstance(files, dict)
+            or files.get(path.name) != digest or twin.name not in files
+            or not twin.is_file()):
+        return None
+    return twin if sha256_file(twin) == files[twin.name] else None
+
+
+def _load_twin(twin: Path, path, n: str | None, width: int):
+    """The table in ``twin``, which must be float64 with ``n`` rows and ``width`` columns."""
+    import numpy as np
+
+    try:
+        with open(twin, "rb") as handle:
+            data = np.lib.format.read_array(handle, allow_pickle=False)
+    except (OSError, ValueError) as err:
+        raise BadConfigError(f"{twin}: twin of {path} does not load: {err}") from None
+    if data.dtype.str != "<f8" or tuple(map(str, data.shape)) != (n, str(width)):
+        raise BadConfigError(
+            f"{twin} holds {data.dtype.str} {data.shape}, but the header of {path} "
+            f"describes <f8 ({n}, {width})"
+        )
+    return data
 
 
 def read_increments_csv(path) -> IncrementMatrix:
+    """The panel in an increments CSV, its rows from the binary twin when vouched for.
+
+    The metadata line and header are always read from the CSV. The rows come
+    from ``twin_path(path)`` only when ``manifest.json`` in the same directory
+    is a ``simulate`` manifest whose ``files`` hold both names, and the CSV
+    and the twin both hash to the recorded digests; otherwise the CSV body
+    is parsed. The result's ``source`` records the CSV's SHA-256 and the
+    reader used.
+    """
     import numpy as np
 
     from .diffusion import IncrementMatrix, ObservationGrid
 
-    meta, header, data = _read_table(path)
-    if meta.get("kind") != "increments" or not header or header[0] != "tau":
-        raise BadConfigError(f"{path}: not an increments file")
+    path = Path(path)
+    digest = sha256_file(path)
+    twin = _vouched_twin(path, digest)
+    with open(path, "r", encoding="utf-8") as handle:
+        meta, header = _read_header(handle, path)
+        if meta.get("kind") != "increments" or not header or header[0] != "tau":
+            raise BadConfigError(f"{path}: not an increments file")
+        if twin is None:
+            data = _read_body(handle, path, len(header))
+        else:
+            data = _load_twin(twin, path, meta.get("n"), len(header))
     if data.shape[0] == 0 or data.shape[1] < 2:
         raise BadConfigError(f"{path}: no increment rows")
     n, p = data.shape[0], data.shape[1] - 1
@@ -159,7 +239,9 @@ def read_increments_csv(path) -> IncrementMatrix:
             f"but the rows hold p={p}, n={n}"
         )
     grid = ObservationGrid(np.concatenate([[0.0], data[:, 0]]))
-    return IncrementMatrix(data[:, 1:], grid, spec_digest=meta.get("digest", ""))
+    source = {"sha256": digest, "reader": "csv" if twin is None else "npy"}
+    return IncrementMatrix(data[:, 1:], grid, spec_digest=meta.get("digest", ""),
+                           source=source)
 
 
 # ---------------------------------------------------------------------------

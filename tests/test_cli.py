@@ -244,6 +244,97 @@ class TestEstimate:
         assert not out.exists()
 
 
+class TestBinaryTwin:
+    """``estimate`` reads simulate's ``.npy`` twin only while the manifest vouches for it."""
+
+    @pytest.fixture
+    def sim(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--design", "1", "--p", "30", "--n", "60", "--seed", "4",
+                     "--out", str(sim)]) == 0
+        return sim
+
+    @staticmethod
+    def _estimate(panel, out):
+        """Exit code, output bytes by file name, and the input's diagnostics."""
+        rc = main(["estimate", "--input", str(panel), "--bins", "10", "--out", str(out)])
+        if rc != 0:
+            return rc, {}, {}
+        outputs = {f.name: f.read_bytes() for f in out.glob("*.csv")}
+        return rc, outputs, _read_json(out / "manifest.json")["diagnostics"][panel.name]
+
+    def test_simulate_manifest_lists_the_twin(self, sim):
+        panel, twin = sim / "increments_r0.csv", sim / "increments_r0.npy"
+        files = _read_json(sim / "manifest.json")["files"]
+        assert files == {panel.name: io.sha256_file(panel), twin.name: io.sha256_file(twin)}
+        table = np.load(twin, allow_pickle=False)
+        assert table.dtype.str == "<f8" and table.shape == (60, 31)
+        incr = io.read_increments_csv(panel)
+        assert np.array_equal(table[:, 1:], incr.increments)
+        assert np.array_equal(table[:, 0], incr.grid.times[1:])
+
+    def test_outputs_match_with_and_without_the_twin(self, sim, tmp_path):
+        panel = sim / "increments_r0.csv"
+        rc, twinned, info = self._estimate(panel, tmp_path / "npy")
+        assert rc == 0 and info["reader"] == "npy"
+        assert info["sha256"] == io.sha256_file(panel)
+        # A copy elsewhere has no manifest beside it.
+        moved = tmp_path / "moved" / panel.name
+        moved.parent.mkdir()
+        moved.write_bytes(panel.read_bytes())
+        (sim / "increments_r0.npy").unlink()
+        for source, name in ((panel, "csv"), (moved, "moved")):
+            rc, parsed, info = self._estimate(source, tmp_path / f"est_{name}")
+            assert rc == 0 and info["reader"] == "csv"
+            assert info["sha256"] == io.sha256_file(panel)
+            assert len(parsed) == 4 and parsed == twinned
+
+    def test_edited_csv_is_parsed_not_twinned(self, sim, tmp_path, capsys):
+        panel = sim / "increments_r0.csv"
+        _, twinned, _ = self._estimate(panel, tmp_path / "before")
+        lines = panel.read_text().splitlines(keepends=True)
+        cells = lines[2].split(",")
+        cells[1] = repr(2.0 * float(cells[1]))
+        edited = lines[:2] + [",".join(cells)] + lines[3:]
+        panel.write_text("".join(edited))
+        rc, parsed, info = self._estimate(panel, tmp_path / "after")
+        assert rc == 0
+        assert info == {**info, "reader": "csv", "sha256": io.sha256_file(panel)}
+        rcv = "increments_r0_rcv_eigenvalues.csv"
+        assert parsed[rcv] != twinned[rcv]
+        cells[1] = "abc"
+        panel.write_text("".join(lines[:2] + [",".join(cells)] + lines[3:]))
+        capsys.readouterr()
+        assert main(["estimate", "--input", str(panel), "--out", str(tmp_path / "bad")]) == 2
+        assert str(panel) in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+    def test_overwritten_twin_is_ignored(self, sim, tmp_path):
+        panel, twin = sim / "increments_r0.csv", sim / "increments_r0.npy"
+        _, twinned, _ = self._estimate(panel, tmp_path / "before")
+        # A valid .npy of the right shape and dtype, but not the bytes simulate wrote.
+        np.save(twin, np.zeros((60, 31)), allow_pickle=False)
+        rc, parsed, info = self._estimate(panel, tmp_path / "after")
+        assert rc == 0 and info["reader"] == "csv"
+        assert parsed == twinned
+
+    @pytest.mark.parametrize("table", [np.zeros((60, 30)), np.zeros((31, 60)),
+                                       np.zeros((60, 31), dtype=np.float32)],
+                             ids=["no_tau_column", "transposed", "float32"])
+    def test_vouched_twin_that_disagrees_with_the_header_exits_2(self, sim, tmp_path, capsys,
+                                                                 table):
+        panel, twin = sim / "increments_r0.csv", sim / "increments_r0.npy"
+        np.save(twin, table, allow_pickle=False)
+        manifest = _read_json(sim / "manifest.json")
+        manifest["files"][twin.name] = io.sha256_file(twin)
+        io.write_manifest(sim / "manifest.json", manifest)
+        capsys.readouterr()
+        assert main(["estimate", "--input", str(panel), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(panel) in err and str(twin) in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSolve:
     def test_explicit_grid_matches_closed_form(self, tmp_path):
         assert main(["solve", "--spectrum", "point:1", "--weights", "constant:1",
@@ -674,7 +765,8 @@ class TestValidationAndWiring:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["weights_not_object", "weights_without_values",
-                                      "atom_without_location", "spectrum_not_object",
+                                      "weights_negative", "atom_without_location",
+                                      "spectrum_not_object", "atom_negative",
                                       *_RERUN_WITHOUT_KEY])
     def test_malformed_json_exits_2_naming_the_file(self, tmp_path, capsys, case):
         bad = tmp_path / "bad.json"
@@ -685,6 +777,12 @@ class TestValidationAndWiring:
         elif case == "weights_without_values":
             bad.write_text(json.dumps({"kind": "step", "edges": [0.0, 1.0]}))
             argv = [*solve, "--weights", str(bad)]
+        elif case == "weights_negative":
+            bad.write_text(json.dumps({"kind": "step", "values": [-1.0], "edges": [0.0, 1.0]}))
+            argv = [*solve, "--weights", str(bad)]
+        elif case == "atom_negative":
+            bad.write_text(json.dumps({"atoms": [{"location": -1.0, "weight": 1.0}]}))
+            argv = [*solve, "--spectrum", str(bad)]
         elif case == "atom_without_location":
             bad.write_text(json.dumps({"atoms": [{"weight": 1.0}]}))
             argv = [*solve, "--spectrum", str(bad)]
@@ -732,11 +830,16 @@ class TestValidationAndWiring:
         (["solve", "--y", "0.5", "--spectrum", "point:abc"], "--spectrum 'point:abc'"),
         (["solve", "--y", "0.5", "--weights", "constant:abc"], "--weights 'constant:abc'"),
         (["solve", "--y", "0.5", "--weights", "design1:1,x"], "--weights 'design1:1,x'"),
+        # In range for the parser but not for the builder.
+        (["solve", "--y", "0.5", "--spectrum", "point:-1"], "--spectrum 'point:-1'"),
+        (["solve", "--y", "0.5", "--weights", "constant:-1"], "--weights 'constant:-1'"),
+        (["solve", "--y", "0.5", "--weights", "design1:0,1"], "--weights 'design1:0,1'"),
         (["estimate", "--input", "PANEL", "--bins", "100000000000"], "--bins"),
     ], ids=["bandwidth_inf", "xs_hi_inf", "xs_lo_minus_inf", "log_xs_hi_inf", "grid_hi_inf",
             "xs_count_huge", "log_grid_count_huge", "xs_count_not_integer", "xs_hi_not_number",
             "point_spectrum_not_number", "constant_weights_not_number",
-            "design1_weights_not_number", "bins_huge"])
+            "design1_weights_not_number", "point_spectrum_negative",
+            "constant_weights_negative", "design1_weights_zero_level", "bins_huge"])
     def test_nonfinite_bandwidth_or_grid_end_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                                    argv, flag):
         esd_file = tmp_path / "esd.csv"

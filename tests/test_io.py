@@ -22,6 +22,7 @@ from specrcv.io import (
     read_manifest,
     read_spectrum_json,
     sha256_file,
+    twin_path,
     write_density_csv,
     write_eigenvalues_csv,
     write_increments_csv,
@@ -64,6 +65,7 @@ class TestIncrementsRoundTrip:
         write_increments_csv(a, incr)
         write_increments_csv(b, incr)
         assert sha256_file(a) == sha256_file(b)
+        assert sha256_file(twin_path(a)) == sha256_file(twin_path(b))
 
     def test_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "eig.csv"
@@ -182,23 +184,47 @@ EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585
                 1.7976931348623157e308, -1.7976931348623157e308]
 FINITE = st.one_of(st.sampled_from(EDGE_DOUBLES),
                    st.floats(allow_nan=False, allow_infinity=False))
+# Those, plus magnitudes near 1e300 and 1e-300 of either sign.
+PANEL_CELLS = st.one_of(FINITE, st.builds(lambda scale, x: scale * x,
+                                          st.sampled_from([1e300, -1e300, 1e-300, -1e-300]),
+                                          st.floats(0.5, 2.0)))
 
 
 def _bits(values):
     return np.ascontiguousarray(values, dtype=float).view(np.uint64)
 
 
+def _vouch(path):
+    """Write the ``simulate`` manifest that vouches for ``path`` and its twin."""
+    files = {f.name: sha256_file(f) for f in (path, twin_path(path))}
+    write_manifest(path.parent / "manifest.json",
+                   {"command": "simulate", "config": {}, "files": files})
+
+
+@st.composite
+def _panels(draw):
+    """An n x p panel, p > n and p < n alike, of arbitrary and extreme finite doubles."""
+    n, p = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    return np.reshape(draw(st.lists(PANEL_CELLS, min_size=n * p, max_size=n * p)), (n, p))
+
+
 class TestBitExactRoundTrip:
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 6), p=st.integers(1, 4), seed=st.integers(0, 99))
-    def test_increments(self, tmp_path_factory, data, n, p, seed):
-        cells = data.draw(st.lists(FINITE, min_size=n * p, max_size=n * p))
-        incr = IncrementMatrix(np.reshape(cells, (n, p)), make_grid("poisson", n, seed=seed))
+    @given(cells=_panels(), seed=st.integers(0, 99))
+    @example(cells=np.reshape(EDGE_DOUBLES + [1e300, -1e-300], (2, 5)), seed=0)
+    @example(cells=np.reshape(EDGE_DOUBLES + [-1e300, 1e-300], (5, 2)), seed=1)
+    def test_increments(self, tmp_path_factory, cells, seed):
+        """The CSV body and the vouched-for twin read back the same bits."""
+        incr = IncrementMatrix(cells, make_grid("poisson", cells.shape[0], seed=seed))
         path = tmp_path_factory.mktemp("incr") / "incr.csv"
         write_increments_csv(path, incr)
-        back = read_increments_csv(path)
-        assert np.array_equal(_bits(back.increments), _bits(incr.increments))
-        assert np.array_equal(_bits(back.grid.times), _bits(incr.grid.times))
+        parsed = read_increments_csv(path)
+        _vouch(path)
+        loaded = read_increments_csv(path)
+        assert (parsed.source["reader"], loaded.source["reader"]) == ("csv", "npy")
+        for back in (parsed, loaded):
+            assert np.array_equal(_bits(back.increments), _bits(incr.increments))
+            assert np.array_equal(_bits(back.grid.times), _bits(incr.grid.times))
 
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(FINITE, min_size=1, max_size=20))
@@ -231,6 +257,55 @@ class TestBitExactRoundTrip:
         assert np.array_equal(_bits(back.xs), _bits(curve.xs))
         assert np.array_equal(_bits(back.ys), _bits(curve.ys))
         assert _bits([back.mass_at_zero]) == _bits([mass])
+
+
+class TestTwinRule:
+    """The rows come from the twin only while a ``simulate`` manifest vouches for both files."""
+
+    @pytest.fixture
+    def panel(self, tmp_path):
+        spec = ClassCSpec(p=3, profile=ConstantProfile(0.02), seed=5)
+        path = tmp_path / "increments_r0.csv"
+        write_increments_csv(path, simulate_increments(spec, make_grid("poisson", 17, seed=2)))
+        _vouch(path)
+        return path
+
+    def test_vouched_twin_is_read(self, panel):
+        back = read_increments_csv(panel)
+        assert back.source == {"sha256": sha256_file(panel), "reader": "npy"}
+        assert np.array_equal(np.load(twin_path(panel))[:, 1:], back.increments)
+
+    @pytest.mark.parametrize("change", ["other_command", "csv_not_listed", "twin_not_listed",
+                                        "files_not_object", "manifest_not_object",
+                                        "manifest_not_json", "no_manifest", "no_twin"])
+    def test_any_other_case_parses_the_csv(self, panel, change):
+        manifest_path = panel.parent / "manifest.json"
+        manifest = read_manifest(manifest_path)
+        if change == "other_command":
+            manifest["command"] = "estimate"
+        elif change == "csv_not_listed":
+            del manifest["files"][panel.name]
+        elif change == "twin_not_listed":
+            del manifest["files"][twin_path(panel).name]
+        elif change == "files_not_object":
+            manifest["files"] = sorted(manifest["files"])
+        elif change == "manifest_not_object":
+            manifest = [manifest]
+        write_manifest(manifest_path, manifest)
+        if change == "manifest_not_json":
+            manifest_path.write_text("{")
+        elif change == "no_manifest":
+            manifest_path.unlink()
+        elif change == "no_twin":
+            twin_path(panel).unlink()
+        back = read_increments_csv(panel)
+        assert back.source == {"sha256": sha256_file(panel), "reader": "csv"}
+
+    def test_twin_may_not_overwrite_the_csv(self, tmp_path):
+        incr = IncrementMatrix(np.ones((2, 2)), make_grid("equispaced", 2))
+        with pytest.raises(BadConfigError):
+            write_increments_csv(tmp_path / "incr.npy", incr)
+        assert not (tmp_path / "incr.npy").exists()
 
 
 def _golden_files(root):

@@ -36,27 +36,26 @@ adds ``covmodel``, ``spectra``, ``distances`` and ``mpsolve``, and
 from those modules are resolved as attributes of this module on first use.
 No subcommand loads ``numpy.ma``.
 
+``specs`` turns the spec strings of ``--spectrum``, ``--weights``, ``--xs``,
+``--grid`` and ``--lambda-file`` into objects through ``parse_spec``, the one
+place where a bad spec becomes exit 2 naming its flag. ``solve`` always loads
+it; ``recover --grid``, ``simulate --lambda-file`` and ``estimate --bins``
+(for the point cap ``MAX_POINTS``) load it too.
+
 Exit codes: 0 success, 1 compare threshold exceeded, 2 bad configuration or
 input, 3 numerical non-convergence.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__, _lazy_getattr, io
 from .errors import BadConfigError, SpecrcvError
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .mpsolve import PopulationSpectrum, WeightProfile
 
 # Names from the modules that only some subcommands run. Each is imported on
 # first access as an attribute of this module, and call sites look it up
@@ -67,10 +66,10 @@ __getattr__ = _lazy_getattr(globals(), __package__, {
                   "simulate_increments"),
     "distances": ("kolmogorov_distance", "levy_distance", "mass_gap"),
     "estimators": ("rcv", "tvarcv"),
-    "mpsolve": ("RECOVER_MAX_ITER", "PopulationSpectrum", "WeightProfile", "default_bandwidth",
-                "invert_stieltjes", "recover_spectrum", "solve_weighted_mp_grid",
-                "weight_profile_from_model", "within_tolerance"),
+    "mpsolve": ("RECOVER_MAX_ITER", "default_bandwidth", "invert_stieltjes", "recover_spectrum",
+                "solve_weighted_mp_grid", "within_tolerance"),
     "spectra": ("DensityCurve", "histogram", "zero_roundoff"),
+    "specs": ("MAX_POINTS", "parse_spec"),
 })
 _cli = sys.modules[__name__]
 
@@ -80,10 +79,6 @@ _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _GRID_SEED_SALT = 0x9E3779B97F4A7C15
 # BLAS threads change the summation order of matrix products and eigvalsh.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-# Cap on the point counts of --xs and --grid and on --bins. A 513-node
-# sampled-profile solve holds a few (513 x count) complex temporaries, each
-# under 82 MB at this cap.
-_MAX_POINTS = 10_000
 
 
 def thread_count() -> int:
@@ -173,9 +168,7 @@ def cmd_simulate(config: dict) -> int:
         raise BadConfigError(f"seed must be a 64-bit nonnegative integer, got {seed}")
     lam = None
     if config["lambda_file"] is not None:
-        import numpy as np
-
-        lam = np.loadtxt(config["lambda_file"], delimiter=",", ndmin=2)
+        lam = _cli.parse_spec("--lambda-file", config["lambda_file"])
     if design == "design1":
         profile = _cli.design_one_profile(config["a"], config["b"])
     else:
@@ -228,8 +221,8 @@ def cmd_estimate(config: dict) -> int:
                                  f"{path.stem!r}, so their outputs would overwrite each other")
         seen[path.stem] = path
     bins = config.get("bins")
-    if bins is not None and not 1 <= bins <= _MAX_POINTS:
-        raise BadConfigError(f"--bins must be between 1 and {_MAX_POINTS}, got {bins}")
+    if bins is not None and not 1 <= bins <= _cli.MAX_POINTS:
+        raise BadConfigError(f"--bins must be between 1 and {_cli.MAX_POINTS}, got {bins}")
     timings = {}
     started = time.perf_counter()
     # Read every input up front so a bad file cannot leave partial outputs.
@@ -275,105 +268,11 @@ def cmd_estimate(config: dict) -> int:
     return 0
 
 
-def _number(kind: type, flag: str, text: str, part: str):
-    """``kind(part)`` for a part of the ``flag`` value ``text``; exit 2 naming both if it fails."""
-    try:
-        return kind(part)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise BadConfigError(f"{flag} {text!r}: {part!r} is not {noun}") from None
-
-
-@contextmanager
-def _naming(flag: str, text: str):
-    """Re-raise a builder's error for the ``flag`` value ``text`` as exit 2 naming both."""
-    try:
-        yield
-    except BadConfigError:
-        raise
-    except (SpecrcvError, ValueError) as err:
-        raise BadConfigError(f"{flag} {text!r}: {err}") from None
-
-
-def _parse_spectrum(text: str) -> PopulationSpectrum:
-    if text.startswith("point:"):
-        loc = _number(float, "--spectrum", text, text[len("point:"):])
-        with _naming("--spectrum", text):
-            return _cli.PopulationSpectrum.point_mass(loc)
-    path = Path(text)
-    if not path.is_file():
-        raise BadConfigError(f"spectrum source not found: {text}")
-    with _naming("--spectrum", text):
-        if path.suffix == ".json":
-            return io.read_spectrum_json(path)
-        dist, _ = io.read_eigenvalues_csv(path)
-        return _cli.PopulationSpectrum.from_esd(dist)
-
-
-def _parse_weights(text: str) -> WeightProfile:
-    if text.startswith("constant:"):
-        level = _number(float, "--weights", text, text[len("constant:"):])
-        with _naming("--weights", text):
-            return _cli.WeightProfile.constant(level)
-    for name, builder_name in (("design1", "design_one_profile"),
-                               ("design2", "design_two_profile")):
-        if text == name or text.startswith(name + ":"):
-            builder = getattr(_cli, builder_name)
-            args = []
-            if text != name:
-                args = [_number(float, "--weights", text, v)
-                        for v in text[len(name) + 1:].split(",")]
-                if len(args) != 2:
-                    raise BadConfigError(f"--weights {text!r}: {name} takes two parameters")
-            with _naming("--weights", text):
-                return _cli.weight_profile_from_model(builder(*args))
-    path = Path(text)
-    if not path.is_file():
-        raise BadConfigError(f"weight profile not recognized: {text!r}")
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise BadConfigError(f"{path}: weight profile must be a JSON object")
-    missing = [key for key in ("kind", "values") if key not in payload]
-    if missing:
-        raise BadConfigError(f"{path}: missing weight profile key {missing[0]!r}")
-    import numpy as np
-
-    with _naming("--weights", text):
-        return _cli.WeightProfile(
-            kind=payload["kind"],
-            values=np.asarray(payload["values"], dtype=float),
-            edges=np.asarray(payload["edges"], dtype=float) if "edges" in payload else None,
-            kappa=payload.get("kappa"),
-        )
-
-
-def _parse_grid_spec(flag: str, text: str) -> np.ndarray:
-    import numpy as np
-
-    parts = text.split(":")
-    logspace = parts and parts[0] == "log"
-    if logspace:
-        parts = parts[1:]
-    if len(parts) != 3:
-        raise BadConfigError(f"{flag} must be [log:]lo:hi:count, got {text!r}")
-    lo, hi = _number(float, flag, text, parts[0]), _number(float, flag, text, parts[1])
-    count = _number(int, flag, text, parts[2])
-    if not (2 <= count <= _MAX_POINTS and np.isfinite(lo) and np.isfinite(hi) and hi > lo):
-        raise BadConfigError(f"{flag} needs finite lo < hi and 2 <= count <= {_MAX_POINTS}, "
-                             f"got {text!r}")
-    if logspace:
-        if lo <= 0:
-            raise BadConfigError(f"{flag} log grid needs lo > 0, got {lo}")
-        return np.geomspace(lo, hi, count)
-    return np.linspace(lo, hi, count)
-
-
 def cmd_solve(config: dict) -> int:
     import numpy as np
 
-    spectrum = _parse_spectrum(config["spectrum"])
-    weights = _parse_weights(config["weights"])
+    spectrum = _cli.parse_spec("--spectrum", config["spectrum"])
+    weights = _cli.parse_spec("--weights", config["weights"])
     y = float(config["y"])
     if not (np.isfinite(y) and y > 0):
         raise BadConfigError(f"y must be positive, got {y}")
@@ -385,7 +284,7 @@ def cmd_solve(config: dict) -> int:
     zero_weight = float(np.sum(spectrum.weights[spectrum.locations == 0.0]))
     zero_mass = max(0.0, 1.0 - min(1.0 / y, 1.0 - zero_weight))
     if config.get("xs"):
-        xs = _parse_grid_spec("--xs", config["xs"])
+        xs = _cli.parse_spec("--xs", config["xs"])
         v = (bandwidth if bandwidth is not None
              else _cli.default_bandwidth(float(xs[0]), float(xs[-1])))
     else:
@@ -476,7 +375,7 @@ def cmd_recover(config: dict) -> int:
     with _stage(timings, "read"):
         dist, _ = io.read_eigenvalues_csv(Path(config["esd"]))
     if config.get("grid"):
-        grid = _parse_grid_spec("--grid", config["grid"])
+        grid = _cli.parse_spec("--grid", config["grid"])
     else:
         scale = float(np.mean(dist.eigenvalues))
         grid = np.linspace(0.05 * scale, 3.0 * scale, 60) if scale > 0 else np.array([0.0])

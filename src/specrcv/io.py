@@ -383,17 +383,17 @@ def read_spectrum_json(path) -> PopulationSpectrum:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
-        raise BadConfigError(f"{path}: spectrum file must hold a JSON object")
+        raise BadConfigError("spectrum file must hold a JSON object")
     atoms = payload.get("atoms")
     if not atoms:
-        raise BadConfigError(f"{path}: no atoms in spectrum file")
-    try:
-        locs = np.array([a["location"] for a in atoms], dtype=float)
-        wts = np.array([a["weight"] for a in atoms], dtype=float)
-    except (KeyError, TypeError):
-        raise BadConfigError(f"{path}: each atom must be an object with a location "
-                             "and a weight") from None
-    return PopulationSpectrum(locs, wts)
+        raise BadConfigError("no atoms in spectrum file")
+    if not (isinstance(atoms, list) and all(
+            isinstance(a, dict) and type(a.get("location")) in (int, float)
+            and type(a.get("weight")) in (int, float) for a in atoms)):
+        raise BadConfigError("atoms must be a list of objects, each with a number for its "
+                             "location and its weight")
+    return PopulationSpectrum(np.array([a["location"] for a in atoms], dtype=float),
+                              np.array([a["weight"] for a in atoms], dtype=float))
 
 
 # ---------------------------------------------------------------------------

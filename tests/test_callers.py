@@ -2,9 +2,8 @@
 
 A definition counts as called when code outside its own body names it: in any
 ``specrcv`` module, or anywhere under ``perfbench/``, whose tracing table
-names the functions it wraps as strings. The package ``__init__`` does not
-count, since its export table names everything, and neither do the tests, so
-an API that only tests reach fails here.
+names the functions it wraps as strings. The tests do not count, so an API
+that only tests reach fails here.
 
 Members are the public methods, properties and classmethods of public
 classes. A member's body does not count as its own caller, but the other
@@ -52,8 +51,6 @@ def _units(modules) -> list[tuple[ast.stmt, ast.AST, set[str]]]:
     """
     units = []
     for module, body in modules.items():
-        if module == "__init__":
-            continue
         for node in body:
             if isinstance(node, ast.ClassDef):
                 header = [*node.decorator_list, *node.bases, *node.keywords]

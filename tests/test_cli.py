@@ -712,6 +712,22 @@ def _small_run(root, command):
     return out / "manifest.json"
 
 
+# Profile JSONs that are JSON objects but no weight profile: values, edges or
+# kappa that are not finite numbers (a JSON integer may exceed any float), and
+# a misspelled key.
+_BAD_PROFILES = {
+    "weights_values_object": {"kind": "step", "values": {"a": 1}, "edges": [0.0, 1.0]},
+    "weights_edges_object": {"kind": "step", "values": [1.0], "edges": {"x": 1}},
+    "weights_misspelled_kappa": {"kind": "step", "values": [1.0], "edges": [0.0, 1.0],
+                                 "kapa": 5},
+    "weights_value_string": {"kind": "step", "values": ["1.5"], "edges": [0.0, 1.0]},
+    "weights_kappa_string": {"kind": "step", "values": [1.0], "edges": [0.0, 1.0],
+                             "kappa": "5"},
+    "weights_edge_nan": {"kind": "step", "values": [1.0, 2.0],
+                         "edges": [0.0, float("nan"), 1.0]},
+    "weights_value_huge_integer": {"kind": "step", "values": [10**400], "edges": [0.0, 1.0]},
+}
+
 # Config keys deleted from a manifest: a required one, and two that have defaults.
 _RERUN_WITHOUT_KEY = {"rerun_config_without_key": ("solve", "spectrum"),
                       "rerun_config_without_grid": ("simulate", "grid"),
@@ -765,7 +781,8 @@ class TestValidationAndWiring:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["weights_not_object", "weights_without_values",
-                                      "weights_negative", "atom_without_location",
+                                      "weights_negative", *_BAD_PROFILES,
+                                      "atom_without_location", "atom_location_string",
                                       "spectrum_not_object", "atom_negative",
                                       *_RERUN_WITHOUT_KEY])
     def test_malformed_json_exits_2_naming_the_file(self, tmp_path, capsys, case):
@@ -780,11 +797,17 @@ class TestValidationAndWiring:
         elif case == "weights_negative":
             bad.write_text(json.dumps({"kind": "step", "values": [-1.0], "edges": [0.0, 1.0]}))
             argv = [*solve, "--weights", str(bad)]
+        elif case in _BAD_PROFILES:
+            bad.write_text(json.dumps(_BAD_PROFILES[case]))
+            argv = [*solve, "--weights", str(bad)]
         elif case == "atom_negative":
             bad.write_text(json.dumps({"atoms": [{"location": -1.0, "weight": 1.0}]}))
             argv = [*solve, "--spectrum", str(bad)]
         elif case == "atom_without_location":
             bad.write_text(json.dumps({"atoms": [{"weight": 1.0}]}))
+            argv = [*solve, "--spectrum", str(bad)]
+        elif case == "atom_location_string":
+            bad.write_text(json.dumps({"atoms": [{"location": "1.5", "weight": 1.0}]}))
             argv = [*solve, "--spectrum", str(bad)]
         elif case == "spectrum_not_object":
             bad.write_text("[{\"location\": 1.0, \"weight\": 1.0}]")
@@ -799,6 +822,10 @@ class TestValidationAndWiring:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert str(bad) in err
+        if case in _BAD_PROFILES or case == "atom_location_string":
+            assert not (tmp_path / "out").exists()
+        if case in _BAD_PROFILES:
+            assert "--weights" in err
         if case in _RERUN_WITHOUT_KEY:
             assert repr(key) in err
         assert not (tmp_path / "again").exists()
@@ -835,19 +862,28 @@ class TestValidationAndWiring:
         (["solve", "--y", "0.5", "--weights", "constant:-1"], "--weights 'constant:-1'"),
         (["solve", "--y", "0.5", "--weights", "design1:0,1"], "--weights 'design1:0,1'"),
         (["estimate", "--input", "PANEL", "--bins", "100000000000"], "--bins"),
+        (["simulate", "--design", "1", "--p", "3", "--n", "10", "--lambda-file", "LAMBDA"],
+         "--lambda-file"),
+        (["simulate", "--design", "1", "--p", "3", "--n", "10", "--lambda-file",
+          "does_not_exist.csv"], "--lambda-file 'does_not_exist.csv'"),
     ], ids=["bandwidth_inf", "xs_hi_inf", "xs_lo_minus_inf", "log_xs_hi_inf", "grid_hi_inf",
             "xs_count_huge", "log_grid_count_huge", "xs_count_not_integer", "xs_hi_not_number",
             "point_spectrum_not_number", "constant_weights_not_number",
             "design1_weights_not_number", "point_spectrum_negative",
-            "constant_weights_negative", "design1_weights_zero_level", "bins_huge"])
+            "constant_weights_negative", "design1_weights_zero_level", "bins_huge",
+            "lambda_file_not_number", "lambda_file_missing"])
     def test_nonfinite_bandwidth_or_grid_end_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                                    argv, flag):
         esd_file = tmp_path / "esd.csv"
         io.write_eigenvalues_csv(esd_file, SpectralDistribution(np.linspace(0.5, 1.5, 20)), {})
         panel = tmp_path / "panel.csv"
         panel.write_text(f"# kind=increments,p=3,n=4,digest=0\ntau,x1,x2,x3\n{_PANEL_ROWS}")
-        # "ESD" and "PANEL" stand for readable input files, so only the flag is at fault.
-        argv = [{"ESD": str(esd_file), "PANEL": str(panel)}.get(a, a) for a in argv]
+        loading = tmp_path / "lambda.csv"
+        loading.write_text("1,0,0\n0,x,0\n0,0,1\n")
+        # "ESD" and "PANEL" stand for readable input files, so only the flag is at fault;
+        # "LAMBDA" is a loading matrix with a non-numeric cell.
+        argv = [{"ESD": str(esd_file), "PANEL": str(panel), "LAMBDA": str(loading)}.get(a, a)
+                for a in argv]
         capsys.readouterr()
         # A NumPy warning from building the grid would mean the check came too late.
         with warnings.catch_warnings():

@@ -1,6 +1,6 @@
 """Lazy loading: what each subcommand imports, and the contracts it keeps.
 
-The package resolves its exports on first access, and ``specrcv.cli`` loads
+The package imports no submodule, and ``specrcv.cli`` loads
 ``covmodel``, ``spectra``, ``distances``, ``diffusion``, ``estimators`` and
 ``mpsolve`` only when a subcommand calls into them; ``compare``,
 ``--version`` and ``--help`` run without NumPy. Names stay reachable as
@@ -163,16 +163,6 @@ class TestSubcommandImports:
 
 
 class TestPackageExports:
-    def test_every_export_resolves_to_its_home_object(self):
-        listing = dir(specrcv)
-        for name in specrcv.__all__:
-            value = getattr(specrcv, name)
-            assert name in listing
-            if name == "__version__":
-                continue
-            assert value.__module__.startswith("specrcv.")
-            assert getattr(sys.modules[value.__module__], name) is value
-
     @pytest.mark.parametrize("module", [specrcv, cli], ids=["specrcv", "cli"])
     def test_unknown_attribute_raises(self, module):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -6,10 +6,13 @@ files, ``estimate`` turns them into eigenvalue and histogram files,
 weight profile, ``recover`` fits a population spectrum to an observed ESD,
 ``compare`` scores two spectral files against each other, and ``rerun``
 replays any of the above from its manifest. Every run directory gets a
-manifest.json recording the config, the Python and NumPy versions and thread
-settings, per-replicate seeds, per-stage timings, and SHA-256 digests of all
-emitted files; re-running a manifest reproduces the CSV outputs byte for
-byte when the BLAS thread setting matches.
+manifest.json recording the config, the Python and NumPy versions and BLAS
+thread settings, per-replicate seeds, per-stage timings, and SHA-256 digests
+of all emitted files; re-running a manifest reproduces the CSV outputs byte
+for byte when the BLAS thread setting matches. No subcommand starts threads
+of its own: ``simulate`` draws and writes its replicates one after the other,
+so its ``draw``, ``write`` and ``digest`` stage times add up to at most its
+``total``.
 
 ``simulate`` writes each panel as ``increments_r{r}.csv`` plus its binary
 twin ``increments_r{r}.npy``, and its manifest hashes both. ``estimate``
@@ -81,32 +84,8 @@ _GRID_SEED_SALT = 0x9E3779B97F4A7C15
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def thread_count() -> int:
-    """Replicate-level parallelism, capped by the SPECRCV_THREADS env var."""
-    raw = os.environ.get("SPECRCV_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise BadConfigError(f"SPECRCV_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise BadConfigError(f"SPECRCV_THREADS must be >= 1, got {value}")
-    return value
-
-
 def replicate_seed(seed: int, r: int) -> int:
     return (seed ^ r) & _SEED_MASK
-
-
-def _run_parallel(fn, count: int) -> list:
-    workers = min(thread_count(), count)
-    if workers <= 1:
-        return [fn(r) for r in range(count)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 @contextmanager
@@ -126,7 +105,7 @@ def _environment() -> dict:
     return {
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
-        **{name: os.environ.get(name) for name in (*_BLAS_THREAD_VARS, "SPECRCV_THREADS")},
+        **{name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
     }
 
 
@@ -173,33 +152,34 @@ def cmd_simulate(config: dict) -> int:
         profile = _cli.design_one_profile(config["a"], config["b"])
     else:
         profile = _cli.design_two_profile(config["c0"], config["c1"])
+    # The spec checks p, Lambda and the drift before anything is written. Each
+    # is tried on its own, so that its error names its flag.
+    for flag, text, field in (("--p", config["p"], {}),
+                              ("--lambda-file", config["lambda_file"], {"lam": lam}),
+                              ("--drift", config["drift"], {"drift": config["drift"]})):
+        try:
+            _cli.ClassCSpec(p=config["p"], profile=profile, **field)
+        except SpecrcvError as err:
+            raise BadConfigError(f"{flag} {text!r}: {err}") from None
     seeds = [replicate_seed(seed, r) for r in range(config["replicates"])]
-    # Resolved once, before any worker thread starts.
-    make_grid, ClassCSpec, simulate_increments = (
-        _cli.make_grid, _cli.ClassCSpec, _cli.simulate_increments)
-    # The spec checks p, the drift and Lambda's shape before anything is written.
-    ClassCSpec(p=config["p"], profile=profile, lam=lam, drift=config["drift"], seed=seeds[0])
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
+    timings = {}
     started = time.perf_counter()
-
-    def run_one(r: int) -> tuple[Path, dict]:
-        # Replicates may run on worker threads, so each keeps its own stage times.
-        stages = {}
-        with _stage(stages, "draw"):
-            grid = make_grid(grid_kind, config["n"],
-                             seed=(seeds[r] ^ _GRID_SEED_SALT) & _SEED_MASK)
-            spec = ClassCSpec(p=config["p"], profile=profile, lam=lam, drift=config["drift"],
-                              seed=seeds[r])
-            incr = simulate_increments(spec, grid)
+    files = []
+    for r, replicate in enumerate(seeds):
+        with _stage(timings, "draw"):
+            grid = _cli.make_grid(grid_kind, config["n"],
+                                  seed=(replicate ^ _GRID_SEED_SALT) & _SEED_MASK)
+            spec = _cli.ClassCSpec(p=config["p"], profile=profile, lam=lam,
+                                   drift=config["drift"], seed=replicate)
+            incr = _cli.simulate_increments(spec, grid)
         path = out / f"increments_r{r}.csv"
-        with _stage(stages, "write"):
+        with _stage(timings, "write"):
             io.write_increments_csv(path, incr)
-        return path, stages
-
-    results = _run_parallel(run_one, len(seeds))
-    files = [f for path, _ in results for f in (path, io.twin_path(path))]
-    timings = {name: sum(stages[name] for _, stages in results) for name in ("draw", "write")}
+        # Free this panel before the next one is drawn.
+        del incr
+        files += [path, io.twin_path(path)]
     manifest = _write_run_manifest(out, "simulate", dict(config), files, seeds, timings, {},
                                    started)
     print(manifest)

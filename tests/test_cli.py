@@ -115,15 +115,14 @@ class TestSimulate:
         manifest = _read_json(tmp_path / "manifest.json")
         assert manifest["replicate_seeds"] == [2 ^ 0, 2 ^ 1, 2 ^ 2]
 
-    def test_manifest_timings_cover_every_stage(self, tmp_path, monkeypatch):
-        # One thread, so the stage times summed over replicates fit in the wall time.
-        monkeypatch.setenv("SPECRCV_THREADS", "1")
+    def test_manifest_timings_cover_every_stage(self, tmp_path):
+        # Replicates run one after the other, so their summed stage times fit in the total.
         assert main(["simulate", "--design", "1", "--p", "20", "--n", "200",
-                     "--replicates", "2", "--out", str(tmp_path)]) == 0
+                     "--replicates", "3", "--out", str(tmp_path)]) == 0
         timings = _read_json(tmp_path / "manifest.json")["timings_s"]
         stages = [timings[name] for name in ("draw", "write", "digest")]
         assert all(t > 0.0 for t in stages)
-        assert timings["total"] >= sum(stages)
+        assert timings["draw"] + timings["write"] + timings["digest"] <= timings["total"]
 
     def test_rerun_reproduces_bytes(self, design1_run, tmp_path):
         assert main(["rerun", "--manifest", str(design1_run.sim / "manifest.json"),
@@ -135,7 +134,8 @@ class TestSimulate:
         env = design1_run.sim_manifest["environment"]
         assert env["numpy"] == np.__version__
         assert env["python"] == ".".join(map(str, sys.version_info[:3]))
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "SPECRCV_THREADS"):
+        assert set(env) == {"python", "numpy", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             assert env[name] == os.environ.get(name)
 
     def test_rerun_warns_once_when_blas_threads_differ(self, tmp_path, monkeypatch, capsys):
@@ -153,6 +153,18 @@ class TestSimulate:
         warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
         assert len(warnings) == 1
         assert "OPENBLAS_NUM_THREADS=1 now 2" in warnings[0]
+
+    def test_rerun_accepts_a_recorded_replicate_thread_cap(self, design1_run, tmp_path, capsys):
+        # Manifests from before the serial replicate loop also record SPECRCV_THREADS.
+        manifest = dict(design1_run.sim_manifest)
+        manifest["environment"] = {**manifest["environment"], "SPECRCV_THREADS": "2"}
+        old = tmp_path / "manifest.json"
+        old.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(old), "--out", str(tmp_path / "again")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        replay = (tmp_path / "again" / "increments_r0.csv").read_bytes()
+        assert replay == design1_run.increments.read_bytes()
 
 
 class TestEstimate:
@@ -205,7 +217,7 @@ class TestEstimate:
         assert all(t > 0.0 for t in stages)
         assert timings["total"] >= sum(stages)
 
-    def test_wide_panel_reruns_byte_identical_across_threads(self, tmp_path, monkeypatch):
+    def test_wide_panel_reruns_byte_identical(self, tmp_path):
         # p > n takes the spectrum from the n x n Gram side.
         sim, est = tmp_path / "sim", tmp_path / "est"
         assert main(["simulate", "--design", "1", "--p", "120", "--n", "40",
@@ -215,13 +227,10 @@ class TestEstimate:
                      "--out", str(est)]) == 0
         names = sorted(f.name for f in est.glob("*.csv"))
         assert len(names) == 12
-        for threads in ("1", "2", "8"):
-            monkeypatch.setenv("SPECRCV_THREADS", threads)
-            out = tmp_path / f"est_t{threads}"
-            assert main(["rerun", "--manifest", str(est / "manifest.json"),
-                         "--out", str(out)]) == 0
-            for name in names:
-                assert (out / name).read_bytes() == (est / name).read_bytes()
+        out = tmp_path / "again"
+        assert main(["rerun", "--manifest", str(est / "manifest.json"), "--out", str(out)]) == 0
+        for name in names:
+            assert (out / name).read_bytes() == (est / name).read_bytes()
 
     def test_unreadable_input_leaves_no_partial_outputs(self, design1_run, tmp_path):
         out = tmp_path / "est"
@@ -866,24 +875,37 @@ class TestValidationAndWiring:
          "--lambda-file"),
         (["simulate", "--design", "1", "--p", "3", "--n", "10", "--lambda-file",
           "does_not_exist.csv"], "--lambda-file 'does_not_exist.csv'"),
+        # Parsed, but rejected by the simulator's own checks.
+        (["simulate", "--design", "1", "--p", "3", "--n", "10", "--lambda-file", "LAMBDA4"],
+         "--lambda-file 'LAMBDA4'"),
+        (["simulate", "--design", "1", "--p", "3", "--n", "10", "--lambda-file", "LAMBDANAN"],
+         "--lambda-file 'LAMBDANAN'"),
+        (["simulate", "--design", "1", "--p", "3", "--n", "10", "--drift", "11"], "--drift 11.0"),
+        (["simulate", "--design", "1", "--p", "3", "--n", "10", "--drift", "nan"], "--drift nan"),
     ], ids=["bandwidth_inf", "xs_hi_inf", "xs_lo_minus_inf", "log_xs_hi_inf", "grid_hi_inf",
             "xs_count_huge", "log_grid_count_huge", "xs_count_not_integer", "xs_hi_not_number",
             "point_spectrum_not_number", "constant_weights_not_number",
             "design1_weights_not_number", "point_spectrum_negative",
             "constant_weights_negative", "design1_weights_zero_level", "bins_huge",
-            "lambda_file_not_number", "lambda_file_missing"])
+            "lambda_file_not_number", "lambda_file_missing", "lambda_file_wrong_shape",
+            "lambda_file_nan_cell", "drift_too_large", "drift_nan"])
     def test_nonfinite_bandwidth_or_grid_end_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                                    argv, flag):
         esd_file = tmp_path / "esd.csv"
         io.write_eigenvalues_csv(esd_file, SpectralDistribution(np.linspace(0.5, 1.5, 20)), {})
         panel = tmp_path / "panel.csv"
         panel.write_text(f"# kind=increments,p=3,n=4,digest=0\ntau,x1,x2,x3\n{_PANEL_ROWS}")
-        loading = tmp_path / "lambda.csv"
-        loading.write_text("1,0,0\n0,x,0\n0,0,1\n")
         # "ESD" and "PANEL" stand for readable input files, so only the flag is at fault;
-        # "LAMBDA" is a loading matrix with a non-numeric cell.
-        argv = [{"ESD": str(esd_file), "PANEL": str(panel), "LAMBDA": str(loading)}.get(a, a)
-                for a in argv]
+        # "LAMBDA*" are loading matrices with a non-numeric cell, the wrong shape or a NaN.
+        files = {"ESD": str(esd_file), "PANEL": str(panel)}
+        for key, rows in (("LAMBDA", "1,0,0\n0,x,0\n0,0,1\n"),
+                          ("LAMBDA4", "1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n"),
+                          ("LAMBDANAN", "1,0,0\n0,nan,0\n0,0,1\n")):
+            path = tmp_path / f"{key.lower()}.csv"
+            path.write_text(rows)
+            files[key] = str(path)
+            flag = flag.replace(repr(key), repr(files[key]))
+        argv = [files.get(a, a) for a in argv]
         capsys.readouterr()
         # A NumPy warning from building the grid would mean the check came too late.
         with warnings.catch_warnings():
@@ -926,16 +948,18 @@ class TestValidationAndWiring:
                    "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_thread_cap_env_is_validated(self, tmp_path, monkeypatch):
+    def test_replicate_thread_env_var_is_ignored(self, tmp_path, monkeypatch):
         argv = ["simulate", "--design", "1", "--p", "3", "--n", "20",
                 "--replicates", "2", "--seed", "9"]
-        monkeypatch.setenv("SPECRCV_THREADS", "not-a-number")
-        assert main(argv + ["--out", str(tmp_path / "a")]) == 2
-        monkeypatch.setenv("SPECRCV_THREADS", "0")
-        assert main(argv + ["--out", str(tmp_path / "b")]) == 2
-        monkeypatch.setenv("SPECRCV_THREADS", "2")
-        assert main(argv + ["--out", str(tmp_path / "c")]) == 0
-        assert (tmp_path / "c" / "increments_r1.csv").is_file()
+        monkeypatch.delenv("SPECRCV_THREADS", raising=False)
+        assert main(argv + ["--out", str(tmp_path / "unset")]) == 0
+        names = [f"increments_r{r}.{ext}" for r in range(2) for ext in ("csv", "npy")]
+        for value in ("not-a-number", "0"):
+            monkeypatch.setenv("SPECRCV_THREADS", value)
+            out = tmp_path / value
+            assert main(argv + ["--out", str(out)]) == 0
+            for name in names:
+                assert (out / name).read_bytes() == (tmp_path / "unset" / name).read_bytes()
 
     def test_rerun_estimate_reproduces_outputs(self, design1_run, tmp_path):
         assert main(["rerun", "--manifest", str(design1_run.est / "manifest.json"),

@@ -196,8 +196,7 @@ class TestReplacementOnCli:
                                                          np.linspace(0.5, 1.5, 20)),
                     "--y", "0.5", *out]
         else:
-            # Two replicates on two threads: the spy must reach the workers.
-            monkeypatch.setenv("SPECRCV_THREADS", "2")
+            # Two replicates: the spy is called once for each.
             argv = ["simulate", "--design", "1", "--p", "3", "--n", "20",
                     "--replicates", "2", *out]
         assert cli.main(argv) == 0

@@ -69,8 +69,8 @@ __getattr__ = _lazy_getattr(globals(), __package__, {
                   "simulate_increments"),
     "distances": ("kolmogorov_distance", "levy_distance", "mass_gap"),
     "estimators": ("rcv", "tvarcv"),
-    "mpsolve": ("RECOVER_MAX_ITER", "default_bandwidth", "invert_stieltjes", "recover_spectrum",
-                "solve_weighted_mp_grid", "within_tolerance"),
+    "mpsolve": ("RECOVER_MAX_ITER", "invert_stieltjes", "recover_spectrum",
+                "solve_weighted_mp_grid", "support_bound", "within_tolerance"),
     "spectra": ("DensityCurve", "histogram", "zero_roundoff"),
     "specs": ("MAX_POINTS", "parse_spec"),
 })
@@ -96,6 +96,16 @@ def _stage(timings: dict, name: str):
         yield
     finally:
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
+
+
+@contextmanager
+def _naming_flags(config: dict, keys):
+    """Re-raise a SpecrcvError as exit 2, led by the flags of ``keys`` and their values."""
+    try:
+        yield
+    except SpecrcvError as err:
+        flags = " ".join(f"--{key.replace('_', '-')} {config[key]!r}" for key in keys)
+        raise BadConfigError(f"{flags}: {err}") from None
 
 
 def _environment() -> dict:
@@ -148,19 +158,18 @@ def cmd_simulate(config: dict) -> int:
     lam = None
     if config["lambda_file"] is not None:
         lam = _cli.parse_spec("--lambda-file", config["lambda_file"])
+    # The profile, p, Lambda and the drift are checked before anything is
+    # written. Each is tried on its own, so that its error names its flags.
     if design == "design1":
-        profile = _cli.design_one_profile(config["a"], config["b"])
+        build, keys = _cli.design_one_profile, ("a", "b")
     else:
-        profile = _cli.design_two_profile(config["c0"], config["c1"])
-    # The spec checks p, Lambda and the drift before anything is written. Each
-    # is tried on its own, so that its error names its flag.
-    for flag, text, field in (("--p", config["p"], {}),
-                              ("--lambda-file", config["lambda_file"], {"lam": lam}),
-                              ("--drift", config["drift"], {"drift": config["drift"]})):
-        try:
+        build, keys = _cli.design_two_profile, ("c0", "c1")
+    with _naming_flags(config, keys):
+        profile = build(*(config[key] for key in keys))
+    for key, field in (("p", {}), ("lambda_file", {"lam": lam}),
+                       ("drift", {"drift": config["drift"]})):
+        with _naming_flags(config, (key,)):
             _cli.ClassCSpec(p=config["p"], profile=profile, **field)
-        except SpecrcvError as err:
-            raise BadConfigError(f"{flag} {text!r}: {err}") from None
     seeds = [replicate_seed(seed, r) for r in range(config["replicates"])]
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -263,25 +272,18 @@ def cmd_solve(config: dict) -> int:
     # at the origin of the limit law.
     zero_weight = float(np.sum(spectrum.weights[spectrum.locations == 0.0]))
     zero_mass = max(0.0, 1.0 - min(1.0 / y, 1.0 - zero_weight))
+    # The scale of the law: a quarter past the largest plausible support edge.
+    edge = _cli.support_bound(float(spectrum.locations[-1]), weights, y)
+    if edge <= 0:
+        edge = max(weights.kappa, 1.0) * (1 + np.sqrt(y)) ** 2
+    hi = 1.25 * edge
+    # Without --bandwidth the probes sit next to the real axis, so the
+    # density is the law's own rather than a smoothed one.
+    v = bandwidth if bandwidth is not None else 1e-12 * hi
     if config.get("xs"):
         xs = _cli.parse_spec("--xs", config["xs"])
-        v = (bandwidth if bandwidth is not None
-             else _cli.default_bandwidth(float(xs[0]), float(xs[-1])))
     else:
-        # Log-spaced grid to past the largest plausible support edge.
-        edge = weights.kappa * float(spectrum.locations[-1]) * (1 + np.sqrt(y)) ** 2
-        if edge <= 0:
-            edge = max(weights.kappa, 1.0) * (1 + np.sqrt(y)) ** 2
-        hi = 1.25 * edge
-        if bandwidth is not None:
-            v = bandwidth
-        elif zero_mass > 1e-12:
-            # The origin atom's Cauchy lobe decays like v/x, so the mass
-            # bookkeeping needs a bandwidth tied to the support scale.
-            v = 1e-3 * hi
-        else:
-            v = _cli.default_bandwidth(0.0, hi)
-        xs = np.geomspace(min(v / 8.0, hi / 100.0), hi, 800)
+        xs = np.geomspace(1e-8 * hi, hi, 800)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -314,8 +316,11 @@ def cmd_solve(config: dict) -> int:
                 # At bandwidth v the origin atom shows up in the inverted
                 # density as an exact Cauchy lobe zero_mass * v / (pi * (x^2 + v^2)).
                 # Subtract it so the continuous part integrates to its own mass
-                # and the atom lands back in mass_at_zero.
-                lobe = zero_mass * (v / np.pi) / (xs * xs + v * v)
+                # and the atom lands back in mass_at_zero. Written in x / v, the
+                # lobe over- or underflows only where its own value does, at any
+                # scale (a subnormal v included); where (x / v)^2 overflows it is 0.
+                with np.errstate(over="ignore"):
+                    lobe = (zero_mass / np.pi) / (v * ((xs / v) ** 2 + 1.0))
                 ys = np.clip(curve.ys - lobe, 0.0, None)
                 curve = _cli.DensityCurve(
                     xs, ys, max(0.0, 1.0 - float(np.trapezoid(ys, xs)))
@@ -526,7 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      "or profile JSON")
     sol.add_argument("--y", type=float, required=True, help="dimension-to-sample ratio")
     sol.add_argument("--xs", default=None, help="density grid [log:]lo:hi:count")
-    sol.add_argument("--bandwidth", type=float, default=None)
+    sol.add_argument("--bandwidth", type=float, default=None,
+                     help="imaginary offset v of the probes (default 1e-12 of the law's scale)")
     sol.add_argument("--out", required=True)
 
     rec = sub.add_parser("recover", help="fit a population spectrum to an ESD")

@@ -195,6 +195,11 @@ def within_tolerance(residual, scale):
     return np.isfinite(residual) & (np.asarray(residual, dtype=float) <= bound)
 
 
+def support_bound(tau_max: float, w: WeightProfile, y: float) -> float:
+    """Upper bound kappa tau_max (1 + sqrt y)^2 on the support of the weighted law."""
+    return w.kappa * tau_max * (1.0 + np.sqrt(y)) ** 2
+
+
 def _pair_core(locs, wts, w: WeightProfile, y, zs):
     """Newton solve of the weighted pair system, vectorized over the probes zs.
 
@@ -261,7 +266,7 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs):
             t /= 2.0
         return moved
 
-    edge = w.kappa * tau_max * (1.0 + np.sqrt(y)) ** 2
+    edge = support_bound(tau_max, w, y)
     # fmax/fmin keep the schedule finite when the edge overflows.
     v_top = np.fmax(np.maximum(np.abs(zs.real), zs.imag), edge)
     z = zs.real + 1j * np.fmin(v_top, np.finfo(float).max)
@@ -353,19 +358,6 @@ def weight_profile_from_model(profile: VolatilityProfile) -> WeightProfile:
 
 # ---------------------------------------------------------------------------
 # inversion and recovery
-
-
-def default_bandwidth(lo: float, hi: float) -> float:
-    """Inversion bandwidth: 2% of the support width, floored at 1e-3.
-
-    The absolute floor aids solver conditioning at unit scale; it is capped
-    at 20% of the width so narrow-support problems (integrated variances of
-    order 1e-4) keep a usable resolution.
-    """
-    width = hi - lo
-    if width <= 0:
-        return 1e-3
-    return min(max(1e-3, 0.02 * width), 0.2 * width)
 
 
 def invert_stieltjes(m, xs, v: float) -> DensityCurve:

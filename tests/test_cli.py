@@ -32,6 +32,7 @@ from .oracles import (
     mp_law_curve,
     mp_quantiles,
     mp_stieltjes_quadratic,
+    two_level_weighted_curve,
     two_level_weighted_stieltjes,
 )
 
@@ -389,6 +390,34 @@ class TestSolve:
             header = handle.readline().strip()
         assert header == "re_z,im_z,re_m,im_m,residual,iterations"
 
+    @pytest.mark.parametrize("scale", ["1e-300", "1e-200", "1", "1e300"])
+    def test_origin_atom_is_recovered_at_any_scale(self, tmp_path, scale):
+        # The Cauchy lobe of the y = 2 atom must neither under- nor overflow:
+        # at 1e-300 the bandwidth 1e-12 hi is subnormal, and atom / v overflows.
+        assert main(["solve", "--spectrum", f"point:{scale}", "--y", "2",
+                     "--out", str(tmp_path)]) == 0
+        diagnostics = _read_json(tmp_path / "manifest.json")["diagnostics"]
+        assert abs(diagnostics["mass_at_zero"] - 0.5) <= 1e-3
+
+    @pytest.mark.parametrize("weights, y", [
+        *((f"design1:{a},{b}", y) for a, b in ((7, 1), (5, 3), (6, 2))
+          for y in (0.25, 0.5, 1.0, 2.0)),
+        *(("constant:0.0004", y) for y in (0.25, 1.0, 4.0)),
+    ])
+    def test_default_settings_match_the_oracle(self, tmp_path, weights, y):
+        # No --xs and no --bandwidth: the automatic grid at Im z = 1e-12 hi.
+        assert main(["solve", "--spectrum", "point:1", "--weights", weights,
+                     "--y", repr(y), "--out", str(tmp_path)]) == 0
+        curve, _ = io.read_density_csv(tmp_path / "density.csv")
+        kind, params = weights.split(":")
+        if kind == "design1":
+            a, b = (float(level) * 1e-4 for level in params.split(","))
+            oracle = two_level_weighted_curve((a, b), (0.5, 0.5), y)
+        else:
+            oracle = mp_law_curve(y, float(params))
+        assert kolmogorov_distance(curve, oracle) <= 2e-3
+        assert abs(curve.mass_at_zero - max(0.0, 1.0 - 1.0 / y)) <= 1e-3
+
     def test_design1_weights_depart_from_unweighted_law(self, tmp_path):
         assert main(["solve", "--spectrum", "point:1", "--weights", "design1",
                      "--y", "1", "--out", str(tmp_path)]) == 0
@@ -448,8 +477,6 @@ class TestSolve:
         assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-7
 
     def test_tiny_atom_on_the_automatic_grid_converges_to_rescaled_oracle(self, tmp_path):
-        # mass_at_zero is not checked: at this scale the automatic grid's
-        # bandwidth books smoothed-away mass as a phantom origin atom.
         c = 1e-200
         assert main(["solve", "--spectrum", "point:1e-200", "--weights", "constant:1",
                      "--y", "0.5", "--out", str(tmp_path)]) == 0
@@ -459,6 +486,7 @@ class TestSolve:
         m = trace[:, 2] + 1j * trace[:, 3]
         want = np.array([mp_stieltjes_quadratic(0.5, 1.0, z / c) / c for z in zs])
         assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-7
+        assert _read_json(tmp_path / "manifest.json")["diagnostics"]["mass_at_zero"] <= 1e-3
 
     @pytest.mark.parametrize("kappa", ["NaN", "Infinity"])
     def test_profile_with_nonfinite_kappa_exits_2(self, tmp_path, capsys, kappa):
@@ -882,13 +910,18 @@ class TestValidationAndWiring:
          "--lambda-file 'LAMBDANAN'"),
         (["simulate", "--design", "1", "--p", "3", "--n", "10", "--drift", "11"], "--drift 11.0"),
         (["simulate", "--design", "1", "--p", "3", "--n", "10", "--drift", "nan"], "--drift nan"),
+        (["simulate", "--design", "1", "--p", "3", "--n", "10", "--a", "nan"], "--a nan --b 1.0"),
+        (["simulate", "--design", "1", "--p", "3", "--n", "10", "--a", "0"], "--a 0.0 --b 1.0"),
+        (["simulate", "--design", "2", "--p", "3", "--n", "10", "--c0", "1e-4", "--c1", "2e-4"],
+         "--c0 0.0001 --c1 0.0002"),
     ], ids=["bandwidth_inf", "xs_hi_inf", "xs_lo_minus_inf", "log_xs_hi_inf", "grid_hi_inf",
             "xs_count_huge", "log_grid_count_huge", "xs_count_not_integer", "xs_hi_not_number",
             "point_spectrum_not_number", "constant_weights_not_number",
             "design1_weights_not_number", "point_spectrum_negative",
             "constant_weights_negative", "design1_weights_zero_level", "bins_huge",
             "lambda_file_not_number", "lambda_file_missing", "lambda_file_wrong_shape",
-            "lambda_file_nan_cell", "drift_too_large", "drift_nan"])
+            "lambda_file_nan_cell", "drift_too_large", "drift_nan", "design1_a_nan",
+            "design1_a_zero", "design2_c0_below_c1"])
     def test_nonfinite_bandwidth_or_grid_end_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                                    argv, flag):
         esd_file = tmp_path / "esd.csv"

@@ -15,7 +15,6 @@ from specrcv.mpsolve import (
     SOLVER_TOL,
     PopulationSpectrum,
     WeightProfile,
-    default_bandwidth,
     invert_stieltjes,
     recover_spectrum,
     solve_weighted_mp_grid,
@@ -379,20 +378,6 @@ class TestInvertStieltjes:
             invert_stieltjes(m[:1], xs, v=0.1)
         with pytest.raises(NonFiniteError):
             invert_stieltjes(np.array([m[0], complex(np.nan, 1.0)]), xs, v=0.1)
-
-
-class TestDefaultBandwidth:
-    def test_two_percent_rule(self):
-        assert default_bandwidth(0.0, 1.0) == pytest.approx(0.02)
-
-    def test_floor(self):
-        assert default_bandwidth(0.0, 0.01) == pytest.approx(1e-3)
-
-    def test_cap_for_narrow_support(self):
-        assert default_bandwidth(0.0, 0.004) == pytest.approx(0.2 * 0.004)
-
-    def test_degenerate_support(self):
-        assert default_bandwidth(1.0, 1.0) == pytest.approx(1e-3)
 
 
 class TestRecoverSpectrum:

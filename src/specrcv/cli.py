@@ -12,7 +12,9 @@ of all emitted files; re-running a manifest reproduces the CSV outputs byte
 for byte when the BLAS thread setting matches. No subcommand starts threads
 of its own: ``simulate`` draws and writes its replicates one after the other,
 so its ``draw``, ``write`` and ``digest`` stage times add up to at most its
-``total``.
+``total``. Its ``write`` stage formats a large panel's CSV in
+``io.write_increments_csv``'s k processes, with the same bytes for any k; the
+manifest's ``diagnostics`` record k as ``write_processes``.
 
 ``simulate`` writes each panel as ``increments_r{r}.csv`` plus its binary
 twin ``increments_r{r}.npy``, and its manifest hashes both. ``estimate``
@@ -174,6 +176,7 @@ def cmd_simulate(config: dict) -> int:
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
+    diagnostics = {}
     started = time.perf_counter()
     files = []
     for r, replicate in enumerate(seeds):
@@ -185,12 +188,12 @@ def cmd_simulate(config: dict) -> int:
             incr = _cli.simulate_increments(spec, grid)
         path = out / f"increments_r{r}.csv"
         with _stage(timings, "write"):
-            io.write_increments_csv(path, incr)
+            diagnostics["write_processes"] = io.write_increments_csv(path, incr)
         # Free this panel before the next one is drawn.
         del incr
         files += [path, io.twin_path(path)]
-    manifest = _write_run_manifest(out, "simulate", dict(config), files, seeds, timings, {},
-                                   started)
+    manifest = _write_run_manifest(out, "simulate", dict(config), files, seeds, timings,
+                                   diagnostics, started)
     print(manifest)
     return 0
 
@@ -273,10 +276,15 @@ def cmd_solve(config: dict) -> int:
     zero_weight = float(np.sum(spectrum.weights[spectrum.locations == 0.0]))
     zero_mass = max(0.0, 1.0 - min(1.0 / y, 1.0 - zero_weight))
     # The scale of the law: a quarter past the largest plausible support edge.
-    edge = _cli.support_bound(float(spectrum.locations[-1]), weights, y)
-    if edge <= 0:
-        edge = max(weights.kappa, 1.0) * (1 + np.sqrt(y)) ** 2
-    hi = 1.25 * edge
+    with np.errstate(over="ignore"):
+        edge = _cli.support_bound(float(spectrum.locations[-1]), weights, y)
+        if edge <= 0:
+            edge = max(weights.kappa, 1.0) * (1 + np.sqrt(y)) ** 2
+        hi = 1.25 * edge
+    if not np.isfinite(hi):
+        with _naming_flags(config, ("spectrum", "weights", "y")):
+            raise SpecrcvError("the law's scale 1.25 kappa tau_max (1 + sqrt y)^2 "
+                               "overflows a double")
     # Without --bandwidth the probes sit next to the real axis, so the
     # density is the law's own rather than a smoothed one.
     v = bandwidth if bandwidth is not None else 1e-12 * hi

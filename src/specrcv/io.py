@@ -16,6 +16,17 @@ code:
   correctly rounded conversion behind ``float()``, so every written double
   reads back bit for bit, subnormals and signed zeros included.
 
+Formatting panel text is most of a ``simulate``, and ``repr`` holds the
+GIL, so ``write_increments_csv`` splits a large panel's rows into k
+contiguous blocks. It formats the first itself and sends each other block as
+raw float64 bytes to a formatter process (``python -I -S``, no NumPy), which
+writes its rows to an unnamed temporary file in the CSV's directory; the
+blocks are appended in order, so the bytes are the same for every k. k is
+the smallest of the usable CPUs, the cells over ``_CELLS_PER_WORKER``, the
+rows and ``_MAX_WRITE_PROCESSES``, and 1 without a usable
+``sys.executable``. No formatter outlives the call, and a failed one
+removes the CSV.
+
 Parsing panel text is the slow part of reading a panel, so
 ``write_increments_csv`` also saves the same table with ``np.save`` as
 ``increments_r0.npy`` beside ``increments_r0.csv``. ``read_increments_csv``
@@ -35,10 +46,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import BadConfigError, NonFiniteError
+from .errors import BadConfigError, NonFiniteError, SpecrcvError
 
 if TYPE_CHECKING:
     from .covmodel import SpectralDistribution
@@ -144,26 +157,113 @@ def twin_path(path) -> Path:
     return Path(path).with_suffix(".npy")
 
 
-def write_increments_csv(path, incr: IncrementMatrix) -> None:
+# The program each formatter process runs, as ``python -I -S -c
+# _FORMAT_WORKER width``: rows of ``width`` native float64 cells on stdin,
+# their CSV rows on stdout, each joined as ``_write_table`` joins a row. It
+# imports nothing, so it starts in about 10 ms and loads no BLAS.
+_FORMAT_WORKER = """\
+import sys
+width = int(sys.argv[1])
+read, write = sys.stdin.buffer.read, sys.stdout.buffer.write
+while block := read(8 * width * max(1, 65536 // width)):
+    cells = memoryview(block).cast("d").tolist()
+    write("".join([",".join(map(repr, cells[i:i + width])) + "\\n"
+                   for i in range(0, len(cells), width)]).encode())
+"""
+# On a 2-CPU host a formatter process starts in 11-15 ms and ``repr`` takes
+# about 1 us a cell, so splitting a panel in two pays from about 40k cells
+# (20k a process; see CHANGES.md). The floor leaves a margin for a busy host.
+_CELLS_PER_WORKER = 50_000
+_MAX_WRITE_PROCESSES = 8
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _write_processes(cells: int, rows: int) -> int:
+    """How many processes format a panel of ``cells`` cells in ``rows`` rows."""
+    if not (sys.executable and os.access(sys.executable, os.X_OK)):
+        return 1
+    return max(1, min(_usable_cpus(), cells // _CELLS_PER_WORKER, rows,
+                      _MAX_WRITE_PROCESSES))
+
+
+def _start_formatter(block, directory: Path):
+    """A formatter process for ``block`` and the unnamed file it writes its rows to."""
+    import subprocess
+    import tempfile
+
+    out = tempfile.TemporaryFile(dir=directory)
+    try:
+        # A file, not a pipe, on stdin: the parent never waits for the worker to read.
+        with tempfile.TemporaryFile(dir=directory) as source:
+            source.write(block.tobytes())
+            source.seek(0)
+            proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", "-c", _FORMAT_WORKER, str(block.shape[1])],
+                stdin=source, stdout=out)
+    except BaseException:
+        out.close()
+        raise
+    return proc, out
+
+
+def write_increments_csv(path, incr: IncrementMatrix) -> int:
     """One row per interval: right endpoint tau, then the p increment entries.
+
+    The rows are split into k contiguous blocks: this process formats the
+    first, and one formatter process each the others, which are appended in
+    order, so the bytes do not depend on k. Returns k. A formatter that fails
+    raises ``SpecrcvError`` and the CSV is removed; no formatter outlives
+    the call.
 
     The same n x (p+1) float64 table also goes to ``twin_path(path)`` as
     ``.npy``, which ``read_increments_csv`` loads in place of the CSV body
     when a ``simulate`` manifest vouches for both files.
     """
+    import shutil
+
     import numpy as np
 
+    path = Path(path)
     twin = twin_path(path)
-    if twin == Path(path):
+    if twin == path:
         raise BadConfigError(f"{path}: an increments CSV may not be named .npy")
     n, p = incr.increments.shape
     meta = {"kind": "increments", "p": p, "n": n, "digest": incr.spec_digest}
     header = ["tau"] + [f"x{j + 1}" for j in range(p)]
     table = np.column_stack([incr.grid.times[1:], incr.increments])
-    # Row by row, so the panel never exists as one list of Python floats.
-    _write_table(path, meta, header, (row.tolist() for row in table))
+    blocks = np.array_split(table, _write_processes(table.size, n))
+    workers = []
+    try:
+        for block in blocks[1:]:
+            workers.append(_start_formatter(block, path.parent))
+        # Row by row, so the panel never exists as one list of Python floats.
+        _write_table(path, meta, header, (row.tolist() for row in blocks[0]))
+        with open(path, "ab") as handle:
+            for proc, out in workers:
+                status = proc.wait()
+                if status != 0:
+                    how = (f"was killed by signal {-status}" if status < 0
+                           else f"exited with status {status}")
+                    raise SpecrcvError(f"{path}: a formatter process {how}")
+                out.seek(0)
+                shutil.copyfileobj(out, handle)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+    finally:
+        for proc, out in workers:
+            proc.kill()
+            proc.wait()
+            out.close()
     with open(twin, "wb") as handle:
         np.save(handle, table, allow_pickle=False)
+    return len(blocks)
 
 
 def _vouched_twin(path: Path, digest: str) -> Path | None:

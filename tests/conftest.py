@@ -2,10 +2,12 @@
 
 The two-atom recovery run is the costliest pipeline in the suite (simulate,
 estimate, eigendecompose, recover at p=2000); it backs both a round-trip unit
-test and an acceptance criterion, so it runs once per session.
+test and an acceptance criterion, so it runs once per session. ``popen_spy``
+records the processes a test starts.
 """
 
 import dataclasses
+import subprocess
 import time
 
 import numpy as np
@@ -47,3 +49,21 @@ def two_atom_recovery() -> TwoAtomRun:
     scale = float(np.mean(dist.eigenvalues))
     result = recover_spectrum(dist, p / n, np.linspace(0.04, 2.96, 74) * scale, zs=zs)
     return TwoAtomRun(result=result, elapsed_s=time.time() - t0)
+
+
+class _PopenSpy(subprocess.Popen):
+    """``subprocess.Popen`` that keeps every process it starts in ``started``."""
+
+    started: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.started.append(self)
+
+
+@pytest.fixture
+def popen_spy(monkeypatch) -> list:
+    """The list of ``subprocess.Popen`` objects created while the test runs."""
+    monkeypatch.setattr(_PopenSpy, "started", [])
+    monkeypatch.setattr(subprocess, "Popen", _PopenSpy)
+    return _PopenSpy.started

@@ -168,6 +168,53 @@ class TestSimulate:
         assert replay == design1_run.increments.read_bytes()
 
 
+def _force_formatters(monkeypatch, cpus):
+    """Let every panel of at least ``cpus`` rows be written by ``cpus`` processes."""
+    monkeypatch.setattr(io, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(io, "_CELLS_PER_WORKER", 1)
+
+
+class TestSimulateFormatters:
+    """``simulate`` formats large panels in several processes, with the same bytes."""
+
+    def test_small_panels_start_no_process(self, tmp_path, popen_spy):
+        assert main(["simulate", "--design", "1", "--p", "40", "--n", "200",
+                     "--replicates", "2", "--out", str(tmp_path)]) == 0
+        assert popen_spy == []
+        assert _read_json(tmp_path / "manifest.json")["diagnostics"] == {"write_processes": 1}
+
+    def test_split_panels_keep_their_bytes(self, tmp_path, monkeypatch, popen_spy):
+        args = ["simulate", "--design", "2", "--p", "30", "--n", "60", "--replicates", "2",
+                "--seed", "8"]
+        assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+        _force_formatters(monkeypatch, 3)
+        assert main(args + ["--out", str(tmp_path / "split")]) == 0
+        assert len(popen_spy) == 4
+        assert all(proc.returncode == 0 for proc in popen_spy)
+        serial, split = (_read_json(tmp_path / d / "manifest.json") for d in ("serial", "split"))
+        assert split["files"] == serial["files"]
+        assert (serial["diagnostics"], split["diagnostics"]) == (
+            {"write_processes": 1}, {"write_processes": 3})
+        assert set(split["environment"]) == set(serial["environment"]) == {
+            "python", "numpy", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+
+    @pytest.mark.parametrize("worker, status", [
+        ("import sys; sys.exit(3)", "exited with status 3"),
+        ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)", "killed by signal 9"),
+    ], ids=["exit_3", "killed"])
+    def test_failed_formatter_exits_2(self, tmp_path, monkeypatch, popen_spy, capsys,
+                                      worker, status):
+        _force_formatters(monkeypatch, 2)
+        monkeypatch.setattr(io, "_FORMAT_WORKER", worker)
+        capsys.readouterr()
+        assert main(["simulate", "--design", "1", "--p", "3", "--n", "20",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "increments_r0.csv") in err and status in err
+        assert list(tmp_path.iterdir()) == []
+        assert len(popen_spy) == 1 and popen_spy[0].returncode is not None
+
+
 class TestEstimate:
     def test_p1_rcv_equals_tvarcv(self, tmp_path):
         assert main(["simulate", "--design", "1", "--p", "1", "--n", "60",
@@ -898,6 +945,11 @@ class TestValidationAndWiring:
         (["solve", "--y", "0.5", "--spectrum", "point:-1"], "--spectrum 'point:-1'"),
         (["solve", "--y", "0.5", "--weights", "constant:-1"], "--weights 'constant:-1'"),
         (["solve", "--y", "0.5", "--weights", "design1:0,1"], "--weights 'design1:0,1'"),
+        # The law's scale 1.25 kappa tau_max (1 + sqrt y)^2 overflows, so every probe would.
+        (["solve", "--spectrum", "point:1e308", "--weights", "constant:100", "--y", "0.5"],
+         "--spectrum 'point:1e308' --weights 'constant:100' --y 0.5"),
+        (["solve", "--spectrum", "point:1e308", "--weights", "constant:100", "--y", "0.5",
+          "--xs", "1e300:1e308:10"], "--spectrum 'point:1e308' --weights 'constant:100' --y 0.5"),
         (["estimate", "--input", "PANEL", "--bins", "100000000000"], "--bins"),
         (["simulate", "--design", "1", "--p", "3", "--n", "10", "--lambda-file", "LAMBDA"],
          "--lambda-file"),
@@ -918,7 +970,8 @@ class TestValidationAndWiring:
             "xs_count_huge", "log_grid_count_huge", "xs_count_not_integer", "xs_hi_not_number",
             "point_spectrum_not_number", "constant_weights_not_number",
             "design1_weights_not_number", "point_spectrum_negative",
-            "constant_weights_negative", "design1_weights_zero_level", "bins_huge",
+            "constant_weights_negative", "design1_weights_zero_level",
+            "scale_overflows_auto_grid", "scale_overflows_given_xs", "bins_huge",
             "lambda_file_not_number", "lambda_file_missing", "lambda_file_wrong_shape",
             "lambda_file_nan_cell", "drift_too_large", "drift_nan", "design1_a_nan",
             "design1_a_zero", "design2_c0_below_c1"])

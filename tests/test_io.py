@@ -13,6 +13,7 @@ from specrcv.diffusion import (
     make_grid,
     simulate_increments,
 )
+from specrcv import io
 from specrcv.errors import BadConfigError, SpecrcvError
 from specrcv.io import (
     format_float,
@@ -306,6 +307,70 @@ class TestTwinRule:
         with pytest.raises(BadConfigError):
             write_increments_csv(tmp_path / "incr.npy", incr)
         assert not (tmp_path / "incr.npy").exists()
+
+
+def _write_with(k, path, incr):
+    """Write ``incr`` as if this host had ``k`` CPUs and every cell paid for a worker."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_usable_cpus", lambda: k)
+        patch.setattr(io, "_CELLS_PER_WORKER", 1)
+        return write_increments_csv(path, incr)
+
+
+class TestFormatterProcesses:
+    """Panels split over k processes; the files do not depend on k."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @settings(max_examples=8, deadline=None)
+    @given(cells=_panels(), seed=st.integers(0, 99))
+    @example(cells=np.reshape(EDGE_DOUBLES + [1e300, -1e-300], (2, 5)), seed=0)
+    @example(cells=np.reshape(EDGE_DOUBLES + [-1e300, 1e-300], (5, 2)), seed=1)
+    @example(cells=np.array([[-0.0, 5e-324, -1.7976931348623157e308]]), seed=2)
+    def test_bytes_match_the_serial_writer(self, tmp_path_factory, k, cells, seed):
+        incr = IncrementMatrix(cells, make_grid("poisson", cells.shape[0], seed=seed))
+        root = tmp_path_factory.mktemp("split")
+        serial, split = root / "serial.csv", root / "split.csv"
+        assert _write_with(1, serial, incr) == 1
+        # One row per block at most: n < k gives n blocks.
+        assert _write_with(k, split, incr) == min(k, cells.shape[0])
+        assert split.read_bytes() == serial.read_bytes()
+        assert twin_path(split).read_bytes() == twin_path(serial).read_bytes()
+        # The workers' temporary files are gone with them.
+        assert {f.name for f in root.iterdir()} == {"serial.csv", "serial.npy",
+                                                    "split.csv", "split.npy"}
+
+    def test_process_count(self, monkeypatch):
+        monkeypatch.setattr(io, "_usable_cpus", lambda: 64)
+        assert io._write_processes(10 ** 7, 10 ** 4) == io._MAX_WRITE_PROCESSES
+        assert io._write_processes(10 ** 7, 3) == 3
+        assert io._write_processes(3 * io._CELLS_PER_WORKER - 1, 10 ** 4) == 2
+        assert io._write_processes(io._CELLS_PER_WORKER - 1, 10 ** 4) == 1
+        monkeypatch.setattr(io, "_usable_cpus", lambda: 1)
+        assert io._write_processes(10 ** 7, 10 ** 4) == 1
+
+    @pytest.mark.parametrize("executable", ["", None, "/nonexistent/python"])
+    def test_no_usable_interpreter_means_one_process(self, monkeypatch, executable):
+        monkeypatch.setattr(io, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(io.sys, "executable", executable)
+        assert io._write_processes(10 ** 7, 10 ** 4) == 1
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_an_error_in_this_process_stops_every_worker(self, tmp_path, monkeypatch,
+                                                         popen_spy, error):
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(io, "_write_table", fail)
+        # Workers that would run until killed.
+        monkeypatch.setattr(io, "_FORMAT_WORKER", "import time; time.sleep(60)")
+        incr = IncrementMatrix(np.ones((4, 3)), make_grid("equispaced", 4))
+        path = tmp_path / "incr.csv"
+        path.write_text("an earlier file")
+        with pytest.raises(error):
+            _write_with(4, path, incr)
+        assert len(popen_spy) == 3
+        assert all(proc.returncode is not None for proc in popen_spy)
+        assert list(tmp_path.iterdir()) == []
 
 
 def _golden_files(root):

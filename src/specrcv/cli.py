@@ -73,7 +73,7 @@ __getattr__ = _lazy_getattr(globals(), __package__, {
     "estimators": ("rcv", "tvarcv"),
     "mpsolve": ("RECOVER_MAX_ITER", "invert_stieltjes", "recover_spectrum",
                 "solve_weighted_mp_grid", "support_bound", "within_tolerance"),
-    "spectra": ("DensityCurve", "histogram", "zero_roundoff"),
+    "spectra": ("histogram", "zero_roundoff"),
     "specs": ("MAX_POINTS", "parse_spec"),
 })
 _cli = sys.modules[__name__]
@@ -288,10 +288,12 @@ def cmd_solve(config: dict) -> int:
     # Without --bandwidth the probes sit next to the real axis, so the
     # density is the law's own rather than a smoothed one.
     v = bandwidth if bandwidth is not None else 1e-12 * hi
-    if config.get("xs"):
-        xs = _cli.parse_spec("--xs", config["xs"])
-    else:
-        xs = np.geomspace(1e-8 * hi, hi, 800)
+    lo = None if config.get("xs") else 1e-8 * hi
+    if v == 0 or lo == 0:
+        with _naming_flags(config, ("spectrum", "weights", "y")):
+            raise SpecrcvError(f"the law's scale hi = {float(hi)!r} underflows the default "
+                               "bandwidth 1e-12 hi or grid start 1e-8 hi to 0")
+    xs = _cli.parse_spec("--xs", config["xs"]) if lo is None else np.geomspace(lo, hi, 800)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -319,20 +321,7 @@ def cmd_solve(config: dict) -> int:
     }
     if unconverged == 0:
         with _stage(timings, "invert"):
-            curve = _cli.invert_stieltjes(m_fw, xs, v)
-            if zero_mass > 1e-12:
-                # At bandwidth v the origin atom shows up in the inverted
-                # density as an exact Cauchy lobe zero_mass * v / (pi * (x^2 + v^2)).
-                # Subtract it so the continuous part integrates to its own mass
-                # and the atom lands back in mass_at_zero. Written in x / v, the
-                # lobe over- or underflows only where its own value does, at any
-                # scale (a subnormal v included); where (x / v)^2 overflows it is 0.
-                with np.errstate(over="ignore"):
-                    lobe = (zero_mass / np.pi) / (v * ((xs / v) ** 2 + 1.0))
-                ys = np.clip(curve.ys - lobe, 0.0, None)
-                curve = _cli.DensityCurve(
-                    xs, ys, max(0.0, 1.0 - float(np.trapezoid(ys, xs)))
-                )
+            curve = _cli.invert_stieltjes(m_fw, xs, v, atom=zero_mass)
         density_path = out / "density.csv"
         with _stage(timings, "write"):
             io.write_density_csv(density_path, curve, {"y": y, "bandwidth": v})

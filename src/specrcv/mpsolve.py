@@ -53,8 +53,8 @@ RECOVER_KKT_TOL = 1e-9
 
 # Uniform quadrature nodes for sampled weight profiles (512 Simpson panels).
 _QUAD_NODES = 513
-# Uniform points at which weight_profile_from_model samples a smooth gamma^2.
-_MODEL_SAMPLES = 1025
+# Periodic midpoints (k + 1/2) / N, each of mass 1/N, for a cosine gamma^2.
+_COSINE_NODES = 144
 
 
 # ---------------------------------------------------------------------------
@@ -102,80 +102,73 @@ class PopulationSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class WeightProfile:
-    """Nonnegative weight function w_s on [0, 1], step or sampled.
+    """The law of w_s for s uniform on [0, 1]: w values ``nodes`` with ``masses`` summing to 1.
 
-    A step profile stores values per cell of an edge partition; its
-    s-integrals are exact sums over the cells. A sampled profile stores values
-    on a uniform grid (linear interpolation) and integrates by composite
-    Simpson on 512 panels. Either way the solver sees one quadrature rule,
-    nodes ``_nodes`` with weights ``_node_weights``. ``kappa`` is the
-    declared finite upper bound; it defaults to the observed maximum.
+    Every s-integral the solver takes is a sum over this measure. The builders
+    are the quadrature rules: ``constant``; ``from_steps``, one node per cell
+    with the cell's length as mass (exact); ``from_samples``, Simpson on 512
+    panels of the linear interpolant of equispaced samples. ``kappa`` is the
+    declared finite upper bound of w; it defaults to the largest node.
     """
 
-    kind: str
-    values: np.ndarray
-    edges: np.ndarray | None = None
+    nodes: np.ndarray
+    masses: np.ndarray
     kappa: float | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
+        nodes = np.array(self.nodes, dtype=float).ravel()
+        masses = np.array(self.masses, dtype=float).ravel()
+        if not (nodes.size and masses.size == nodes.size and np.all(masses >= 0)
+                and abs(masses.sum() - 1.0) <= 1e-8):
+            raise BadProfileError("masses must be one nonnegative number per node, summing to 1")
+        if not np.all(np.isfinite(nodes)) or np.any(nodes < 0):
             raise BadProfileError("weight values must be finite and nonnegative")
-        if self.kind == "step":
-            edges = np.asarray(self.edges, dtype=float).ravel() if self.edges is not None else None
-            if edges is None or edges.size != vals.size + 1:
-                raise BadProfileError("step profile needs m+1 edges for m values")
-            if edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
-                raise BadProfileError("step edges must increase strictly from 0 to 1")
-            edges.setflags(write=False)
-            object.__setattr__(self, "edges", edges)
-        elif self.kind == "sampled":
-            if vals.size < 2:
-                raise BadProfileError("sampled profile needs at least two values")
-            if self.edges is not None:
-                raise BadProfileError("sampled profile takes no edges")
-        else:
-            raise BadProfileError(f"unknown profile kind {self.kind!r}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        kappa = float(vals.max()) if self.kappa is None else float(self.kappa)
+        kappa = float(nodes.max()) if self.kappa is None else float(self.kappa)
         if not np.isfinite(kappa):
             raise BadProfileError(f"kappa must be finite, got {kappa}")
-        if vals.max() > kappa:
+        if nodes.max() > kappa:
             raise BadProfileError(
-                f"values exceed declared bound kappa={kappa}: max {vals.max()}"
-            )
+                f"values exceed declared bound kappa={kappa}: max {nodes.max()}")
+        for name, value in (("nodes", nodes), ("masses", masses)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "kappa", kappa)
-        if self.kind == "step":
-            nodes, node_weights = vals, np.diff(self.edges)
-        else:
-            s = np.linspace(0.0, 1.0, _QUAD_NODES)
-            nodes = np.interp(s, np.linspace(0.0, 1.0, vals.size), vals)
-            # Composite Simpson: h/3 times 1, 4, 2, 4, ..., 4, 1.
-            node_weights = np.ones(_QUAD_NODES)
-            node_weights[1:-1:2] = 4.0
-            node_weights[2:-1:2] = 2.0
-            node_weights *= 1.0 / (_QUAD_NODES - 1) / 3.0
-        nodes.setflags(write=False)
-        node_weights.setflags(write=False)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_node_weights", node_weights)
 
     @classmethod
     def constant(cls, c: float) -> "WeightProfile":
-        return cls("step", np.array([float(c)]), edges=np.array([0.0, 1.0]))
+        return cls(np.array([float(c)]), np.array([1.0]))
 
     @classmethod
-    def from_steps(cls, edges, values) -> "WeightProfile":
-        return cls("step", np.asarray(values, dtype=float), edges=np.asarray(edges, dtype=float))
+    def from_steps(cls, edges, values, kappa=None) -> "WeightProfile":
+        """``values[i]`` on the cell [edges[i], edges[i + 1]); equal cells stay apart."""
+        values = np.asarray(values, dtype=float).ravel()
+        edges = np.array([] if edges is None else edges, dtype=float).ravel()
+        if edges.size != values.size + 1:
+            raise BadProfileError("step profile needs m+1 edges for m values")
+        if edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
+            raise BadProfileError("step edges must increase strictly from 0 to 1")
+        return cls(values, np.diff(edges), kappa)
 
     @classmethod
-    def from_samples(cls, values) -> "WeightProfile":
-        return cls("sampled", np.asarray(values, dtype=float))
+    def from_samples(cls, values, kappa=None) -> "WeightProfile":
+        """Samples at equispaced points of [0, 1]; ``kappa`` bounds the samples themselves."""
+        values = np.asarray(values, dtype=float).ravel()
+        if values.size < 2:
+            raise BadProfileError("sampled profile needs at least two values")
+        # The samples' own law checks kappa against all of them and defaults it.
+        kappa = cls(values, np.full(values.size, 1.0 / values.size), kappa).kappa
+        nodes = np.interp(np.linspace(0.0, 1.0, _QUAD_NODES),
+                          np.linspace(0.0, 1.0, values.size), values)
+        # Composite Simpson: h/3 times 1, 4, 2, 4, ..., 4, 1.
+        masses = np.ones(_QUAD_NODES)
+        masses[1:-1:2] = 4.0
+        masses[2:-1:2] = 2.0
+        masses *= 1.0 / (_QUAD_NODES - 1) / 3.0
+        return cls(nodes, masses, kappa)
 
     def mean(self) -> float:
         """Integral of w_s over [0, 1]."""
-        return float(self._node_weights @ self._nodes)
+        return float(self.masses @ self.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +216,7 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs):
     wts = np.asarray(wts, dtype=float)[:, None]
     zs = np.asarray(zs, dtype=complex).ravel()
     k = zs.size
-    nodes, quad = w._nodes[:, None], w._node_weights[:, None]
+    nodes, quad = w.nodes[:, None], w.masses[:, None]
     # b carries tau^2, which overflows for atoms above ~1.3e154 (and underflows
     # below ~1e-154). evaluate() returns b / c, formed from (tau / c) tau, and
     # the Newton step multiplies it back. c is the largest power of two at or
@@ -340,31 +333,35 @@ def solve_weighted_mp_grid(H: PopulationSpectrum, w: WeightProfile, y: float, zs
 def weight_profile_from_model(profile: VolatilityProfile) -> WeightProfile:
     """Weight profile w_s = gamma_s^2 of a volatility model on equispaced observation.
 
-    Constant and piecewise profiles give exact step profiles; any other is
-    sampled at _MODEL_SAMPLES uniform points. The simulator module is
-    imported here, so solves with constant or JSON weights and recovery
-    never load it.
+    Constant and piecewise profiles give exact step profiles, a cosine one the
+    periodic midpoint rule (see _COSINE_NODES) with kappa = c0 + |c1|; any
+    other profile has no rule. The simulator module is imported here, so
+    solves with constant or JSON weights and recovery never load it.
     """
-    from .diffusion import ConstantProfile, PiecewiseProfile, VolatilityProfile
+    from .diffusion import ConstantProfile, CosineProfile, PiecewiseProfile
 
-    if not isinstance(profile, VolatilityProfile):
-        raise BadProfileError("profile must be a VolatilityProfile")
     if isinstance(profile, ConstantProfile):
         return WeightProfile.constant(profile.sigma**2)
     if isinstance(profile, PiecewiseProfile):
         return WeightProfile.from_steps(profile.edges, profile.levels**2)
-    return WeightProfile.from_samples(profile.gamma_sq(np.linspace(0.0, 1.0, _MODEL_SAMPLES)))
+    if isinstance(profile, CosineProfile):
+        s = (np.arange(_COSINE_NODES) + 0.5) / _COSINE_NODES
+        return WeightProfile(profile.gamma_sq(s), np.full(_COSINE_NODES, 1.0 / _COSINE_NODES),
+                             profile.c0 + abs(profile.c1))
+    raise BadProfileError(f"no weight profile rule for {type(profile).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # inversion and recovery
 
 
-def invert_stieltjes(m, xs, v: float) -> DensityCurve:
+def invert_stieltjes(m, xs, v: float, atom: float = 0.0) -> DensityCurve:
     """Density f(x) = Im m(x + iv) / pi on the grid, with leftover mass at 0.
 
-    ``m`` holds the transform values at xs + iv, one per grid point. The
-    unaccounted mass max(0, 1 - integral) is reported as ``mass_at_zero``.
+    ``m`` holds the transform values at xs + iv, one per grid point. An origin
+    atom of mass ``atom`` > 1e-12 shows up as the Cauchy lobe atom v / (pi (x^2
+    + v^2)), which is subtracted, so the continuous part integrates to its own
+    mass and the unaccounted mass max(0, 1 - integral) is ``mass_at_zero``.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     if xs.size < 2 or np.any(np.diff(xs) <= 0):
@@ -377,6 +374,12 @@ def invert_stieltjes(m, xs, v: float) -> DensityCurve:
     if not np.all(np.isfinite(m)):
         raise NonFiniteError("transform values contain NaN or infinite entries")
     ys = np.clip(m.imag / np.pi, 0.0, None)
+    if atom > 1e-12:
+        # In x / v the lobe over- or underflows only where its own value does,
+        # at any scale (a subnormal v included); where (x / v)^2 overflows it is 0.
+        with np.errstate(over="ignore"):
+            lobe = (atom / np.pi) / (v * ((xs / v) ** 2 + 1.0))
+        ys = np.clip(ys - lobe, 0.0, None)
     mass0 = max(0.0, 1.0 - float(np.trapezoid(ys, xs)))
     return DensityCurve(xs, ys, mass_at_zero=mass0)
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .errors import BadConfigError, SpecrcvError
+from .errors import BadConfigError, BadProfileError, SpecrcvError
 
 # Cap on the point counts of --xs and --grid and on estimate's --bins. A
 # 513-node sampled-profile solve holds a few (513 x count) complex
@@ -84,8 +84,14 @@ def _weights(text: str):
     if kappa is not None and type(kappa) not in (int, float):
         raise BadConfigError(f"kappa must be a number, got {kappa!r}")
     edges = _finite_list(payload["edges"], "edges") if "edges" in payload else None
-    return WeightProfile(kind=payload["kind"], values=_finite_list(payload["values"], "values"),
-                         edges=edges, kappa=kappa)
+    values, kind = _finite_list(payload["values"], "values"), payload["kind"]
+    if kind == "step":
+        return WeightProfile.from_steps(edges, values, kappa)
+    if kind != "sampled":
+        raise BadProfileError(f"unknown profile kind {kind!r}")
+    if edges is not None:
+        raise BadProfileError("sampled profile takes no edges")
+    return WeightProfile.from_samples(values, kappa)
 
 
 def _finite_list(values, key: str) -> np.ndarray:

@@ -546,6 +546,18 @@ class TestSolve:
         assert "kappa" in capsys.readouterr().err
         assert not (tmp_path / "out" / "density.csv").exists()
 
+    def test_sampled_profile_kappa_bounds_every_sample(self, tmp_path, capsys):
+        # Every interpolated node lies below the declared kappa 0.999; the
+        # sample 1.0 at s = 1/3 does not.
+        profile = tmp_path / "weights.json"
+        profile.write_text(json.dumps({"kind": "sampled", "values": [0.0, 1.0, 0.0, 0.0],
+                                       "kappa": 0.999}))
+        capsys.readouterr()
+        assert main(["solve", "--weights", str(profile), "--y", "0.5",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "kappa=0.999" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_nonconvergence_exits_3_without_density(self, tmp_path, capsys):
         # At y < 1 the companion transform grows like -(1 - y)/z near 0, so at
         # subnormal probes it overflows and no probe can meet the tolerance.
@@ -950,6 +962,13 @@ class TestValidationAndWiring:
          "--spectrum 'point:1e308' --weights 'constant:100' --y 0.5"),
         (["solve", "--spectrum", "point:1e308", "--weights", "constant:100", "--y", "0.5",
           "--xs", "1e300:1e308:10"], "--spectrum 'point:1e308' --weights 'constant:100' --y 0.5"),
+        # The scale underflows the default bandwidth 1e-12 hi, or the grid start 1e-8 hi, to 0.
+        (["solve", "--spectrum", "point:1e-315", "--y", "0.5"],
+         "--spectrum 'point:1e-315' --weights 'constant:1' --y 0.5"),
+        (["solve", "--spectrum", "point:5e-324", "--y", "0.5"],
+         "--spectrum 'point:5e-324' --weights 'constant:1' --y 0.5"),
+        (["solve", "--spectrum", "point:5e-324", "--y", "0.5", "--bandwidth", "1"],
+         "--spectrum 'point:5e-324' --weights 'constant:1' --y 0.5"),
         (["estimate", "--input", "PANEL", "--bins", "100000000000"], "--bins"),
         (["simulate", "--design", "1", "--p", "3", "--n", "10", "--lambda-file", "LAMBDA"],
          "--lambda-file"),
@@ -971,7 +990,9 @@ class TestValidationAndWiring:
             "point_spectrum_not_number", "constant_weights_not_number",
             "design1_weights_not_number", "point_spectrum_negative",
             "constant_weights_negative", "design1_weights_zero_level",
-            "scale_overflows_auto_grid", "scale_overflows_given_xs", "bins_huge",
+            "scale_overflows_auto_grid", "scale_overflows_given_xs",
+            "scale_underflows_bandwidth", "scale_underflows_bandwidth_and_grid_start",
+            "scale_underflows_grid_start", "bins_huge",
             "lambda_file_not_number", "lambda_file_missing", "lambda_file_wrong_shape",
             "lambda_file_nan_cell", "drift_too_large", "drift_nan", "design1_a_nan",
             "design1_a_zero", "design2_c0_below_c1"])

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from specrcv.covmodel import SpectralDistribution
 from specrcv.diffusion import (
     ConstantProfile,
+    CosineProfile,
+    VolatilityProfile,
     design_one_profile,
     design_two_profile,
 )
@@ -18,6 +20,7 @@ from specrcv.mpsolve import (
     invert_stieltjes,
     recover_spectrum,
     solve_weighted_mp_grid,
+    support_bound,
     weight_profile_from_model,
     within_tolerance,
 )
@@ -86,40 +89,66 @@ class TestWeightProfile:
     def test_constant(self):
         w = WeightProfile.constant(0.25)
         assert w.mean() == pytest.approx(0.25)
-        assert np.array_equal(w.values, [0.25]) and np.array_equal(w.edges, [0.0, 1.0])
+        assert np.array_equal(w.nodes, [0.25]) and np.array_equal(w.masses, [1.0])
+        assert w.kappa == 0.25
 
     def test_step_mean_exact(self):
         w = WeightProfile.from_steps([0.0, 0.25, 0.75, 1.0], [7.0, 1.0, 7.0])
         assert w.mean() == pytest.approx(7.0 * 0.5 + 1.0 * 0.5, rel=1e-15)
-        assert np.array_equal(w.values, [7.0, 1.0, 7.0])
+        # Equal cells are not merged: one node per cell, its length as mass.
+        assert np.array_equal(w.nodes, [7.0, 1.0, 7.0])
+        assert np.array_equal(w.masses, [0.25, 0.5, 0.25])
 
     def test_sampled_mean_simpson(self):
         s = np.linspace(0.0, 1.0, 513)
         w = WeightProfile.from_samples(2.0 + np.cos(2 * np.pi * s))
         assert w.mean() == pytest.approx(2.0, abs=1e-9)
+        assert w.nodes.size == w.masses.size == 513
 
     def test_kappa_bound(self):
-        # A declared kappa comes only through the constructor, as from profile JSON.
-        with pytest.raises(BadProfileError):
-            WeightProfile("step", np.array([3.0]), edges=np.array([0.0, 1.0]), kappa=2.0)
-        with pytest.raises(BadProfileError):
-            WeightProfile("sampled", np.array([0.5, 1.5, 0.5]), kappa=1.0)
+        with pytest.raises(BadProfileError, match="kappa"):
+            WeightProfile(np.array([3.0]), np.array([1.0]), kappa=2.0)
+        with pytest.raises(BadProfileError, match="kappa"):
+            WeightProfile.from_steps([0.0, 1.0], [3.0], kappa=2.0)
+        with pytest.raises(BadProfileError, match="kappa"):
+            WeightProfile.from_samples([0.5, 1.5, 0.5], kappa=1.0)
+        assert WeightProfile.from_steps([0.0, 1.0], [3.0], kappa=5.0).kappa == 5.0
+        # The interpolated nodes all lie below 0.999, but the sample at 1/3 does not.
+        peaked = WeightProfile.from_samples([0.0, 1.0, 0.0, 0.0])
+        assert peaked.nodes.max() < 0.999 and peaked.kappa == 1.0
+        with pytest.raises(BadProfileError, match="kappa"):
+            WeightProfile.from_samples([0.0, 1.0, 0.0, 0.0], kappa=0.999)
 
     @pytest.mark.parametrize("kappa", [np.nan, np.inf])
     def test_kappa_must_be_finite(self, kappa):
         # NaN and inf pass the bound check values.max() > kappa.
         with pytest.raises(BadProfileError, match="kappa"):
-            WeightProfile("step", np.array([3.0]), edges=np.array([0.0, 1.0]), kappa=kappa)
+            WeightProfile(np.array([3.0]), np.array([1.0]), kappa=kappa)
+        with pytest.raises(BadProfileError, match="kappa"):
+            WeightProfile.from_steps([0.0, 1.0], [3.0], kappa=kappa)
+
+    @pytest.mark.parametrize("nodes, masses", [
+        ([], []), ([1.0, 2.0], [1.0]), ([1.0, 2.0], [0.5, 0.4]), ([1.0, 2.0], [1.5, -0.5]),
+        ([1.0, 2.0], [np.nan, 1.0]),
+    ], ids=["empty", "sizes_differ", "sum_below_1", "negative_mass", "nan_mass"])
+    def test_masses_must_be_a_probability_vector(self, nodes, masses):
+        with pytest.raises(BadProfileError, match="masses"):
+            WeightProfile(np.array(nodes), np.array(masses))
 
     def test_negative_rejected(self):
         with pytest.raises(BadProfileError):
             WeightProfile.from_steps([0.0, 0.5, 1.0], [1.0, -0.1])
+        # A negative sample that no interpolated node reaches.
+        with pytest.raises(BadProfileError):
+            WeightProfile.from_samples([1.0, 1.0, -1.0, 1.0])
 
     def test_bad_partition(self):
         with pytest.raises(BadProfileError):
             WeightProfile.from_steps([0.1, 1.0], [1.0])
         with pytest.raises(BadProfileError):
             WeightProfile.from_steps([0.0, 0.9], [1.0])
+        with pytest.raises(BadProfileError, match="m\\+1 edges"):
+            WeightProfile.from_steps(None, [1.0])
 
 
 class TestMpLaw:
@@ -327,20 +356,40 @@ class TestSolveWeightedMp:
 class TestWeightProfileFromModel:
     def test_step_volatility_squares_levels(self):
         w = weight_profile_from_model(design_one_profile())
-        assert w.kind == "step"
-        assert np.array_equal(w.edges, [0.0, 0.25, 0.75, 1.0])
-        assert np.allclose(w.values, [7e-4, 1e-4, 7e-4], rtol=1e-12)
+        assert np.allclose(w.nodes, [7e-4, 1e-4, 7e-4], rtol=1e-12)
+        assert np.array_equal(w.masses, np.diff([0.0, 0.25, 0.75, 1.0]))
 
     def test_constant_volatility(self):
         w = weight_profile_from_model(ConstantProfile(0.02))
-        assert np.allclose(w.values, 4e-4, rtol=1e-12)
+        assert np.allclose(w.nodes, [4e-4], rtol=1e-12) and np.array_equal(w.masses, [1.0])
 
-    def test_cosine_volatility(self):
+    @pytest.mark.parametrize("c1", [8e-4, -8e-4])
+    def test_cosine_volatility_is_a_periodic_midpoint_rule(self, c1):
+        w = weight_profile_from_model(CosineProfile(9e-4, c1))
+        s = (np.arange(144) + 0.5) / 144
+        assert np.array_equal(w.nodes, 9e-4 + c1 * np.cos(2.0 * np.pi * s))
+        assert np.array_equal(w.masses, np.full(144, 1.0 / 144))
+        assert w.kappa == 9e-4 + abs(c1)
+        assert w.mean() == pytest.approx(9e-4, rel=1e-13)
+
+    def test_other_profiles_have_no_rule(self):
+        with pytest.raises(BadProfileError):
+            weight_profile_from_model(VolatilityProfile())
+
+    @pytest.mark.parametrize("y", [0.25, 0.5, 1.0, 2.0])
+    def test_design_two_agrees_with_dense_sampling(self, y):
+        # The former rule: 1 025 samples, Simpson on 513 of them. On the
+        # automatic grid and on the benchmark's 120-point design-2 grid.
+        dense = WeightProfile.from_samples(design_two_profile().gamma_sq(np.linspace(0, 1, 1025)))
         w = weight_profile_from_model(design_two_profile())
-        assert w.kind == "sampled"
-        s = np.linspace(0.0, 1.0, w.values.size)
-        want = 9e-4 + 8e-4 * np.cos(2.0 * np.pi * s)
-        assert np.allclose(w.values, want, rtol=1e-4, atol=1e-12)
+        assert w.kappa == dense.kappa
+        h = PopulationSpectrum.point_mass(1.0)
+        hi = 1.25 * support_bound(1.0, w, y)
+        for xs, v in ((np.geomspace(1e-8 * hi, hi, 800), 1e-12 * hi),
+                      (np.geomspace(2e-4 * hi / 8.0, hi, 120), 2e-4 * hi)):
+            want, got = (invert_stieltjes(_solve(h, p, y, xs + 1j * v)[0], xs, v,
+                                          atom=max(0.0, 1.0 - 1.0 / y)).ys for p in (dense, w))
+            assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 
 
 class TestInvertStieltjes:
@@ -366,6 +415,20 @@ class TestInvertStieltjes:
         m = _solve(PopulationSpectrum.point_mass(10.0), UNIT, 0.5, xs + 1j * v)[0]
         curve = invert_stieltjes(m, xs, v=v)
         assert np.all(curve.ys <= 5e-3)
+
+    def test_origin_atom_lobe_is_subtracted(self):
+        # Half the mass at 0 and half uniform on [1, 2]: the atom's Cauchy lobe
+        # leaves the density, and the atom comes back as mass_at_zero.
+        xs, v = np.linspace(0.0, 3.0, 30001), 1e-3
+        z = xs + 1j * v
+        m = -0.5 / z + 0.5 * np.log((2.0 - z) / (1.0 - z))
+        plain = invert_stieltjes(m, xs, v)
+        curve = invert_stieltjes(m, xs, v, atom=0.5)
+        assert plain.ys[0] > 100.0 and curve.ys[0] <= 1e-3
+        assert plain.mass_at_zero == pytest.approx(0.25, abs=1e-3)
+        assert curve.mass_at_zero == pytest.approx(0.5, abs=1e-3)
+        # An atom of at most 1e-12 is left in the density.
+        assert np.array_equal(invert_stieltjes(m, xs, v, atom=1e-12).ys, plain.ys)
 
     def test_validation(self):
         xs = np.array([0.0, 1.0])

@@ -87,7 +87,12 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def replicate_seed(seed: int, r: int) -> int:
-    return (seed ^ r) & _SEED_MASK
+    """Replicate 0 draws from ``seed``; replicate r >= 1 from a 64-bit SeedSequence of (seed, r)."""
+    if r == 0:
+        return seed
+    import numpy as np
+
+    return int(np.random.SeedSequence((seed, r)).generate_state(1, np.uint64)[0])
 
 
 @contextmanager
@@ -289,10 +294,11 @@ def cmd_solve(config: dict) -> int:
     # density is the law's own rather than a smoothed one.
     v = bandwidth if bandwidth is not None else 1e-12 * hi
     lo = None if config.get("xs") else 1e-8 * hi
-    if v == 0 or lo == 0:
+    # A subnormal grid start has too few bits for 800 increasing geometric steps.
+    if v == 0 or (lo is not None and lo < np.finfo(float).tiny):
         with _naming_flags(config, ("spectrum", "weights", "y")):
             raise SpecrcvError(f"the law's scale hi = {float(hi)!r} underflows the default "
-                               "bandwidth 1e-12 hi or grid start 1e-8 hi to 0")
+                               "bandwidth 1e-12 hi to 0 or grid start 1e-8 hi to a subnormal")
     xs = _cli.parse_spec("--xs", config["xs"]) if lo is None else np.geomspace(lo, hi, 800)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -480,6 +486,12 @@ def cmd_rerun(manifest_file: str, out_override: str | None) -> int:
     if command not in _COMMANDS:
         raise BadConfigError(f"manifest command {command!r} cannot be re-run")
     _check_config(manifest_file, command, config)
+    if command == "simulate" and 0 <= config["seed"] <= _SEED_MASK:
+        seeds = [replicate_seed(config["seed"], r) for r in range(config["replicates"])]
+        written = manifest.get("replicate_seeds")
+        if written != seeds:
+            raise BadConfigError(f"{manifest_file}: replicate_seeds {written} are not the seeds "
+                                 f"{seeds} of seed {config['seed']} (older versions used seed ^ r)")
     return _COMMANDS[command](config)
 
 

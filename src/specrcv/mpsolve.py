@@ -179,7 +179,6 @@ _LEVEL_RTOL = 1e-6
 # Step lengths 1, 1/2, ..., 1/16 tried along the Newton direction. A probe on
 # which none lowers the residual is stuck at its level.
 _STEP_HALVINGS = 5
-_EVAL_KEYS = ("res", "gM", "gmt", "a", "b_c")
 
 
 def within_tolerance(residual, scale):
@@ -208,14 +207,17 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs):
     and halves Im z level by level down to v, carrying M and m~ over by the
     factor z_old / z_new. Intermediate levels end at relative residual
     _LEVEL_RTOL; the last one at pair residual <= SOLVER_TOL or where the probe is
-    stuck, which ``within_tolerance`` accepts only at roundoff. Returns (M,
-    m_tilde, residual, iterations) aligned with zs, where iterations counts
-    accepted Newton steps.
+    stuck, which ``within_tolerance`` accepts only at roundoff.
+
+    The state is one flat array per quantity over the probes (z, M, m~, the
+    five ``evaluate`` outputs, step counts, stuck flags); ``live`` indexes the
+    running ones. A probe stops at its last level, or at SOLVER_MAX_ITER steps
+    (residual inf if short of that level), and its entries are then its result
+    (M, m_tilde, residual, iterations), iterations counting accepted Newton steps.
     """
     locs = np.asarray(locs, dtype=float)[:, None]
     wts = np.asarray(wts, dtype=float)[:, None]
     zs = np.asarray(zs, dtype=complex).ravel()
-    k = zs.size
     nodes, quad = w.nodes[:, None], w.masses[:, None]
     # b carries tau^2, which overflows for atoms above ~1.3e154 (and underflows
     # below ~1e-154). evaluate() returns b / c, formed from (tau / c) tau, and
@@ -237,76 +239,59 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs):
         ok = np.isfinite(res) & (M.imag >= 0.0) & (mt.imag >= 0.0)
         return np.where(ok, res, np.inf), gM, gmt, a, b_c
 
-    def search(s, sel, dM, dmt):
-        """Move probes sel by the first of t = 1, 1/2, ... that lowers the residual."""
-        moved = np.zeros(sel.size, dtype=bool)
-        pend = np.arange(sel.size)
-        t = 1.0
-        for _ in range(_STEP_HALVINGS):
-            j = sel[pend]
-            M1 = s["M"][j] + t * dM[pend]
-            mt1 = s["mt"][j] + t * dmt[pend]
-            trial = evaluate(s["z"][j], M1, mt1)
-            ok = trial[0] < s["res"][j]
-            jj = j[ok]
-            s["M"][jj], s["mt"][jj] = M1[ok], mt1[ok]
-            for key, val in zip(_EVAL_KEYS, trial):
-                s[key][jj] = val[ok]
-            moved[pend[ok]] = True
-            pend = pend[~ok]
-            if pend.size == 0:
-                break
-            t /= 2.0
-        return moved
-
     edge = support_bound(tau_max, w, y)
     # fmax/fmin keep the schedule finite when the edge overflows.
     v_top = np.fmax(np.maximum(np.abs(zs.real), zs.imag), edge)
     z = zs.real + 1j * np.fmin(v_top, np.finfo(float).max)
     M = -w.mean() / z
     mt = -float(h_tau.sum()) / z
-    M_out, mt_out = M.copy(), mt.copy()
-    res_out = np.full(k, np.inf)
-    it_out = np.zeros(k, dtype=int)
+    its = np.zeros(zs.size, dtype=int)
+    stuck = np.zeros(zs.size, dtype=bool)
+    live = np.arange(zs.size)
     with np.errstate(all="ignore"):
-        s = {"idx": np.arange(k), "z": z, "M": M, "mt": mt,
-             "its": np.zeros(k, dtype=int), "stuck": np.zeros(k, dtype=bool)}
-        s.update(zip(_EVAL_KEYS, evaluate(z, M, mt)))
-        while s["idx"].size:
-            target = zs[s["idx"]]
-            final = s["z"].imag <= target.imag
-            rep = np.where(final, s["res"], np.inf)
-            met = np.where(final, rep <= SOLVER_TOL,
-                           s["res"] <= _LEVEL_RTOL * (np.abs(s["M"]) + np.abs(s["mt"])))
-            stop = (final & (met | s["stuck"])) | (s["its"] >= SOLVER_MAX_ITER)
-            if stop.any():
-                sel = s["idx"][stop]
-                M_out[sel], mt_out[sel] = s["M"][stop], s["mt"][stop]
-                res_out[sel], it_out[sel] = rep[stop], s["its"][stop]
-                keep = ~stop
-                s = {key: val[keep] for key, val in s.items()}
-                target, met = target[keep], met[keep]
-            up = np.flatnonzero(met | s["stuck"])
+        res, gM, gmt, a, b_c = evaluate(z, M, mt)
+        while live.size:
+            final = z[live].imag <= zs[live].imag
+            r = res[live]
+            met = np.where(final, r <= SOLVER_TOL,
+                           r <= _LEVEL_RTOL * (np.abs(M[live]) + np.abs(mt[live])))
+            stop = (final & (met | stuck[live])) | (its[live] >= SOLVER_MAX_ITER)
+            res[live[stop & ~final]] = np.inf
+            live, met = live[~stop], met[~stop]
+            # Probes done with an intermediate level, or stuck on it, move to the next.
+            up = live[met | stuck[live]]
             if up.size:
-                z_old = s["z"][up]
-                z_new = target[up].real + 1j * np.maximum(z_old.imag / 2.0, target[up].imag)
-                s["z"][up] = z_new
-                s["M"][up] *= z_old / z_new
-                s["mt"][up] *= z_old / z_new
-                s["stuck"][up] = False
-                for key, val in zip(_EVAL_KEYS, evaluate(z_new, s["M"][up], s["mt"][up])):
-                    s[key][up] = val
-            sel = np.flatnonzero(~(met | s["stuck"]))
+                z_old = z[up]
+                z[up] = zs[up].real + 1j * np.maximum(z_old.imag / 2.0, zs[up].imag)
+                scale = z_old / z[up]
+                # In place: NumPy can round a complex product a bit differently out of place.
+                M[up] *= scale
+                mt[up] *= scale
+                stuck[up] = False
+                res[up], gM[up], gmt[up], a[up], b_c[up] = evaluate(z[up], M[up], mt[up])
+            sel = live[~(met | stuck[live])]
             if sel.size == 0:
                 continue
-            F1 = s["M"][sel] - s["gM"][sel]
-            F2 = s["mt"][sel] - s["gmt"][sel]
-            a, b = s["a"][sel], c * s["b_c"][sel]
-            dM = -(F1 + a * F2) / (1.0 - a * b)
-            moved = search(s, sel, dM, -F2 + b * dM)
-            s["stuck"][sel[~moved]] = True
-            s["its"][sel] += moved
-    return M_out, mt_out, res_out, it_out
+            F1, F2 = M[sel] - gM[sel], mt[sel] - gmt[sel]
+            b = c * b_c[sel]
+            dM = -(F1 + a[sel] * F2) / (1.0 - a[sel] * b)
+            dmt = -F2 + b * dM
+            # Each probe takes the first t = 1, 1/2, ... that lowers its residual.
+            t = 1.0
+            for _ in range(_STEP_HALVINGS):
+                M1, mt1 = M[sel] + t * dM, mt[sel] + t * dmt
+                trial = evaluate(z[sel], M1, mt1)
+                ok = trial[0] < res[sel]
+                done = sel[ok]
+                M[done], mt[done] = M1[ok], mt1[ok]
+                res[done], gM[done], gmt[done], a[done], b_c[done] = (v[ok] for v in trial)
+                its[done] += 1
+                sel, dM, dmt = sel[~ok], dM[~ok], dmt[~ok]
+                if sel.size == 0:
+                    break
+                t /= 2.0
+            stuck[sel] = True
+    return M, mt, res, its
 
 
 def solve_weighted_mp_grid(H: PopulationSpectrum, w: WeightProfile, y: float, zs):

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from specrcv import io
+from specrcv import io, mpsolve
 from specrcv.cli import main
 from specrcv.covmodel import SpectralDistribution
 from specrcv.diffusion import design_one_profile
@@ -113,8 +113,32 @@ class TestSimulate:
                      "--out", str(tmp_path)]) == 0
         for r in range(3):
             assert (tmp_path / f"increments_r{r}.csv").is_file()
-        manifest = _read_json(tmp_path / "manifest.json")
-        assert manifest["replicate_seeds"] == [2 ^ 0, 2 ^ 1, 2 ^ 2]
+        seeds = _read_json(tmp_path / "manifest.json")["replicate_seeds"]
+        assert seeds[0] == 2 and len(set(seeds)) == 3
+
+    def test_replicates_of_neighbouring_seeds_do_not_collide(self, tmp_path):
+        # Seeds once were seed ^ r, so seeds 0 and 1 drew the same two panels, swapped.
+        panels = {}
+        for seed in ("0", "1"):
+            assert main(["simulate", "--design", "1", "--p", "5", "--n", "20",
+                         "--replicates", "2", "--seed", seed,
+                         "--out", str(tmp_path / seed)]) == 0
+            panels[seed] = {(tmp_path / seed / f"increments_r{r}.npy").read_bytes()
+                            for r in range(2)}
+        assert len(panels["0"] | panels["1"]) == 4
+
+    def test_rerun_refuses_replicate_seeds_it_would_not_derive(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--design", "1", "--p", "3", "--n", "20",
+                     "--replicates", "2", "--seed", "2", "--out", str(sim)]) == 0
+        manifest = _read_json(sim / "manifest.json")
+        manifest["replicate_seeds"] = [2 ^ 0, 2 ^ 1]
+        old = tmp_path / "manifest.json"
+        old.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(old), "--out", str(tmp_path / "again")]) == 2
+        assert str(old) in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
 
     def test_manifest_timings_cover_every_stage(self, tmp_path):
         # Replicates run one after the other, so their summed stage times fit in the total.
@@ -558,6 +582,15 @@ class TestSolve:
         assert "kappa=0.999" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_iteration_cap_exits_3_without_density(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mpsolve, "SOLVER_MAX_ITER", 3)
+        assert main(["solve", "--spectrum", "point:1", "--y", "0.5", "--out", str(tmp_path)]) == 3
+        assert "failed to converge" in capsys.readouterr().err
+        assert not (tmp_path / "density.csv").exists()
+        # Probes stopped above their last level report an infinite residual.
+        trace = np.loadtxt(tmp_path / "solver_trace.csv", delimiter=",", skiprows=2)
+        assert np.all(trace[:, 5] <= 3) and np.any(np.isinf(trace[:, 4]))
+
     def test_nonconvergence_exits_3_without_density(self, tmp_path, capsys):
         # At y < 1 the companion transform grows like -(1 - y)/z near 0, so at
         # subnormal probes it overflows and no probe can meet the tolerance.
@@ -969,6 +1002,9 @@ class TestValidationAndWiring:
          "--spectrum 'point:5e-324' --weights 'constant:1' --y 0.5"),
         (["solve", "--spectrum", "point:5e-324", "--y", "0.5", "--bandwidth", "1"],
          "--spectrum 'point:5e-324' --weights 'constant:1' --y 0.5"),
+        # With --bandwidth the grid start 1e-8 hi = 3.6e-323 is subnormal; its first steps tie.
+        (["solve", "--spectrum", "point:1e-315", "--y", "0.5", "--bandwidth", "1"],
+         "--spectrum 'point:1e-315' --weights 'constant:1' --y 0.5"),
         (["estimate", "--input", "PANEL", "--bins", "100000000000"], "--bins"),
         (["simulate", "--design", "1", "--p", "3", "--n", "10", "--lambda-file", "LAMBDA"],
          "--lambda-file"),
@@ -992,7 +1028,7 @@ class TestValidationAndWiring:
             "constant_weights_negative", "design1_weights_zero_level",
             "scale_overflows_auto_grid", "scale_overflows_given_xs",
             "scale_underflows_bandwidth", "scale_underflows_bandwidth_and_grid_start",
-            "scale_underflows_grid_start", "bins_huge",
+            "scale_underflows_grid_start", "grid_start_subnormal", "bins_huge",
             "lambda_file_not_number", "lambda_file_missing", "lambda_file_wrong_shape",
             "lambda_file_nan_cell", "drift_too_large", "drift_nan", "design1_a_nan",
             "design1_a_zero", "design2_c0_below_c1"])

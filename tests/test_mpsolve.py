@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specrcv import mpsolve
 from specrcv.covmodel import SpectralDistribution
 from specrcv.diffusion import (
     ConstantProfile,
@@ -343,6 +344,16 @@ class TestSolveWeightedMp:
         vs = np.array([1e2, 1e3, 1e4])
         m = _solve(h, w, 0.5, 1j * vs)[0]
         assert np.all(np.abs(1j * vs * m + 1.0) <= 5.0 * bound / vs + 1e-12)
+
+    def test_iteration_cap_stops_probes_and_fails_them(self, monkeypatch):
+        monkeypatch.setattr(mpsolve, "SOLVER_MAX_ITER", 3)
+        # 100i converges in one step; 10 + 5i reaches its last level but not the
+        # tolerance; 1 + 1e-6i stops levels above its own, so its residual is inf.
+        zs = np.array([100j, 10 + 5j, 1 + 1e-6j])
+        _, big_m, mt, res, its = solve_weighted_mp_grid(TWO_ATOM, UNIT, 0.5, zs)
+        assert its.tolist() == [1, 3, 3]
+        assert np.all(np.isfinite(res[:2])) and np.isinf(res[2])
+        assert within_tolerance(res, np.abs(big_m) + np.abs(mt)).tolist() == [True, False, False]
 
     def test_result_fields(self):
         zs = np.array([1j, 0.5 + 0.1j, 2.0 + 1e-3j])

@@ -8,21 +8,16 @@ weight profile, ``recover`` fits a population spectrum to an observed ESD,
 replays any of the above from its manifest. Every run directory gets a
 manifest.json recording the config, the Python and NumPy versions and BLAS
 thread settings, per-replicate seeds, per-stage timings, and SHA-256 digests
-of all emitted files; re-running a manifest reproduces the CSV outputs byte
-for byte when the BLAS thread setting matches. No subcommand starts threads
-of its own: ``simulate`` draws and writes its replicates one after the other,
-so its ``draw``, ``write`` and ``digest`` stage times add up to at most its
-``total``. Its ``write`` stage formats a large panel's CSV in
-``io.write_increments_csv``'s k processes, with the same bytes for any k; the
-manifest's ``diagnostics`` record k as ``write_processes``.
+of all emitted files; ``rerun`` applies the recorded BLAS thread setting
+before NumPy loads, so it reproduces the CSV outputs byte for byte. No
+subcommand starts threads of its own: ``simulate`` draws and writes its
+replicates one after the other, so its ``draw``, ``write`` and ``digest``
+stage times add up to at most its ``total``.
 
-``simulate`` writes each panel as ``increments_r{r}.csv`` plus its binary
-twin ``increments_r{r}.npy``, and its manifest hashes both. ``estimate``
-reads each input through ``io.read_increments_csv``, which takes the rows
-from the twin when that manifest vouches for both files and parses the CSV
-otherwise; the ``estimate`` manifest's per-input diagnostics record the
-input's ``sha256`` and the ``reader`` used (``npy`` or ``csv``). The output
-files are the same either way.
+``simulate`` writes each panel as ``increments_r{r}.csv`` and its ``.npy``
+twin, and ``estimate`` reads each input with ``io.read_increments_csv``; see
+``io`` for the formatter processes and the twin rule. Manifests record the
+formatter count as ``write_processes`` and each input's ``sha256`` and ``reader``.
 
 Each subcommand's parser is the one table of its config: every flag's
 ``dest`` is a config key and its ``default`` the key's default, the
@@ -208,8 +203,6 @@ def cmd_estimate(config: dict) -> int:
     if which not in ("rcv", "tvarcv", "both"):
         raise BadConfigError(f"which must be rcv, tvarcv, or both, got {which!r}")
     paths = [Path(s) for s in config["inputs"]]
-    if not paths:
-        raise BadConfigError("no input files given")
     # Outputs are named after the input stem, so two inputs may not share one.
     seen = {}
     for path in paths:
@@ -475,17 +468,27 @@ def cmd_rerun(manifest_file: str, out_override: str | None) -> int:
     config = dict(manifest["config"])
     if out_override is not None:
         config["out"] = str(out_override)
-    recorded = manifest.get("environment")
-    if recorded is not None:
-        changed = [f"{name}={recorded.get(name)} now {os.environ.get(name)}"
-                   for name in _BLAS_THREAD_VARS if recorded.get(name) != os.environ.get(name)]
-        if changed:
-            print(f"warning: BLAS thread setting differs from the recorded run "
-                  f"({', '.join(changed)}); eigenvalue files may differ in their last bits",
-                  file=sys.stderr)
     if command not in _COMMANDS:
         raise BadConfigError(f"manifest command {command!r} cannot be re-run")
     _check_config(manifest_file, command, config)
+    # Applied before anything imports NumPy, which is when BLAS reads its thread count.
+    recorded = manifest.get("environment") or {}
+    if not (isinstance(recorded, dict) and all(
+            isinstance(recorded.get(name), (str, type(None))) for name in _BLAS_THREAD_VARS)):
+        raise BadConfigError(f"{manifest_file}: environment must give each of "
+                             f"{', '.join(_BLAS_THREAD_VARS)} as a string or null")
+    changed = {name: recorded[name] for name in _BLAS_THREAD_VARS
+               if name in recorded and recorded[name] != os.environ.get(name)}
+    if changed and "numpy" in sys.modules:
+        now = ", ".join(f"{k}={v} now {os.environ.get(k)}" for k, v in changed.items())
+        print(f"warning: BLAS thread setting differs from the recorded run ({now}); "
+              "eigenvalue files may differ in their last bits", file=sys.stderr)
+    else:
+        for name, value in changed.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
     if command == "simulate" and 0 <= config["seed"] <= _SEED_MASK:
         seeds = [replicate_seed(config["seed"], r) for r in range(config["replicates"])]
         written = manifest.get("replicate_seeds")

@@ -16,25 +16,28 @@ code:
   correctly rounded conversion behind ``float()``, so every written double
   reads back bit for bit, subnormals and signed zeros included.
 
-Formatting panel text is most of a ``simulate``, and ``repr`` holds the
-GIL, so ``write_increments_csv`` splits a large panel's rows into k
-contiguous blocks. It formats the first itself and sends each other block as
-raw float64 bytes to a formatter process (``python -I -S``, no NumPy), which
-writes its rows to an unnamed temporary file in the CSV's directory; the
-blocks are appended in order, so the bytes are the same for every k. k is
-the smallest of the usable CPUs, the cells over ``_CELLS_PER_WORKER``, the
-rows and ``_MAX_WRITE_PROCESSES``, and 1 without a usable
-``sys.executable``. No formatter outlives the call, and a failed one
-removes the CSV.
+Every file this module parses is opened through ``_reading``, its one read
+boundary: a ``ValueError`` while reading (bad UTF-8, bad JSON, a cell that is
+not a number) becomes ``BadConfigError`` naming the file. An ``OSError``,
+such as a missing file, passes through and names its path.
+
+``write_increments_csv`` first saves the n x (p+1) float64 table with
+``np.save`` as ``increments_r0.npy`` beside ``increments_r0.csv``, then
+renders the CSV. ``repr`` holds the GIL, so a large panel's rows are split
+into k contiguous blocks: this process formats the first, and a formatter
+process (``python -I -S``, no NumPy) each other block, reading its rows
+straight from the twin, whose table ends the file. The blocks are appended
+in order, so the bytes are the same for every k. k is the smallest of the
+usable CPUs, the cells over ``_CELLS_PER_WORKER``, the rows and
+``_MAX_WRITE_PROCESSES``, and 1 without a usable ``sys.executable``. No
+formatter outlives the call, and a failure removes the CSV and the twin.
 
 Parsing panel text is the slow part of reading a panel, so
-``write_increments_csv`` also saves the same table with ``np.save`` as
-``increments_r0.npy`` beside ``increments_r0.csv``. ``read_increments_csv``
-always reads the CSV's metadata and header, but takes the rows from the twin
-only when a ``simulate`` manifest in the same directory records the SHA-256
-of both files and both still match; any other CSV is parsed. A vouched-for
-twin whose dtype or shape disagrees with the header raises
-``BadConfigError``; it is never skipped in silence.
+``read_increments_csv`` always reads the CSV's metadata and header, but
+takes the rows from the twin only when a ``simulate`` manifest in the same
+directory records the SHA-256 of both files and both still match; any other
+CSV is parsed. A vouched-for twin whose dtype or shape disagrees with the
+header raises ``BadConfigError``; it is never skipped in silence.
 
 Each reader and writer imports what it builds with when called: NumPy,
 ``covmodel``, ``spectra``, ``distances``, ``diffusion`` or ``mpsolve``. So
@@ -48,6 +51,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -109,6 +113,16 @@ def _write_table(path, meta: dict, header: list[str], rows) -> None:
         handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
+@contextmanager
+def _reading(path, mode: str = "r"):
+    """Open ``path`` to read; a ``ValueError`` meanwhile becomes ``BadConfigError`` naming it."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
+    except ValueError as err:
+        raise BadConfigError(f"{path}: {err}") from None
+
+
 def _read_header(handle, path) -> tuple[dict, list[str]]:
     meta = _parse_meta(handle.readline().rstrip("\n"), path)
     return meta, handle.readline().rstrip("\n").split(",")
@@ -124,11 +138,7 @@ def _read_body(handle, path, width: int):
             break
     else:
         return np.empty((0, width))
-    try:
-        data = np.loadtxt(itertools.chain([first], handle), delimiter=",",
-                          ndmin=2, comments=None)
-    except ValueError as err:
-        raise BadConfigError(f"{path}: {err}") from None
+    data = np.loadtxt(itertools.chain([first], handle), delimiter=",", ndmin=2, comments=None)
     if data.shape[1] != width:
         raise BadConfigError(
             f"{path}: rows have {data.shape[1]} columns but the header names {width}"
@@ -141,10 +151,7 @@ def _read_columns(handle, path, width: int) -> list[list[float]]:
     rows = list(filter(str.strip, handle.read().splitlines()))
     if rows and {row.count(",") for row in rows} != {width - 1}:
         raise BadConfigError(f"{path}: rows must have the header's {width} columns")
-    try:
-        cells = list(map(float, ",".join(rows).split(","))) if rows else []
-    except ValueError as err:
-        raise BadConfigError(f"{path}: {err}") from None
+    cells = list(map(float, ",".join(rows).split(","))) if rows else []
     return [cells[k::width] for k in range(width)]
 
 
@@ -158,17 +165,23 @@ def twin_path(path) -> Path:
 
 
 # The program each formatter process runs, as ``python -I -S -c
-# _FORMAT_WORKER width``: rows of ``width`` native float64 cells on stdin,
-# their CSV rows on stdout, each joined as ``_write_table`` joins a row. It
-# imports nothing, so it starts in about 10 ms and loads no BLAS.
+# _FORMAT_WORKER twin start stop width``: the rows of ``width`` native float64
+# cells in bytes [start, stop) of ``twin`` to their CSV rows on stdout, each
+# joined as ``_write_table`` joins a row. It imports nothing, so it starts in
+# about 10 ms and loads no BLAS.
 _FORMAT_WORKER = """\
 import sys
-width = int(sys.argv[1])
-read, write = sys.stdin.buffer.read, sys.stdout.buffer.write
-while block := read(8 * width * max(1, 65536 // width)):
-    cells = memoryview(block).cast("d").tolist()
-    write("".join([",".join(map(repr, cells[i:i + width])) + "\\n"
-                   for i in range(0, len(cells), width)]).encode())
+path, start, stop, width = sys.argv[1], *map(int, sys.argv[2:])
+step, write = 8 * width * max(1, 65536 // width), sys.stdout.buffer.write
+with open(path, "rb") as source:
+    source.seek(start)
+    for at in range(start, stop, step):
+        block = source.read(min(step, stop - at))
+        if len(block) != min(step, stop - at):
+            sys.exit(f"{path}: ends before byte {stop}")
+        cells = memoryview(block).cast("d").tolist()
+        write("".join([",".join(map(repr, cells[i:i + width])) + "\\n"
+                       for i in range(0, len(cells), width)]).encode())
 """
 # On a 2-CPU host a formatter process starts in 11-15 ms and ``repr`` takes
 # about 1 us a cell, so splitting a panel in two pays from about 40k cells
@@ -192,20 +205,15 @@ def _write_processes(cells: int, rows: int) -> int:
                       _MAX_WRITE_PROCESSES))
 
 
-def _start_formatter(block, directory: Path):
-    """A formatter process for ``block`` and the unnamed file it writes its rows to."""
+def _start_formatter(twin: Path, start: int, stop: int, width: int):
+    """A formatter process for bytes [start, stop) of ``twin`` and the unnamed file it writes."""
     import subprocess
     import tempfile
 
-    out = tempfile.TemporaryFile(dir=directory)
+    out = tempfile.TemporaryFile(dir=twin.parent)
     try:
-        # A file, not a pipe, on stdin: the parent never waits for the worker to read.
-        with tempfile.TemporaryFile(dir=directory) as source:
-            source.write(block.tobytes())
-            source.seek(0)
-            proc = subprocess.Popen(
-                [sys.executable, "-I", "-S", "-c", _FORMAT_WORKER, str(block.shape[1])],
-                stdin=source, stdout=out)
+        proc = subprocess.Popen([sys.executable, "-I", "-S", "-c", _FORMAT_WORKER, str(twin),
+                                 str(start), str(stop), str(width)], stdout=out)
     except BaseException:
         out.close()
         raise
@@ -215,15 +223,9 @@ def _start_formatter(block, directory: Path):
 def write_increments_csv(path, incr: IncrementMatrix) -> int:
     """One row per interval: right endpoint tau, then the p increment entries.
 
-    The rows are split into k contiguous blocks: this process formats the
-    first, and one formatter process each the others, which are appended in
-    order, so the bytes do not depend on k. Returns k. A formatter that fails
-    raises ``SpecrcvError`` and the CSV is removed; no formatter outlives
-    the call.
-
-    The same n x (p+1) float64 table also goes to ``twin_path(path)`` as
-    ``.npy``, which ``read_increments_csv`` loads in place of the CSV body
-    when a ``simulate`` manifest vouches for both files.
+    Saves the float64 table to ``twin_path(path)`` first, then renders the
+    CSV in k processes from it (see the module docstring). Returns k. A
+    failed formatter raises ``SpecrcvError``; any failure removes both files.
     """
     import shutil
 
@@ -236,14 +238,20 @@ def write_increments_csv(path, incr: IncrementMatrix) -> int:
     n, p = incr.increments.shape
     meta = {"kind": "increments", "p": p, "n": n, "digest": incr.spec_digest}
     header = ["tau"] + [f"x{j + 1}" for j in range(p)]
-    table = np.column_stack([incr.grid.times[1:], incr.increments])
-    blocks = np.array_split(table, _write_processes(table.size, n))
+    table = np.ascontiguousarray(np.column_stack([incr.grid.times[1:], incr.increments]))
+    k = _write_processes(table.size, n)
+    # Block i starts at row n * i // k; k <= n, so no block is empty.
+    rows = [n * i // k for i in range(k + 1)]
     workers = []
     try:
-        for block in blocks[1:]:
-            workers.append(_start_formatter(block, path.parent))
+        with open(twin, "wb") as handle:
+            np.save(handle, table, allow_pickle=False)
+            # The table ends the file in C order: row r starts at byte start + r * row.
+            start, row = handle.tell() - table.nbytes, table.itemsize * (p + 1)
+        for lo, hi in zip(rows[1:], rows[2:]):
+            workers.append(_start_formatter(twin, start + lo * row, start + hi * row, p + 1))
         # Row by row, so the panel never exists as one list of Python floats.
-        _write_table(path, meta, header, (row.tolist() for row in blocks[0]))
+        _write_table(path, meta, header, (r.tolist() for r in table[:rows[1]]))
         with open(path, "ab") as handle:
             for proc, out in workers:
                 status = proc.wait()
@@ -255,33 +263,26 @@ def write_increments_csv(path, incr: IncrementMatrix) -> int:
                 shutil.copyfileobj(out, handle)
     except BaseException:
         path.unlink(missing_ok=True)
+        twin.unlink(missing_ok=True)
         raise
     finally:
         for proc, out in workers:
             proc.kill()
             proc.wait()
             out.close()
-    with open(twin, "wb") as handle:
-        np.save(handle, table, allow_pickle=False)
-    return len(blocks)
+    return k
 
 
 def _vouched_twin(path: Path, digest: str) -> Path | None:
-    """The twin of ``path`` if it is vouched for, else None.
-
-    Vouched for means that a ``simulate`` manifest beside ``path`` records the
-    digests of both files and both files still have them.
-    """
+    """The twin of ``path`` if a ``simulate`` manifest beside ``path`` records
+    the digests of both files and both files still have them, else None."""
     twin = twin_path(path)
     try:
-        with open(path.parent / "manifest.json", "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(manifest, dict) or manifest.get("command") != "simulate":
+        manifest = read_manifest(path.parent / "manifest.json")
+    except (SpecrcvError, OSError):
         return None
     files = manifest.get("files")
-    if (not isinstance(files, dict)
+    if (manifest["command"] != "simulate" or not isinstance(files, dict)
             or files.get(path.name) != digest or twin.name not in files
             or not twin.is_file()):
         return None
@@ -292,11 +293,8 @@ def _load_twin(twin: Path, path, n: str | None, width: int):
     """The table in ``twin``, which must be float64 with ``n`` rows and ``width`` columns."""
     import numpy as np
 
-    try:
-        with open(twin, "rb") as handle:
-            data = np.lib.format.read_array(handle, allow_pickle=False)
-    except (OSError, ValueError) as err:
-        raise BadConfigError(f"{twin}: twin of {path} does not load: {err}") from None
+    with _reading(twin, "rb") as handle:
+        data = np.lib.format.read_array(handle, allow_pickle=False)
     if data.dtype.str != "<f8" or tuple(map(str, data.shape)) != (n, str(width)):
         raise BadConfigError(
             f"{twin} holds {data.dtype.str} {data.shape}, but the header of {path} "
@@ -308,12 +306,8 @@ def _load_twin(twin: Path, path, n: str | None, width: int):
 def read_increments_csv(path) -> IncrementMatrix:
     """The panel in an increments CSV, its rows from the binary twin when vouched for.
 
-    The metadata line and header are always read from the CSV. The rows come
-    from ``twin_path(path)`` only when ``manifest.json`` in the same directory
-    is a ``simulate`` manifest whose ``files`` hold both names, and the CSV
-    and the twin both hash to the recorded digests; otherwise the CSV body
-    is parsed. The result's ``source`` records the CSV's SHA-256 and the
-    reader used.
+    The metadata line and header always come from the CSV. The result's
+    ``source`` records the CSV's SHA-256 and the reader used.
     """
     import numpy as np
 
@@ -322,7 +316,7 @@ def read_increments_csv(path) -> IncrementMatrix:
     path = Path(path)
     digest = sha256_file(path)
     twin = _vouched_twin(path, digest)
-    with open(path, "r", encoding="utf-8") as handle:
+    with _reading(path) as handle:
         meta, header = _read_header(handle, path)
         if meta.get("kind") != "increments" or not header or header[0] != "tau":
             raise BadConfigError(f"{path}: not an increments file")
@@ -362,7 +356,7 @@ def _read_spectral(path, kind: str | None = None) -> tuple[str, dict, list[list[
 
     With ``kind`` given, any other kind is rejected.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with _reading(path) as handle:
         meta, header = _read_header(handle, path)
         found = meta.get("kind")
         if kind is None and found not in _SPECTRAL_HEADERS:
@@ -421,9 +415,6 @@ def read_distribution(path) -> list[float] | Density:
     """
     from .distances import density_law
 
-    path = Path(path)
-    if not path.is_file():
-        raise BadConfigError(f"file not found: {path}")
     kind, meta, columns = _read_spectral(path)
     if kind == "density":
         return density_law(*_density_columns(path, meta, columns))
@@ -480,7 +471,7 @@ def read_spectrum_json(path) -> PopulationSpectrum:
 
     from .mpsolve import PopulationSpectrum
 
-    with open(path, "r", encoding="utf-8") as handle:
+    with _reading(path) as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise BadConfigError("spectrum file must hold a JSON object")
@@ -507,10 +498,7 @@ def write_manifest(path, manifest: dict) -> None:
 
 
 def read_manifest(path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise BadConfigError(f"manifest not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
+    with _reading(path) as handle:
         manifest = json.load(handle)
     if (not isinstance(manifest, dict) or "command" not in manifest
             or not isinstance(manifest.get("config"), dict)):

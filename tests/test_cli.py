@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -178,6 +179,47 @@ class TestSimulate:
         warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
         assert len(warnings) == 1
         assert "OPENBLAS_NUM_THREADS=1 now 2" in warnings[0]
+
+    def test_rerun_in_a_fresh_process_applies_the_recorded_blas_setting(self, tmp_path):
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        base = {k: v for k, v in os.environ.items() if k not in blas}
+        base["PYTHONPATH"] = str(Path(io.__file__).resolve().parents[1])
+
+        def specrcv(*args, **env):
+            proc = subprocess.run([sys.executable, "-m", "specrcv", *map(str, args)],
+                                  env={**base, **env}, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stderr
+
+        specrcv("simulate", "--design", "1", "--p", "30", "--n", "40", "--out", tmp_path / "sim")
+        specrcv("estimate", "--input", tmp_path / "sim" / "increments_r0.csv",
+                "--out", tmp_path / "est", OPENBLAS_NUM_THREADS="1")
+        manifest = _read_json(tmp_path / "est" / "manifest.json")
+        assert [manifest["environment"][name] for name in blas] == ["1", None]
+        # Recorded: 1 and unset. Now: 2 and 3. The rerun runs under the recorded pair.
+        err = specrcv("rerun", "--manifest", tmp_path / "est" / "manifest.json",
+                      "--out", tmp_path / "again", OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3")
+        assert "warning" not in err
+        again = _read_json(tmp_path / "again" / "manifest.json")
+        assert again["environment"] == manifest["environment"]
+        assert again["files"] == manifest["files"]
+        # A manifest that records no environment leaves the current setting alone.
+        del manifest["environment"]
+        io.write_manifest(tmp_path / "bare.json", manifest)
+        specrcv("rerun", "--manifest", tmp_path / "bare.json", "--out", tmp_path / "bare",
+                OPENBLAS_NUM_THREADS="2")
+        bare = _read_json(tmp_path / "bare" / "manifest.json")["environment"]
+        assert [bare[name] for name in blas] == ["2", None]
+
+    @pytest.mark.parametrize("environment", [[1], {"OPENBLAS_NUM_THREADS": 1}])
+    def test_rerun_rejects_a_malformed_environment(self, design1_run, tmp_path, capsys,
+                                                   environment):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({**design1_run.sim_manifest, "environment": environment}))
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(bad), "--out", str(tmp_path / "again")]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
 
     def test_rerun_accepts_a_recorded_replicate_thread_cap(self, design1_run, tmp_path, capsys):
         # Manifests from before the serial replicate loop also record SPECRCV_THREADS.
@@ -1085,6 +1127,21 @@ class TestValidationAndWiring:
         good = _eigen_file(tmp_path / "good.csv", [0.5, 1.0])
         assert main(["compare", str(good), str(bad)]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["estimate", "compare", "recover", "rerun"])
+    def test_a_file_that_does_not_parse_exits_2_naming_it(self, design1_run, tmp_path, capsys,
+                                                           command):
+        npy, out = str(design1_run.sim / "increments_r0.npy"), str(tmp_path / "out")
+        argv = {"estimate": ["estimate", "--input", npy, "--out", out],
+                "compare": ["compare", npy, str(design1_run.rcv_eig)],
+                "recover": ["recover", "--esd", npy, "--y", "0.5", "--out", out],
+                # Text, but not JSON.
+                "rerun": ["rerun", "--manifest", str(design1_run.increments), "--out", out]}
+        capsys.readouterr()
+        assert main(argv[command]) == 2
+        named = design1_run.increments if command == "rerun" else npy
+        assert f"error: {named}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_wrong_file_kind_exits_2(self, design1_run, tmp_path):
         rc = main(["recover", "--esd", str(design1_run.tvar_hist), "--y", "0.1",

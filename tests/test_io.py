@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -338,6 +340,47 @@ class TestFormatterProcesses:
         # The workers' temporary files are gone with them.
         assert {f.name for f in root.iterdir()} == {"serial.csv", "serial.npy",
                                                     "split.csv", "split.npy"}
+
+    def test_formatters_read_the_finished_twin(self, tmp_path, monkeypatch):
+        """Each formatter starts once the twin holds its final bytes, and reads no stdin file."""
+        path = tmp_path / "incr.csv"
+        real, starts = subprocess.Popen, []
+
+        def spy(args, **kwargs):
+            starts.append((args, kwargs, twin_path(path).read_bytes()))
+            return real(args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", spy)
+        incr = IncrementMatrix(np.arange(36.0).reshape(9, 4) / 7, make_grid("equispaced", 9))
+        assert _write_with(3, path, incr) == 3
+        final = twin_path(path).read_bytes()
+        assert len(starts) == 2
+        for args, kwargs, twin in starts:
+            assert str(twin_path(path)) in args and twin == final
+            assert kwargs.get("stdin") is None
+
+    def test_a_twin_cut_short_fails_its_formatter(self, tmp_path, monkeypatch):
+        path = tmp_path / "incr.csv"
+        real = subprocess.Popen
+
+        def cut(args, **kwargs):
+            # One cell past the block's first byte: a read that ends early, not a torn cell.
+            os.truncate(twin_path(path), int(args[-3]) + 8)
+            return real(args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", cut)
+        incr = IncrementMatrix(np.ones((4, 3)), make_grid("equispaced", 4))
+        with pytest.raises(SpecrcvError, match="exited with status 1"):
+            _write_with(2, path, incr)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_fortran_ordered_panel_keeps_its_rows(self, tmp_path):
+        cells = np.asfortranarray(np.arange(24.0).reshape(6, 4) / 7)
+        cells.setflags(write=False)
+        incr = IncrementMatrix(cells, make_grid("equispaced", 6))
+        assert not incr.increments.flags["C_CONTIGUOUS"]
+        assert _write_with(2, tmp_path / "split.csv", incr) == 2
+        assert np.array_equal(read_increments_csv(tmp_path / "split.csv").increments, cells)
 
     def test_process_count(self, monkeypatch):
         monkeypatch.setattr(io, "_usable_cpus", lambda: 64)

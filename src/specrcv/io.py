@@ -40,14 +40,13 @@ CSV is parsed. A vouched-for twin whose dtype or shape disagrees with the
 header raises ``BadConfigError``; it is never skipped in silence.
 
 Each reader and writer imports what it builds with when called: NumPy,
-``covmodel``, ``spectra``, ``distances``, ``diffusion`` or ``mpsolve``. So
-``read_distribution``, which ``compare`` uses, loads ``distances`` and none
-of the others.
+``json``, ``covmodel``, ``spectra``, ``distances``, ``diffusion`` or
+``mpsolve``. So ``read_distribution``, which ``compare`` uses, loads
+``distances`` and none of the others.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 import sys
@@ -456,6 +455,8 @@ def write_objective_csv(path, trace, meta: dict) -> None:
 
 
 def write_spectrum_json(path, spectrum: PopulationSpectrum, extra: dict | None = None) -> None:
+    import json
+
     payload = dict(extra or {})
     payload["atoms"] = [
         {"location": float(loc), "weight": float(wt)}
@@ -467,6 +468,8 @@ def write_spectrum_json(path, spectrum: PopulationSpectrum, extra: dict | None =
 
 
 def read_spectrum_json(path) -> PopulationSpectrum:
+    import json
+
     import numpy as np
 
     from .mpsolve import PopulationSpectrum
@@ -492,12 +495,16 @@ def read_spectrum_json(path) -> PopulationSpectrum:
 
 
 def write_manifest(path, manifest: dict) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
 def read_manifest(path) -> dict:
+    import json
+
     with _reading(path) as handle:
         manifest = json.load(handle)
     if (not isinstance(manifest, dict) or "command" not in manifest

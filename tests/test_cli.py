@@ -3,6 +3,7 @@
 Everything runs through ``specrcv.cli.main`` in process so exit codes and
 stdout are observable; one test shells out to check the ``-m`` entry point.
 """
+import gc
 import json
 import math
 import os
@@ -1063,6 +1064,9 @@ class TestValidationAndWiring:
         (["simulate", "--design", "1", "--p", "3", "--n", "10", "--a", "0"], "--a 0.0 --b 1.0"),
         (["simulate", "--design", "2", "--p", "3", "--n", "10", "--c0", "1e-4", "--c1", "2e-4"],
          "--c0 0.0001 --c1 0.0002"),
+        # A finite profile whose cumulative gamma^2 cancels to a zero inner interval variance.
+        (["simulate", "--design", "1", "--p", "3", "--n", "5", "--a", "1e308"],
+         "--a 1e+308 --b 1.0"),
     ], ids=["bandwidth_inf", "xs_hi_inf", "xs_lo_minus_inf", "log_xs_hi_inf", "grid_hi_inf",
             "xs_count_huge", "log_grid_count_huge", "xs_count_not_integer", "xs_hi_not_number",
             "point_spectrum_not_number", "constant_weights_not_number",
@@ -1073,7 +1077,7 @@ class TestValidationAndWiring:
             "scale_underflows_grid_start", "grid_start_subnormal", "bins_huge",
             "lambda_file_not_number", "lambda_file_missing", "lambda_file_wrong_shape",
             "lambda_file_nan_cell", "drift_too_large", "drift_nan", "design1_a_nan",
-            "design1_a_zero", "design2_c0_below_c1"])
+            "design1_a_zero", "design2_c0_below_c1", "design1_interval_variance_zero"])
     def test_nonfinite_bandwidth_or_grid_end_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                                    argv, flag):
         esd_file = tmp_path / "esd.csv"
@@ -1209,3 +1213,35 @@ class TestValidationAndWiring:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("specrcv ")
+
+    def test_main_in_process_leaves_the_heap_unfrozen(self, tmp_path, capsys):
+        esd_file = tmp_path / "esd.csv"
+        io.write_eigenvalues_csv(esd_file, SpectralDistribution(np.linspace(0.5, 1.5, 20)), {})
+        before = gc.get_freeze_count()
+        assert main(["compare", str(esd_file), str(esd_file)]) == 0
+        assert main(["solve", "--y", "0", "--out", str(tmp_path / "out")]) == 2
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("case, code", [("compare", 0), ("threshold", 1), ("bad_y", 2)])
+    def test_run_returns_mains_code_with_the_heap_frozen_at_exit(self, tmp_path, case, code):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        io.write_eigenvalues_csv(a, SpectralDistribution(np.linspace(0.5, 1.5, 20)), {})
+        io.write_eigenvalues_csv(b, SpectralDistribution(np.linspace(0.5, 2.5, 20)), {})
+        argv = {"compare": ["compare", a, b],
+                "threshold": ["compare", a, b, "--threshold", "0"],
+                "bad_y": ["solve", "--y", "0", "--out", tmp_path / "out"]}[case]
+        # The atexit handler runs after run() returns, as it would in the console script.
+        probe = ("import atexit, gc, sys\n"
+                 "from specrcv.__main__ import run\n"
+                 "print('before', gc.get_freeze_count())\n"
+                 "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                 "rc = run()\n"
+                 "print('rc', rc)\n"
+                 "sys.exit(rc)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "before 0"
+        assert lines[-2:] == [f"rc {code}", "frozen True"]

@@ -3,10 +3,11 @@
 The package imports no submodule, and ``specrcv.cli`` loads
 ``covmodel``, ``spectra``, ``distances``, ``diffusion``, ``estimators`` and
 ``mpsolve`` only when a subcommand calls into them; ``compare``,
-``--version`` and ``--help`` run without NumPy. Names stay reachable as
-module attributes, and a replacement set on ``specrcv.cli`` is the one the
-subcommand calls.
+``--version`` and ``--help`` run without NumPy, ``json`` or ``specrcv.runs``.
+Names stay reachable as module attributes, and a replacement set on
+``specrcv.cli`` is the one the subcommand calls.
 """
+import ast
 import json
 import os
 import subprocess
@@ -21,15 +22,16 @@ from specrcv import cli, io
 from specrcv.covmodel import SpectralDistribution
 
 # Runs main() on argv and prints its exit code and the loaded modules as the last
-# stdout line; --version and --help end main() with SystemExit.
+# stdout line; --version and --help end main() with SystemExit. It imports only
+# sys, so that every other module it reports was loaded by main().
 _PROBE = """
-import json, sys
+import sys
 from specrcv.cli import main
 try:
     rc = main(sys.argv[1:])
 except SystemExit as stop:
     rc = stop.code
-print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+print(repr({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
 
@@ -56,7 +58,7 @@ def _run(code: str, argv, check: bool = True) -> subprocess.CompletedProcess:
 
 def _modules_after(argv) -> set[str]:
     proc = _run(_PROBE, argv)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
     assert result["rc"] == 0, proc.stderr
     return set(result["modules"])
 
@@ -73,28 +75,73 @@ def tiny_run(tmp_path_factory):
     return root
 
 
+def _argv(run_dir, tmp_path, case: str) -> list:
+    """The command line of ``case``, reading the files of ``run_dir``; a
+    subcommand that writes a run directory writes it to ``tmp_path / "out"``."""
+    est = run_dir / "est"
+    eig = est / "increments_r0_rcv_eigenvalues.csv"
+    solve = ["solve", "--y", "0.5", "--xs", "0.1:4:20", "--weights"]
+    if case == "solve json":
+        profile = tmp_path / "weights.json"
+        profile.write_text(json.dumps({"kind": "step", "values": [2.0, 1.0],
+                                       "edges": [0.0, 0.5, 1.0]}))
+    front_end = {
+        "compare": ["compare", eig, est / "increments_r0_tvarcv_density.csv"],
+        "version": ["--version"],
+        "help": ["--help"],
+    }
+    if case in front_end:
+        return front_end[case]
+    return {
+        "simulate": ["simulate", "--design", "2", "--p", "3", "--n", "20"],
+        "estimate": ["estimate", "--input", run_dir / "sim" / "increments_r0.csv",
+                     "--bins", "5"],
+        "solve design1": [*solve, "design1"],
+        "solve constant": [*solve, "constant:2"],
+        "solve json": [*solve, tmp_path / "weights.json"],
+        "recover": ["recover", "--esd", eig, "--y", "0.5", "--max-iter", "5"],
+        "rerun recover": ["rerun", "--manifest", run_dir / "rec" / "manifest.json"],
+    }[case] + ["--out", tmp_path / "out"]
+
+
 def _eigenvalue_file(path, values) -> str:
     io.write_eigenvalues_csv(path, SpectralDistribution(np.asarray(values)), {})
     return str(path)
 
 
 class TestSubcommandImports:
-    def test_compare_loads_no_solver_simulator_or_estimator(self, tiny_run):
-        est = tiny_run / "est"
-        loaded = _modules_after(["compare", est / "increments_r0_rcv_eigenvalues.csv",
-                                 est / "increments_r0_tvarcv_density.csv"])
+    def test_compare_loads_no_solver_simulator_or_estimator(self, tiny_run, tmp_path):
+        loaded = _modules_after(_argv(tiny_run, tmp_path, "compare"))
         assert {m for m in loaded if m.startswith("specrcv")} == {
             "specrcv", "specrcv.cli", "specrcv.distances", "specrcv.errors", "specrcv.io"}
         assert "numpy" not in loaded
         assert "concurrent.futures" not in loaded
 
     @pytest.mark.parametrize("case", ["compare", "version", "help"])
-    def test_compare_version_and_help_load_no_dataclasses(self, tiny_run, case):
-        est = tiny_run / "est"
-        argv = {"compare": ["compare", est / "increments_r0_rcv_eigenvalues.csv",
-                            est / "increments_r0_tvarcv_density.csv"],
-                "version": ["--version"], "help": ["--help"]}[case]
-        loaded = _modules_after(argv)
+    def test_compare_version_and_help_load_neither_runs_nor_json(self, tiny_run, tmp_path,
+                                                                  case):
+        loaded = _modules_after(_argv(tiny_run, tmp_path, case))
+        assert "specrcv.runs" not in loaded
+        assert "json" not in loaded
+
+    @pytest.mark.parametrize("case, modules", [
+        ("simulate", {"diffusion"}),
+        ("estimate", {"covmodel", "diffusion", "distances", "estimators", "specs", "spectra"}),
+        ("solve design1", {"covmodel", "diffusion", "distances", "mpsolve", "specs", "spectra"}),
+        ("solve constant", {"covmodel", "distances", "mpsolve", "specs", "spectra"}),
+        ("recover", {"covmodel", "mpsolve", "spectra"}),
+        ("rerun recover", {"covmodel", "mpsolve", "spectra"}),
+    ])
+    def test_run_directory_subcommands_add_runs_to_what_they_compute_with(
+            self, tiny_run, tmp_path, case, modules):
+        loaded = _modules_after(_argv(tiny_run, tmp_path, case))
+        front_end = {"cli", "errors", "io", "runs"}
+        assert {m for m in loaded if m.startswith("specrcv")} == {
+            "specrcv", *(f"specrcv.{m}" for m in front_end | modules)}
+
+    @pytest.mark.parametrize("case", ["compare", "version", "help"])
+    def test_compare_version_and_help_load_no_dataclasses(self, tiny_run, tmp_path, case):
+        loaded = _modules_after(_argv(tiny_run, tmp_path, case))
         assert "dataclasses" not in loaded
         assert "inspect" not in loaded
 
@@ -127,38 +174,13 @@ class TestSubcommandImports:
     ])
     def test_numpy_ma_never_and_simulator_only_where_run(self, tiny_run, tmp_path, case,
                                                          loads_simulator):
-        est = tiny_run / "est"
-        eig = est / "increments_r0_rcv_eigenvalues.csv"
-        solve = ["solve", "--y", "0.5", "--xs", "0.1:4:20", "--weights"]
-        if case == "solve json":
-            profile = tmp_path / "weights.json"
-            profile.write_text(json.dumps({"kind": "step", "values": [2.0, 1.0],
-                                           "edges": [0.0, 0.5, 1.0]}))
-        argv = {
-            "simulate": ["simulate", "--design", "2", "--p", "3", "--n", "20"],
-            "estimate": ["estimate", "--input", tiny_run / "sim" / "increments_r0.csv",
-                         "--bins", "5"],
-            "solve design1": [*solve, "design1"],
-            "solve constant": [*solve, "constant:2"],
-            "solve json": [*solve, tmp_path / "weights.json"],
-            "recover": ["recover", "--esd", eig, "--y", "0.5", "--max-iter", "5"],
-            "compare": ["compare", eig, est / "increments_r0_tvarcv_density.csv"],
-            "rerun recover": ["rerun", "--manifest", tiny_run / "rec" / "manifest.json"],
-        }[case]
-        if case != "compare":
-            argv = argv + ["--out", tmp_path / "out"]
-        loaded = _modules_after(argv)
+        loaded = _modules_after(_argv(tiny_run, tmp_path, case))
         assert "numpy.ma" not in loaded
         assert ("specrcv.diffusion" in loaded) == loads_simulator
 
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_simulate_and_estimate_do_not_load_the_solver(self, tiny_run, tmp_path, command):
-        if command == "simulate":
-            argv = ["simulate", "--design", "2", "--p", "3", "--n", "20"]
-        else:
-            argv = ["estimate", "--input", tiny_run / "sim" / "increments_r0.csv",
-                    "--bins", "5"]
-        loaded = _modules_after(argv + ["--out", tmp_path / "out"])
+        loaded = _modules_after(_argv(tiny_run, tmp_path, command))
         assert "specrcv.mpsolve" not in loaded
 
 

@@ -2,9 +2,9 @@
 a binary ``.npy`` twin beside each increments CSV.
 
 Every CSV starts with one ``#`` metadata line of ``key=value`` pairs followed
-by a column header row and one line per data row. All tables go through one
-writer, and rows are read by one of two body parsers after the same header
-code:
+by a column header row and one line per data row. Every table but the
+increment panel goes through one writer, and rows are read by one of two body
+parsers after the same header code:
 
 - ``_write_table`` joins ``repr`` of native Python floats and ints, the
   shortest decimal that parses back to the same double. Integer columns stay
@@ -21,16 +21,11 @@ boundary: a ``ValueError`` while reading (bad UTF-8, bad JSON, a cell that is
 not a number) becomes ``BadConfigError`` naming the file. An ``OSError``,
 such as a missing file, passes through and names its path.
 
-``write_increments_csv`` first saves the n x (p+1) float64 table with
-``np.save`` as ``increments_r0.npy`` beside ``increments_r0.csv``, then
-renders the CSV. ``repr`` holds the GIL, so a large panel's rows are split
-into k contiguous blocks: this process formats the first, and a formatter
-process (``python -I -S``, no NumPy) each other block, reading its rows
-straight from the twin, whose table ends the file. The blocks are appended
-in order, so the bytes are the same for every k. k is the smallest of the
-usable CPUs, the cells over ``_CELLS_PER_WORKER``, the rows and
-``_MAX_WRITE_PROCESSES``, and 1 without a usable ``sys.executable``. No
-formatter outlives the call, and a failure removes the CSV and the twin.
+``write_increments_csv`` saves the n x (p+1) float64 table with ``np.save``
+as ``increments_r0.npy`` beside ``increments_r0.csv``, then writes the CSV
+body in this process with ``floattext``, whose NumPy kernel renders the bytes
+of the ``repr`` join about 16k cells at a time. It returns how many cells the
+kernel handed to ``repr`` itself; a failure removes the CSV and the twin.
 
 Parsing panel text is the slow part of reading a panel, so
 ``read_increments_csv`` always reads the CSV's metadata and header, but
@@ -40,16 +35,14 @@ CSV is parsed. A vouched-for twin whose dtype or shape disagrees with the
 header raises ``BadConfigError``; it is never skipped in silence.
 
 Each reader and writer imports what it builds with when called: NumPy,
-``json``, ``covmodel``, ``spectra``, ``distances``, ``diffusion`` or
-``mpsolve``. So ``read_distribution``, which ``compare`` uses, loads
-``distances`` and none of the others.
+``json``, ``floattext``, ``covmodel``, ``spectra``, ``distances``,
+``diffusion`` or ``mpsolve``. So ``read_distribution``, which ``compare``
+uses, loads ``distances`` and none of the others.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -163,72 +156,16 @@ def twin_path(path) -> Path:
     return Path(path).with_suffix(".npy")
 
 
-# The program each formatter process runs, as ``python -I -S -c
-# _FORMAT_WORKER twin start stop width``: the rows of ``width`` native float64
-# cells in bytes [start, stop) of ``twin`` to their CSV rows on stdout, each
-# joined as ``_write_table`` joins a row. It imports nothing, so it starts in
-# about 10 ms and loads no BLAS.
-_FORMAT_WORKER = """\
-import sys
-path, start, stop, width = sys.argv[1], *map(int, sys.argv[2:])
-step, write = 8 * width * max(1, 65536 // width), sys.stdout.buffer.write
-with open(path, "rb") as source:
-    source.seek(start)
-    for at in range(start, stop, step):
-        block = source.read(min(step, stop - at))
-        if len(block) != min(step, stop - at):
-            sys.exit(f"{path}: ends before byte {stop}")
-        cells = memoryview(block).cast("d").tolist()
-        write("".join([",".join(map(repr, cells[i:i + width])) + "\\n"
-                       for i in range(0, len(cells), width)]).encode())
-"""
-# On a 2-CPU host a formatter process starts in 11-15 ms and ``repr`` takes
-# about 1 us a cell, so splitting a panel in two pays from about 40k cells
-# (20k a process; see CHANGES.md). The floor leaves a margin for a busy host.
-_CELLS_PER_WORKER = 50_000
-_MAX_WRITE_PROCESSES = 8
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _write_processes(cells: int, rows: int) -> int:
-    """How many processes format a panel of ``cells`` cells in ``rows`` rows."""
-    if not (sys.executable and os.access(sys.executable, os.X_OK)):
-        return 1
-    return max(1, min(_usable_cpus(), cells // _CELLS_PER_WORKER, rows,
-                      _MAX_WRITE_PROCESSES))
-
-
-def _start_formatter(twin: Path, start: int, stop: int, width: int):
-    """A formatter process for bytes [start, stop) of ``twin`` and the unnamed file it writes."""
-    import subprocess
-    import tempfile
-
-    out = tempfile.TemporaryFile(dir=twin.parent)
-    try:
-        proc = subprocess.Popen([sys.executable, "-I", "-S", "-c", _FORMAT_WORKER, str(twin),
-                                 str(start), str(stop), str(width)], stdout=out)
-    except BaseException:
-        out.close()
-        raise
-    return proc, out
-
-
 def write_increments_csv(path, incr: IncrementMatrix) -> int:
     """One row per interval: right endpoint tau, then the p increment entries.
 
-    Saves the float64 table to ``twin_path(path)`` first, then renders the
-    CSV in k processes from it (see the module docstring). Returns k. A
-    failed formatter raises ``SpecrcvError``; any failure removes both files.
+    Saves the float64 table to ``twin_path(path)``, then writes the CSV body
+    chunk by chunk with ``floattext.csv_chunks``. Returns how many cells
+    ``floattext`` handed to ``repr``. Any failure removes both files.
     """
-    import shutil
-
     import numpy as np
+
+    from . import floattext
 
     path = Path(path)
     twin = twin_path(path)
@@ -238,38 +175,20 @@ def write_increments_csv(path, incr: IncrementMatrix) -> int:
     meta = {"kind": "increments", "p": p, "n": n, "digest": incr.spec_digest}
     header = ["tau"] + [f"x{j + 1}" for j in range(p)]
     table = np.ascontiguousarray(np.column_stack([incr.grid.times[1:], incr.increments]))
-    k = _write_processes(table.size, n)
-    # Block i starts at row n * i // k; k <= n, so no block is empty.
-    rows = [n * i // k for i in range(k + 1)]
-    workers = []
+    repr_cells = 0
     try:
         with open(twin, "wb") as handle:
             np.save(handle, table, allow_pickle=False)
-            # The table ends the file in C order: row r starts at byte start + r * row.
-            start, row = handle.tell() - table.nbytes, table.itemsize * (p + 1)
-        for lo, hi in zip(rows[1:], rows[2:]):
-            workers.append(_start_formatter(twin, start + lo * row, start + hi * row, p + 1))
-        # Row by row, so the panel never exists as one list of Python floats.
-        _write_table(path, meta, header, (r.tolist() for r in table[:rows[1]]))
-        with open(path, "ab") as handle:
-            for proc, out in workers:
-                status = proc.wait()
-                if status != 0:
-                    how = (f"was killed by signal {-status}" if status < 0
-                           else f"exited with status {status}")
-                    raise SpecrcvError(f"{path}: a formatter process {how}")
-                out.seek(0)
-                shutil.copyfileobj(out, handle)
+        with open(path, "wb") as handle:
+            handle.write(f"{_meta_line(meta)}\n{','.join(header)}\n".encode())
+            for text, cells in floattext.csv_chunks(table):
+                handle.write(text)
+                repr_cells += cells
     except BaseException:
         path.unlink(missing_ok=True)
         twin.unlink(missing_ok=True)
         raise
-    finally:
-        for proc, out in workers:
-            proc.kill()
-            proc.wait()
-            out.close()
-    return k
+    return repr_cells
 
 
 def _vouched_twin(path: Path, digest: str) -> Path | None:

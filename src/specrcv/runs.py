@@ -5,15 +5,17 @@ manifest. ``cli`` imports this module only when one of them runs, so
 
 Every run directory gets a manifest.json recording the config, the Python
 and NumPy versions and BLAS thread settings, per-replicate seeds, per-stage
-timings, and SHA-256 digests of all emitted files. No subcommand starts
-threads of its own: ``simulate`` draws and writes its replicates one after
-the other, so its ``draw``, ``write`` and ``digest`` stage times add up to at
-most its ``total``.
+timings, and SHA-256 digests of all emitted files. No subcommand starts a
+thread or process of its own: ``simulate`` draws and writes its replicates
+one after the other, so its ``draw``, ``write`` and ``digest`` stage times
+add up to at most its ``total``.
 
 ``simulate`` writes each panel as ``increments_r{r}.csv`` and its ``.npy``
 twin, and ``estimate`` reads each input with ``io.read_increments_csv``; see
-``io`` for the formatter processes and the twin rule. Manifests record the
-formatter count as ``write_processes`` and each input's ``sha256`` and ``reader``.
+``io`` for the panel text and the twin rule. ``simulate``'s manifest records
+``repr_cells``: how many panel cells, summed over replicates, the text kernel
+handed to ``repr``, so a slow ``write`` stage explains itself. ``estimate``'s
+records each input's ``sha256`` and ``reader``.
 
 ``rerun`` checks a manifest's config against the subcommand's parser in
 ``cli`` (keys, then value types) before any subcommand code runs, and
@@ -152,7 +154,7 @@ def cmd_simulate(config: dict) -> int:
             _cli.ClassCSpec(p=config["p"], profile=profile, **field)
     seeds = [replicate_seed(seed, r) for r in range(config["replicates"])]
     timings = {}
-    diagnostics = {}
+    diagnostics = {"repr_cells": 0}
     started = time.perf_counter()
     with _stage(timings, "draw"), _naming_flags(config, keys):
         grids = [_checked_grid(grid_kind, config["n"], replicate, profile)
@@ -167,7 +169,7 @@ def cmd_simulate(config: dict) -> int:
             incr = _cli.simulate_increments(spec, grid)
         path = out / f"increments_r{r}.csv"
         with _stage(timings, "write"):
-            diagnostics["write_processes"] = io.write_increments_csv(path, incr)
+            diagnostics["repr_cells"] += io.write_increments_csv(path, incr)
         # Free this panel before the next one is drawn.
         del incr
         files += [path, io.twin_path(path)]

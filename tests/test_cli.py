@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from specrcv import io, mpsolve
+from specrcv import floattext, io, mpsolve
 from specrcv.cli import main
 from specrcv.covmodel import SpectralDistribution
 from specrcv.diffusion import design_one_profile
@@ -235,51 +235,24 @@ class TestSimulate:
         assert replay == design1_run.increments.read_bytes()
 
 
-def _force_formatters(monkeypatch, cpus):
-    """Let every panel of at least ``cpus`` rows be written by ``cpus`` processes."""
-    monkeypatch.setattr(io, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(io, "_CELLS_PER_WORKER", 1)
+class TestSimulateWrites:
+    """``simulate`` writes its panels without starting a process, and counts
+    the cells its text kernel handed to ``repr``."""
 
-
-class TestSimulateFormatters:
-    """``simulate`` formats large panels in several processes, with the same bytes."""
-
-    def test_small_panels_start_no_process(self, tmp_path, popen_spy):
-        assert main(["simulate", "--design", "1", "--p", "40", "--n", "200",
+    @pytest.mark.parametrize("p, n", [(40, 200), (100, 600)], ids=["small", "large"])
+    def test_no_panel_size_starts_a_process(self, tmp_path, popen_spy, p, n):
+        # 100 x 600 is above the 50,000 cells from which panels were once split
+        # over formatter processes.
+        assert main(["simulate", "--design", "1", "--p", str(p), "--n", str(n),
                      "--replicates", "2", "--out", str(tmp_path)]) == 0
         assert popen_spy == []
-        assert _read_json(tmp_path / "manifest.json")["diagnostics"] == {"write_processes": 1}
-
-    def test_split_panels_keep_their_bytes(self, tmp_path, monkeypatch, popen_spy):
-        args = ["simulate", "--design", "2", "--p", "30", "--n", "60", "--replicates", "2",
-                "--seed", "8"]
-        assert main(args + ["--out", str(tmp_path / "serial")]) == 0
-        _force_formatters(monkeypatch, 3)
-        assert main(args + ["--out", str(tmp_path / "split")]) == 0
-        assert len(popen_spy) == 4
-        assert all(proc.returncode == 0 for proc in popen_spy)
-        serial, split = (_read_json(tmp_path / d / "manifest.json") for d in ("serial", "split"))
-        assert split["files"] == serial["files"]
-        assert (serial["diagnostics"], split["diagnostics"]) == (
-            {"write_processes": 1}, {"write_processes": 3})
-        assert set(split["environment"]) == set(serial["environment"]) == {
+        manifest = _read_json(tmp_path / "manifest.json")
+        counts = [sum(cells for _, cells in floattext.csv_chunks(np.load(twin)))
+                  for twin in sorted(tmp_path.glob("*.npy"))]
+        assert len(counts) == 2
+        assert manifest["diagnostics"] == {"repr_cells": sum(counts)}
+        assert set(manifest["environment"]) == {
             "python", "numpy", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
-
-    @pytest.mark.parametrize("worker, status", [
-        ("import sys; sys.exit(3)", "exited with status 3"),
-        ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)", "killed by signal 9"),
-    ], ids=["exit_3", "killed"])
-    def test_failed_formatter_exits_2(self, tmp_path, monkeypatch, popen_spy, capsys,
-                                      worker, status):
-        _force_formatters(monkeypatch, 2)
-        monkeypatch.setattr(io, "_FORMAT_WORKER", worker)
-        capsys.readouterr()
-        assert main(["simulate", "--design", "1", "--p", "3", "--n", "20",
-                     "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert str(tmp_path / "increments_r0.csv") in err and status in err
-        assert list(tmp_path.iterdir()) == []
-        assert len(popen_spy) == 1 and popen_spy[0].returncode is not None
 
 
 class TestEstimate:

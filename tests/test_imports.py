@@ -3,7 +3,8 @@
 The package imports no submodule, and ``specrcv.cli`` loads
 ``covmodel``, ``spectra``, ``distances``, ``diffusion``, ``estimators`` and
 ``mpsolve`` only when a subcommand calls into them; ``compare``,
-``--version`` and ``--help`` run without NumPy, ``json`` or ``specrcv.runs``.
+``--version`` and ``--help`` run without NumPy, ``json``, ``specrcv.runs`` or
+the panel text kernel ``specrcv.floattext``.
 Names stay reachable as module attributes, and a replacement set on
 ``specrcv.cli`` is the one the subcommand calls.
 """
@@ -122,10 +123,11 @@ class TestSubcommandImports:
                                                                   case):
         loaded = _modules_after(_argv(tiny_run, tmp_path, case))
         assert "specrcv.runs" not in loaded
+        assert "specrcv.floattext" not in loaded
         assert "json" not in loaded
 
     @pytest.mark.parametrize("case, modules", [
-        ("simulate", {"diffusion"}),
+        ("simulate", {"diffusion", "floattext"}),
         ("estimate", {"covmodel", "diffusion", "distances", "estimators", "specs", "spectra"}),
         ("solve design1", {"covmodel", "diffusion", "distances", "mpsolve", "specs", "spectra"}),
         ("solve constant", {"covmodel", "distances", "mpsolve", "specs", "spectra"}),

@@ -1,6 +1,5 @@
 import json
-import os
-import subprocess
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +11,12 @@ from specrcv.diffusion import (
     ClassCSpec,
     ConstantProfile,
     IncrementMatrix,
+    design_one_profile,
+    design_two_profile,
     make_grid,
     simulate_increments,
 )
-from specrcv import io
+from specrcv import floattext
 from specrcv.errors import BadConfigError, SpecrcvError
 from specrcv.io import (
     format_float,
@@ -311,109 +312,137 @@ class TestTwinRule:
         assert not (tmp_path / "incr.npy").exists()
 
 
-def _write_with(k, path, incr):
-    """Write ``incr`` as if this host had ``k`` CPUs and every cell paid for a worker."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(io, "_usable_cpus", lambda: k)
-        patch.setattr(io, "_CELLS_PER_WORKER", 1)
-        return write_increments_csv(path, incr)
+def _repr_join(table) -> bytes:
+    """The CSV body ``repr`` gives a table: the reference for ``floattext``."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
 
 
-class TestFormatterProcesses:
-    """Panels split over k processes; the files do not depend on k."""
+def _kernel_text(table) -> tuple[bytes, int]:
+    """The CSV body ``floattext`` gives a table, and the cells it handed to ``repr``."""
+    chunks = list(floattext.csv_chunks(np.asarray(table, dtype=float)))
+    return b"".join(text for text, _ in chunks), sum(cells for _, cells in chunks)
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    @settings(max_examples=8, deadline=None)
-    @given(cells=_panels(), seed=st.integers(0, 99))
-    @example(cells=np.reshape(EDGE_DOUBLES + [1e300, -1e-300], (2, 5)), seed=0)
-    @example(cells=np.reshape(EDGE_DOUBLES + [-1e300, 1e-300], (5, 2)), seed=1)
-    @example(cells=np.array([[-0.0, 5e-324, -1.7976931348623157e308]]), seed=2)
-    def test_bytes_match_the_serial_writer(self, tmp_path_factory, k, cells, seed):
-        incr = IncrementMatrix(cells, make_grid("poisson", cells.shape[0], seed=seed))
-        root = tmp_path_factory.mktemp("split")
-        serial, split = root / "serial.csv", root / "split.csv"
-        assert _write_with(1, serial, incr) == 1
-        # One row per block at most: n < k gives n blocks.
-        assert _write_with(k, split, incr) == min(k, cells.shape[0])
-        assert split.read_bytes() == serial.read_bytes()
-        assert twin_path(split).read_bytes() == twin_path(serial).read_bytes()
-        # The workers' temporary files are gone with them.
-        assert {f.name for f in root.iterdir()} == {"serial.csv", "serial.npy",
-                                                    "split.csv", "split.npy"}
 
-    def test_formatters_read_the_finished_twin(self, tmp_path, monkeypatch):
-        """Each formatter starts once the twin holds its final bytes, and reads no stdin file."""
+_TEN_POWERS = [10.0 ** k for k in range(-8, 18)]
+# Cells that the kernel hands to repr, each for its own reason.
+TO_REPR = [
+    *EDGE_DOUBLES[:6],                                  # zeros and subnormals
+    math.inf, -math.inf, math.nan,                      # non-finite
+    0.5, -2.0, 1024.0, 2.0 ** -20, 2.0 ** 52,           # the fraction bits are all zero
+    9.999e-7, -5e-7, 1.2345e16, 1e300, -1e-300,         # |x| outside [1e-6, 1e16)
+    1048576 + 2 ** -11,                                 # a tie between two 17-digit decimals
+    10.0, 0.001, 1e-4, 1e15,                            # hi lands on 1e16 exactly
+    9.999999999999999e-05, 9999999999999998.0,          # log10 estimates q one too high
+]
+# Cells the kernel formats itself: both sides of the 1e-4 and 1e16 layout
+# switches, the 1e-6 floor, "ddd.0", and short and 17-digit decimals.
+KERNEL_CELLS = [
+    1.0000000000000002e-06, 1.2345e-06, -9.8765e-05, 0.00012345, 0.000100000001,
+    0.1 + 0.2, -1.5, 3.0, 123.456, 1e15 + 0.5, 9.87654321e15, -8765432109876543.0,
+    1.4000000000000001, 0.30000000000000004, 2.7182818284590455, 5e-5 + 1e-20,
+]
+
+
+@st.composite
+def _tables(draw):
+    """A table of 1 to 8 rows of 1 to 9 cells: raw bit patterns, magnitudes in the
+    kernel's domain and short decimals, with either sign."""
+    n, w = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    bits = st.integers(0, 2 ** 64 - 1).map(
+        lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+    domain = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+                       st.floats(1e-6, 1e16, exclude_max=True))
+    decimals = st.builds(lambda m, e: float(f"{m}e{e}"),
+                         st.integers(-10 ** 17, 10 ** 17), st.integers(-25, 18))
+    cell = st.one_of(bits, domain, decimals,
+                     st.sampled_from(TO_REPR + KERNEL_CELLS + _TEN_POWERS))
+    return np.reshape(draw(st.lists(cell, min_size=n * w, max_size=n * w)), (n, w))
+
+
+class TestFloatText:
+    """``floattext`` gives the bytes of the ``repr`` join, for any float64 table."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(table=_tables())
+    @example(table=np.reshape(EDGE_DOUBLES, (2, 4)))
+    @example(table=np.array([TO_REPR]))
+    @example(table=np.array([KERNEL_CELLS]))
+    @example(table=np.array([_TEN_POWERS, np.nextafter(_TEN_POWERS, 0),
+                             np.nextafter(_TEN_POWERS, math.inf), np.negative(_TEN_POWERS)]))
+    def test_bytes_equal_the_repr_join(self, table):
+        assert _kernel_text(table)[0] == _repr_join(table)
+
+    @pytest.mark.parametrize("cell", TO_REPR)
+    def test_cells_it_cannot_vouch_for_go_to_repr(self, cell):
+        assert _kernel_text([[cell]]) == (_repr_join(np.array([[cell]])), 1)
+
+    @pytest.mark.parametrize("cell", KERNEL_CELLS)
+    def test_cells_in_its_domain_do_not(self, cell):
+        assert _kernel_text([[cell], [-cell]]) == (_repr_join(np.array([[cell], [-cell]])), 0)
+
+    @pytest.mark.parametrize("design, grid", [("design1", "equispaced"),
+                                              ("design2", "equispaced"),
+                                              ("design1", "poisson")])
+    def test_panels(self, design, grid):
+        """More than 1e5 cells of a simulated panel, in several chunks."""
+        profile = design_one_profile() if design == "design1" else design_two_profile()
+        spec = ClassCSpec(p=120, profile=profile, seed=11)
+        incr = simulate_increments(spec, make_grid(grid, 900, seed=3))
+        table = np.column_stack([incr.grid.times[1:], incr.increments])
+        assert table.size > 10 ** 5 > floattext.CHUNK_CELLS
+        text, cells = _kernel_text(table)
+        assert text == _repr_join(table)
+        assert cells < table.size // 100
+
+    @pytest.mark.parametrize("width", [1, 7, floattext.CHUNK_CELLS + 1])
+    def test_chunks_hold_whole_rows(self, width):
+        table = np.random.default_rng(width).normal(size=(3 * floattext.CHUNK_CELLS // width + 2,
+                                                          width))
+        chunks = [text for text, _ in floattext.csv_chunks(table)]
+        assert len(chunks) > 1
+        assert all(text.endswith(b"\n") for text in chunks)
+        assert max(text.count(b"\n") for text in chunks) == max(
+            1, floattext.CHUNK_CELLS // width)
+
+
+class TestIncrementsWriter:
+    def test_counts_the_cells_that_go_to_repr(self, tmp_path):
+        # tau = 0.25, 0.5, 0.75, 1: three are powers of two. The increments hold a
+        # subnormal, 0.0 and a power of two among cells the kernel formats itself.
+        cells = np.array([[5e-324, 0.1234], [0.0, -2.5e-3], [0.5, 1e-5 / 3], [-0.7, 42.42]])
+        incr = IncrementMatrix(cells, make_grid("equispaced", 4))
         path = tmp_path / "incr.csv"
-        real, starts = subprocess.Popen, []
+        assert write_increments_csv(path, incr) == 3 + 3
+        assert path.read_bytes().split(b"\n", 2)[2] == _repr_join(
+            np.load(twin_path(path)))
 
-        def spy(args, **kwargs):
-            starts.append((args, kwargs, twin_path(path).read_bytes()))
-            return real(args, **kwargs)
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_an_error_mid_write_leaves_neither_file(self, tmp_path, monkeypatch, popen_spy,
+                                                     error):
+        real = floattext.csv_chunks
 
-        monkeypatch.setattr(subprocess, "Popen", spy)
-        incr = IncrementMatrix(np.arange(36.0).reshape(9, 4) / 7, make_grid("equispaced", 9))
-        assert _write_with(3, path, incr) == 3
-        final = twin_path(path).read_bytes()
-        assert len(starts) == 2
-        for args, kwargs, twin in starts:
-            assert str(twin_path(path)) in args and twin == final
-            assert kwargs.get("stdin") is None
+        def fail(table):
+            chunks = real(table)
+            yield next(chunks)
+            raise error
 
-    def test_a_twin_cut_short_fails_its_formatter(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(floattext, "csv_chunks", fail)
+        incr = IncrementMatrix(np.ones((3 * floattext.CHUNK_CELLS, 1)) / 3,
+                               make_grid("equispaced", 3 * floattext.CHUNK_CELLS))
         path = tmp_path / "incr.csv"
-        real = subprocess.Popen
-
-        def cut(args, **kwargs):
-            # One cell past the block's first byte: a read that ends early, not a torn cell.
-            os.truncate(twin_path(path), int(args[-3]) + 8)
-            return real(args, **kwargs)
-
-        monkeypatch.setattr(subprocess, "Popen", cut)
-        incr = IncrementMatrix(np.ones((4, 3)), make_grid("equispaced", 4))
-        with pytest.raises(SpecrcvError, match="exited with status 1"):
-            _write_with(2, path, incr)
+        path.write_text("an earlier file")
+        with pytest.raises(error):
+            write_increments_csv(path, incr)
         assert list(tmp_path.iterdir()) == []
+        assert popen_spy == []
 
     def test_a_fortran_ordered_panel_keeps_its_rows(self, tmp_path):
         cells = np.asfortranarray(np.arange(24.0).reshape(6, 4) / 7)
         cells.setflags(write=False)
         incr = IncrementMatrix(cells, make_grid("equispaced", 6))
         assert not incr.increments.flags["C_CONTIGUOUS"]
-        assert _write_with(2, tmp_path / "split.csv", incr) == 2
-        assert np.array_equal(read_increments_csv(tmp_path / "split.csv").increments, cells)
-
-    def test_process_count(self, monkeypatch):
-        monkeypatch.setattr(io, "_usable_cpus", lambda: 64)
-        assert io._write_processes(10 ** 7, 10 ** 4) == io._MAX_WRITE_PROCESSES
-        assert io._write_processes(10 ** 7, 3) == 3
-        assert io._write_processes(3 * io._CELLS_PER_WORKER - 1, 10 ** 4) == 2
-        assert io._write_processes(io._CELLS_PER_WORKER - 1, 10 ** 4) == 1
-        monkeypatch.setattr(io, "_usable_cpus", lambda: 1)
-        assert io._write_processes(10 ** 7, 10 ** 4) == 1
-
-    @pytest.mark.parametrize("executable", ["", None, "/nonexistent/python"])
-    def test_no_usable_interpreter_means_one_process(self, monkeypatch, executable):
-        monkeypatch.setattr(io, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(io.sys, "executable", executable)
-        assert io._write_processes(10 ** 7, 10 ** 4) == 1
-
-    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
-    def test_an_error_in_this_process_stops_every_worker(self, tmp_path, monkeypatch,
-                                                         popen_spy, error):
-        def fail(*args):
-            raise error
-
-        monkeypatch.setattr(io, "_write_table", fail)
-        # Workers that would run until killed.
-        monkeypatch.setattr(io, "_FORMAT_WORKER", "import time; time.sleep(60)")
-        incr = IncrementMatrix(np.ones((4, 3)), make_grid("equispaced", 4))
-        path = tmp_path / "incr.csv"
-        path.write_text("an earlier file")
-        with pytest.raises(error):
-            _write_with(4, path, incr)
-        assert len(popen_spy) == 3
-        assert all(proc.returncode is not None for proc in popen_spy)
-        assert list(tmp_path.iterdir()) == []
+        write_increments_csv(tmp_path / "incr.csv", incr)
+        assert np.array_equal(read_increments_csv(tmp_path / "incr.csv").increments, cells)
 
 
 def _golden_files(root):

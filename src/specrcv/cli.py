@@ -41,15 +41,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 
-from . import __version__, _lazy_getattr, io
+from . import __version__, io
 from .errors import BadConfigError, SpecrcvError
 
 # Names from the modules that only some subcommands run. Each is imported on
 # first access as an attribute of this module, and call sites here and in
 # ``runs`` look it up there (``_cli.name``), so a replacement set on this
 # module is the one called.
-__getattr__ = _lazy_getattr(globals(), __package__, {
+_HOMES = {
     "covmodel": ("esd",),
     "diffusion": ("ClassCSpec", "design_one_profile", "design_two_profile", "make_grid",
                   "simulate_increments"),
@@ -59,7 +60,24 @@ __getattr__ = _lazy_getattr(globals(), __package__, {
                 "solve_weighted_mp_grid", "support_bound", "within_tolerance"),
     "spectra": ("histogram", "zero_roundoff"),
     "specs": ("MAX_POINTS", "parse_spec"),
-})
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a name of ``_HOMES`` on first access and store it in this module.
+
+    Later lookups, and any replacement set on the module afterwards, bypass
+    this function.
+    """
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
 _cli = sys.modules[__name__]
 
 _GRIDS = ("equispaced", "poisson")

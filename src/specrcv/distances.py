@@ -1,10 +1,12 @@
 """Kolmogorov and Levy distances between spectral distributions, in pure Python.
 
 A distribution is either an ESD, the uniform law on p eigenvalues, given as
-their ascending list, or a ``Density``: a tabulated density's grid, the
-cumulative trapezoid integral of its values, and a point mass at the origin.
-``SpectralDistribution`` and ``DensityCurve`` are accepted too. Nothing here
-imports NumPy, so ``compare`` runs without it.
+their ascending list, or a ``Density``: the one type of a tabulated law,
+which ``histogram``, ``invert_stieltjes`` and the density file readers all
+build through ``density_law``. It holds the grid, the density values, their
+cumulative trapezoid integral and a point mass at the origin;
+``density_law`` is the only code that integrates a tabulated density.
+Nothing here imports NumPy, so ``compare`` runs without it.
 
 Both distances are exact. The Kolmogorov distance compares the right-
 continuous CDFs and their left limits over the merged jump and grid points;
@@ -29,24 +31,26 @@ MASS_BUDGET = 0.03
 
 
 class Density(NamedTuple):
-    """A tabulated density's CDF: grid, cumulative trapezoid integral, origin atom.
+    """A tabulated law: grid, density values, cumulative trapezoid integral, origin atom.
 
-    The two sequences are ``array("d")``, which holds doubles without a
-    Python object per value.
+    The three sequences are ``array("d")``, which holds doubles without a
+    Python object per value. Build one with ``density_law``.
     """
 
     xs: array
+    ys: array
     cum: array
     mass_at_zero: float
 
 
-def density_law(xs, ys, mass_at_zero: float = 0.0) -> Density:
+def density_law(xs, ys, mass_at_zero: float | None = 0.0) -> Density:
     """Check a tabulated density and integrate it by the trapezoid rule.
 
     The grid must be finite and strictly increasing, the values finite and
     nonnegative, and the integral plus ``mass_at_zero``, which is where the
     CDF ends, must lie within MASS_BUDGET of 1. The integral accumulates the
-    trapezoids in grid order.
+    trapezoids in grid order. ``mass_at_zero=None`` puts at the origin the
+    mass the integral leaves, max(0, 1 - integral).
     """
     xs, ys = array("d", xs), array("d", ys)
     if len(xs) < 2 or len(xs) != len(ys):
@@ -58,30 +62,21 @@ def density_law(xs, ys, mass_at_zero: float = 0.0) -> Density:
         raise ValueError("xs must be strictly increasing")
     if min(ys) < 0:
         raise ValueError("densities must be nonnegative")
-    mass_at_zero = float(mass_at_zero)
-    if not 0.0 <= mass_at_zero <= 1.0:
-        raise ValueError(f"mass_at_zero must lie in [0,1], got {mass_at_zero}")
     cum = array("d", [0.0])
     cum.extend(accumulate(0.5 * (b + a) * d for a, b, d in zip(ys, ys[1:], steps)))
+    mass_at_zero = max(0.0, 1.0 - cum[-1]) if mass_at_zero is None else float(mass_at_zero)
+    if not 0.0 <= mass_at_zero <= 1.0:
+        raise ValueError(f"mass_at_zero must lie in [0,1], got {mass_at_zero}")
     total = cum[-1] + mass_at_zero
     if not (1.0 - MASS_BUDGET <= total <= 1.0 + MASS_BUDGET):
         raise ValueError(
             f"total mass {total:.4f} outside [{1 - MASS_BUDGET}, {1 + MASS_BUDGET}]"
         )
-    return Density(xs, cum, mass_at_zero)
+    return Density(xs, ys, cum, mass_at_zero)
 
 
-def _law(dist) -> list[float] | Density:
-    if isinstance(dist, (list, Density)):
-        return dist
-    if hasattr(dist, "eigenvalues"):  # SpectralDistribution
-        return dist.eigenvalues.tolist()
-    return dist.law  # DensityCurve
-
-
-def mass_gap(dist) -> float:
+def mass_gap(law) -> float:
     """|1 - F(inf)|: 0.0 for an ESD, the integration error of a density."""
-    law = _law(dist)
     if isinstance(law, Density):
         return abs(1.0 - (law.cum[-1] + law.mass_at_zero))
     return 0.0
@@ -143,7 +138,6 @@ def kolmogorov_distance(f, g) -> float:
 
     One-sided limits are compared too, so atom jumps are measured exactly.
     """
-    f, g = _law(f), _law(g)
     checkpoints = []
     for law in (f, g):
         if isinstance(law, Density):
@@ -192,8 +186,8 @@ def levy_distance(f, g) -> float:
     u(t) are piecewise linear between the graph vertices, so the maximum is
     taken at a vertex of F or of G.
     """
-    tf, uf = _graph(_law(f))
-    tg, ug = _graph(_law(g))
+    tf, uf = _graph(f)
+    tg, ug = _graph(g)
     at_f = max(map(abs, map(sub, uf, _interp(tf, tg, ug))))
     at_g = max(map(abs, map(sub, _interp(tg, tf, uf), ug)))
     return max(at_f, at_g)

@@ -18,8 +18,13 @@ parsers after the same header code:
 
 Every file this module parses is opened through ``_reading``, its one read
 boundary: a ``ValueError`` while reading (bad UTF-8, bad JSON, a cell that is
-not a number) becomes ``BadConfigError`` naming the file. An ``OSError``,
-such as a missing file, passes through and names its path.
+not a number) becomes ``BadConfigError`` naming the file, and a
+``NonFiniteError`` is raised again naming it. An ``OSError``, such as a
+missing file, passes through and names its path. An eigenvalue or density
+file's law is built inside the boundary, so its value checks name the file
+too: a density file becomes a ``distances.Density`` through
+``density_law``, the one type of a tabulated law, which
+``write_density_csv`` also writes from.
 
 ``write_increments_csv`` saves the n x (p+1) float64 table with ``np.save``
 as ``increments_r0.npy`` beside ``increments_r0.csv``, then writes the CSV
@@ -35,8 +40,8 @@ CSV is parsed. A vouched-for twin whose dtype or shape disagrees with the
 header raises ``BadConfigError``; it is never skipped in silence.
 
 Each reader and writer imports what it builds with when called: NumPy,
-``json``, ``floattext``, ``covmodel``, ``spectra``, ``distances``,
-``diffusion`` or ``mpsolve``. So ``read_distribution``, which ``compare``
+``json``, ``floattext``, ``covmodel``, ``distances``, ``diffusion`` or
+``mpsolve``. So ``read_distribution``, which ``compare``
 uses, loads ``distances`` and none of the others.
 """
 from __future__ import annotations
@@ -54,7 +59,6 @@ if TYPE_CHECKING:
     from .diffusion import IncrementMatrix
     from .distances import Density
     from .mpsolve import PopulationSpectrum
-    from .spectra import DensityCurve
 
 
 def format_float(x: float) -> str:
@@ -107,12 +111,17 @@ def _write_table(path, meta: dict, header: list[str], rows) -> None:
 
 @contextmanager
 def _reading(path, mode: str = "r"):
-    """Open ``path`` to read; a ``ValueError`` meanwhile becomes ``BadConfigError`` naming it."""
+    """Open ``path`` to read; a ``ValueError`` or ``NonFiniteError`` meanwhile names it.
+
+    A ``ValueError`` becomes ``BadConfigError``; a ``NonFiniteError`` keeps its type.
+    """
     try:
         with open(path, mode, encoding=None if "b" in mode else "utf-8") as handle:
             yield handle
     except ValueError as err:
         raise BadConfigError(f"{path}: {err}") from None
+    except NonFiniteError as err:
+        raise NonFiniteError(f"{path}: {err}") from None
 
 
 def _read_header(handle, path) -> tuple[dict, list[str]]:
@@ -269,10 +278,13 @@ def write_eigenvalues_csv(path, dist: SpectralDistribution, meta: dict) -> None:
 _SPECTRAL_HEADERS = {"eigenvalues": ["eigenvalue"], "density": ["x", "density"]}
 
 
-def _read_spectral(path, kind: str | None = None) -> tuple[str, dict, list[list[float]]]:
-    """Kind, metadata and columns of an eigenvalue or density file, in one read.
+def _read_spectral(path, kind: str | None = None, esd=None) -> tuple[dict, object]:
+    """Metadata and law of an eigenvalue or density file, in one read.
 
-    With ``kind`` given, any other kind is rejected.
+    The law is built inside the read boundary, so that its value checks name
+    the file: a density file gives its checked ``Density``, an eigenvalue
+    file ``esd`` of its list of values. With ``kind`` given, any other kind
+    is rejected.
     """
     with _reading(path) as handle:
         meta, header = _read_header(handle, path)
@@ -284,45 +296,44 @@ def _read_spectral(path, kind: str | None = None) -> tuple[str, dict, list[list[
         if found != kind or header != _SPECTRAL_HEADERS[kind]:
             article = "an eigenvalue" if kind == "eigenvalues" else "a density"
             raise BadConfigError(f"{path}: not {article} file")
-        return kind, meta, _read_columns(handle, path, len(header))
+        columns = _read_columns(handle, path, len(header))
+        if kind == "eigenvalues":
+            if not columns[0]:
+                raise BadConfigError(f"{path}: no eigenvalues")
+            return meta, esd(columns[0])
+        from .distances import density_law
+
+        if len(columns[0]) < 2:
+            raise BadConfigError(f"{path}: need at least two density rows")
+        return meta, density_law(*columns, float(meta.get("mass_at_zero", "0.0")))
 
 
-def _eigenvalue_list(path, columns) -> list[float]:
-    values = columns[0]
-    if not values:
-        raise BadConfigError(f"{path}: no eigenvalues")
+def _ascending(values: list[float]) -> list[float]:
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteError("eigenvalues contain NaN or infinite entries")
+    values.sort()
     return values
-
-
-def _density_columns(path, meta, columns) -> tuple[list[float], list[float], float]:
-    xs, ys = columns
-    if len(xs) < 2:
-        raise BadConfigError(f"{path}: need at least two density rows")
-    return xs, ys, float(meta.get("mass_at_zero", "0.0"))
 
 
 def read_eigenvalues_csv(path):
     from .covmodel import SpectralDistribution
 
-    _, meta, columns = _read_spectral(path, "eigenvalues")
-    return SpectralDistribution(_eigenvalue_list(path, columns)), meta
+    meta, dist = _read_spectral(path, "eigenvalues", SpectralDistribution)
+    return dist, meta
 
 
 # ---------------------------------------------------------------------------
 # densities
 
 
-def write_density_csv(path, curve: DensityCurve, meta: dict) -> None:
-    full = {"kind": "density", **meta, "mass_at_zero": float(curve.mass_at_zero)}
-    rows = zip(curve.xs.tolist(), curve.ys.tolist())
-    _write_table(path, full, ["x", "density"], rows)
+def write_density_csv(path, law: Density, meta: dict) -> None:
+    full = {"kind": "density", **meta, "mass_at_zero": float(law.mass_at_zero)}
+    _write_table(path, full, ["x", "density"], zip(law.xs, law.ys))
 
 
-def read_density_csv(path):
-    from .spectra import DensityCurve
-
-    _, meta, columns = _read_spectral(path, "density")
-    return DensityCurve(*_density_columns(path, meta, columns)), meta
+def read_density_csv(path) -> tuple[Density, dict]:
+    meta, law = _read_spectral(path, "density")
+    return law, meta
 
 
 def read_distribution(path) -> list[float] | Density:
@@ -331,16 +342,7 @@ def read_distribution(path) -> list[float] | Density:
     An eigenvalue file gives its eigenvalues in ascending order, a density
     file its checked ``Density``; the file is read once, without NumPy.
     """
-    from .distances import density_law
-
-    kind, meta, columns = _read_spectral(path)
-    if kind == "density":
-        return density_law(*_density_columns(path, meta, columns))
-    values = _eigenvalue_list(path, columns)
-    if not all(map(math.isfinite, values)):
-        raise NonFiniteError(f"{path}: eigenvalues contain NaN or infinite entries")
-    values.sort()
-    return values
+    return _read_spectral(path, esd=_ascending)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +375,22 @@ def write_objective_csv(path, trace, meta: dict) -> None:
 # spectra (JSON)
 
 
-def write_spectrum_json(path, spectrum: PopulationSpectrum, extra: dict | None = None) -> None:
+def _write_json(path, payload: dict) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
     import json
 
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def write_spectrum_json(path, spectrum: PopulationSpectrum, extra: dict | None = None) -> None:
     payload = dict(extra or {})
     payload["atoms"] = [
         {"location": float(loc), "weight": float(wt)}
         for loc, wt in zip(spectrum.locations, spectrum.weights)
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(path, payload)
 
 
 def read_spectrum_json(path) -> PopulationSpectrum:
@@ -414,11 +421,7 @@ def read_spectrum_json(path) -> PopulationSpectrum:
 
 
 def write_manifest(path, manifest: dict) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(path, manifest)
 
 
 def read_manifest(path) -> dict:

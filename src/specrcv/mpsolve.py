@@ -39,10 +39,11 @@ import numpy as np
 
 from .covmodel import SpectralDistribution
 from .errors import BadGridError, BadProfileError, NonFiniteError
-from .spectra import DensityCurve, empirical_stieltjes, sorted_unique
+from .spectra import empirical_stieltjes, sorted_unique
 
 if TYPE_CHECKING:
     from .diffusion import VolatilityProfile
+    from .distances import Density
 
 SOLVER_TOL = 1e-10
 SOLVER_MAX_ITER = 100_000
@@ -340,13 +341,16 @@ def weight_profile_from_model(profile: VolatilityProfile) -> WeightProfile:
 # inversion and recovery
 
 
-def invert_stieltjes(m, xs, v: float, atom: float = 0.0) -> DensityCurve:
+def invert_stieltjes(m, xs, v: float, atom: float = 0.0) -> Density:
     """Density f(x) = Im m(x + iv) / pi on the grid, with leftover mass at 0.
 
     ``m`` holds the transform values at xs + iv, one per grid point. An origin
     atom of mass ``atom`` > 1e-12 shows up as the Cauchy lobe atom v / (pi (x^2
     + v^2)), which is subtracted, so the continuous part integrates to its own
-    mass and the unaccounted mass max(0, 1 - integral) is ``mass_at_zero``.
+    mass. The law is built by ``distances.density_law``, whose cumulative
+    trapezoid integral is the only one taken: the unaccounted mass
+    max(0, 1 - cum[-1]) is ``mass_at_zero``. ``distances`` is imported here,
+    so ``recover`` never loads it.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     if xs.size < 2 or np.any(np.diff(xs) <= 0):
@@ -365,8 +369,9 @@ def invert_stieltjes(m, xs, v: float, atom: float = 0.0) -> DensityCurve:
         with np.errstate(over="ignore"):
             lobe = (atom / np.pi) / (v * ((xs / v) ** 2 + 1.0))
         ys = np.clip(ys - lobe, 0.0, None)
-    mass0 = max(0.0, 1.0 - float(np.trapezoid(ys, xs)))
-    return DensityCurve(xs, ys, mass_at_zero=mass0)
+    from .distances import density_law
+
+    return density_law(xs.tolist(), ys.tolist(), mass_at_zero=None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,53 +1,28 @@
-"""Distribution-level utilities: histograms, density curves, Stieltjes transforms.
+"""Distribution-level utilities: histograms and Stieltjes transforms.
 
 Spectral distributions are purely atomic (p eigenvalues with weight 1/p
-each); density curves are tabulated on a grid with an optional point mass at
-the origin. Neither evaluates its CDF: the only CDF code is in
-``distances``, which computes the distances between them and needs no NumPy.
-Nothing here calls ``np.unique``, which loads ``numpy.ma``;
-``sorted_unique`` takes its place.
+each). ``histogram`` tabulates one as a ``distances.Density``, the one type
+of a tabulated law, built and integrated by ``distances.density_law``; it
+imports ``distances`` when called, so ``recover``, which imports this module
+through ``mpsolve``, never loads it. Nothing here evaluates a CDF or calls
+``np.unique``, which loads ``numpy.ma``; ``sorted_unique`` takes its place.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .covmodel import SpectralDistribution
 from .errors import BadGridError, NonFiniteError
 
+if TYPE_CHECKING:
+    from .distances import Density
+
 # Eigenvalues within this relative threshold of zero count as the origin atom.
 ZERO_ATOM_RTOL = 1e-12
 
 _STIELTJES_CHUNK = 512
-
-
-@dataclass(frozen=True, eq=False)
-class DensityCurve:
-    """Tabulated density on an increasing grid plus a point mass at zero.
-
-    ``distances.density_law`` checks the curve and integrates it: the
-    trapezoid integral plus ``mass_at_zero`` must lie within MASS_BUDGET of
-    1; curves that lose more mass than that signal a bad grid or bandwidth
-    and are rejected at construction. The result is kept as ``law``.
-    """
-
-    xs: np.ndarray
-    ys: np.ndarray
-    mass_at_zero: float = 0.0
-
-    def __post_init__(self):
-        # Imported here, so that a process that builds no curve never loads it.
-        from .distances import density_law
-
-        xs = np.asarray(self.xs, dtype=float).ravel()
-        ys = np.asarray(self.ys, dtype=float).ravel()
-        law = density_law(xs, ys, self.mass_at_zero)
-        xs.setflags(write=False)
-        ys.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "law", law)
 
 
 def empirical_stieltjes(dist: SpectralDistribution, zs) -> np.ndarray:
@@ -95,17 +70,19 @@ def zero_roundoff(dist: SpectralDistribution) -> SpectralDistribution:
     return SpectralDistribution(np.where(zero, 0.0, ev))
 
 
-def histogram(dist: SpectralDistribution, bins: int | None = None) -> DensityCurve:
-    """Normalized eigenvalue histogram as a plot-ready density curve.
+def histogram(dist: SpectralDistribution, bins: int | None = None) -> Density:
+    """Normalized eigenvalue histogram as a tabulated law.
 
     Bin count follows Freedman-Diaconis with a floor of 20 unless ``bins``
     is given. Eigenvalues at zero after ``zero_roundoff`` are split out into
     ``mass_at_zero``.
     """
+    from .distances import density_law
+
     ev = zero_roundoff(dist).eigenvalues
     p = dist.dim
     if not np.any(ev):
-        return DensityCurve(np.array([0.0, 1.0]), np.zeros(2), mass_at_zero=1.0)
+        return density_law([0.0, 1.0], [0.0, 0.0], mass_at_zero=1.0)
     nonzero = ev[ev != 0.0]
     mass0 = 1.0 - nonzero.size / p
     lo, hi = float(nonzero.min()), float(nonzero.max())
@@ -120,11 +97,7 @@ def histogram(dist: SpectralDistribution, bins: int | None = None) -> DensityCur
         # All remaining atoms coincide: one narrow bin carrying their mass.
         half = max(1e-9, 1e-6 * abs(hi))
         height = (1.0 - mass0) / (2.0 * half)
-        return DensityCurve(
-            np.array([hi - half, hi, hi + half]),
-            np.array([height, height, height]),
-            mass_at_zero=mass0,
-        )
+        return density_law([hi - half, hi, hi + half], [height] * 3, mass_at_zero=mass0)
     counts, edges = np.histogram(nonzero, bins=bins, range=(lo, hi))
     heights = counts / (p * np.diff(edges))
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -132,4 +105,4 @@ def histogram(dist: SpectralDistribution, bins: int | None = None) -> DensityCur
     # histogram mass exactly.
     xs = np.concatenate([[edges[0]], centers, [edges[-1]]])
     ys = np.concatenate([[heights[0]], heights, [heights[-1]]])
-    return DensityCurve(xs, ys, mass_at_zero=mass0)
+    return density_law(xs.tolist(), ys.tolist(), mass_at_zero=mass0)

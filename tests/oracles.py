@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from specrcv.spectra import DensityCurve
+from specrcv.distances import Density, density_law
 
 
 def jacobi_eigh(a, sweeps: int = 60):
@@ -137,7 +137,7 @@ def two_level_weighted_stieltjes(levels, fractions, y: float, zs) -> np.ndarray:
 
 
 def two_level_weighted_curve(levels, fractions, y: float,
-                             points: int = 20_000) -> DensityCurve:
+                             points: int = 20_000) -> Density:
     """Density of the two-level weighted law, f(x) = Im m(x) / pi on the real axis.
 
     The weighted matrix is dominated by max(w) times an unweighted sample
@@ -148,8 +148,10 @@ def two_level_weighted_curve(levels, fractions, y: float,
     hi = max(levels) * (1.0 + np.sqrt(y)) ** 2
     xs = hi * np.linspace(0.0, 1.0, points + 1)[1:] ** 2
     m = two_level_weighted_stieltjes(levels, fractions, y, xs)
-    return DensityCurve(xs, np.maximum(m.imag, 0.0) / np.pi,
-                        mass_at_zero=max(0.0, 1.0 - 1.0 / y))
+    # The arrays go in as they are: 40k Python floats from ``.tolist()`` raise the
+    # memory high-water mark of perfbench's driver, whose set-up builds this law,
+    # and every command the driver starts reports that mark as its peak RSS.
+    return density_law(xs, np.maximum(m.imag, 0.0) / np.pi, mass_at_zero=max(0.0, 1.0 - 1.0 / y))
 
 
 def mp_support(y: float, sigma2: float) -> tuple[float, float]:
@@ -168,8 +170,8 @@ def mp_density_reference(y: float, sigma2: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def mp_law_curve(y: float, sigma2: float, points: int = 2001) -> DensityCurve:
-    """The square-root law as a DensityCurve, with its origin atom max(0, 1 - 1/y).
+def mp_law_curve(y: float, sigma2: float, points: int = 2001) -> Density:
+    """The square-root law as a tabulated ``Density``, with its origin atom max(0, 1 - 1/y).
 
     When a = 0 the density has an integrable inverse-square-root edge there,
     so the grid clusters quadratically at 0. Its first node stays O(b /
@@ -181,8 +183,8 @@ def mp_law_curve(y: float, sigma2: float, points: int = 2001) -> DensityCurve:
         xs = np.linspace(a, b, points)
     else:
         xs = b * np.linspace(1.0 / points, 1.0, points) ** 2
-    return DensityCurve(xs, mp_density_reference(y, sigma2, xs),
-                        mass_at_zero=max(0.0, 1.0 - 1.0 / y))
+    return density_law(xs, mp_density_reference(y, sigma2, xs),
+                       mass_at_zero=max(0.0, 1.0 - 1.0 / y))
 
 
 def mp_quantiles(y: float, sigma2: float, qs, points: int = 400_001) -> np.ndarray:
@@ -205,18 +207,19 @@ def mp_quantiles(y: float, sigma2: float, qs, points: int = 400_001) -> np.ndarr
 
 
 def cdf(dist, x, left: bool = False) -> np.ndarray:
-    """F(x), or its left limit F(x-), of a SpectralDistribution or a DensityCurve.
+    """F(x), or its left limit F(x-), of a SpectralDistribution or a Density.
 
-    An ESD counts its eigenvalues with ``searchsorted``; a curve interpolates
-    its own cumulative trapezoid integral and adds the origin atom at x >= 0
-    (x > 0 for the left limit). Nothing here goes through ``distances``.
+    An ESD counts its eigenvalues with ``searchsorted``; a density
+    integrates its own values by ``np.cumsum`` of trapezoids, ignoring the
+    law's ``cum``, interpolates that, and adds the origin atom at x >= 0
+    (x > 0 for the left limit). Nothing here calls into ``distances``.
     """
     x = np.asarray(x, dtype=float)
-    if isinstance(dist, DensityCurve):
-        cells = 0.5 * (dist.ys[1:] + dist.ys[:-1]) * np.diff(dist.xs)
-        cum = np.concatenate([[0.0], np.cumsum(cells)])
+    if isinstance(dist, Density):
+        xs, ys = np.asarray(dist.xs), np.asarray(dist.ys)
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))])
         at_zero = (x > 0.0) if left else (x >= 0.0)
-        return np.interp(x, dist.xs, cum, left=0.0, right=cum[-1]) + dist.mass_at_zero * at_zero
+        return np.interp(x, xs, cum, left=0.0, right=cum[-1]) + dist.mass_at_zero * at_zero
     ev = dist.eigenvalues
     return np.searchsorted(ev, x, side="left" if left else "right") / ev.size
 

@@ -1120,6 +1120,25 @@ class TestValidationAndWiring:
         assert f"error: {named}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", ["compare_half_mass_density", "recover_nan_eigenvalue"])
+    def test_a_file_whose_values_fail_their_check_exits_2_naming_it(self, tmp_path, capsys,
+                                                                     case):
+        out = tmp_path / "out"
+        if case == "compare_half_mass_density":
+            bad = _density_file(tmp_path / "half.csv", [0.0, 1.0], [0.5, 0.5], 0.0)
+            argv = ["compare", str(_eigen_file(tmp_path / "esd.csv", [0.5, 1.0])), str(bad)]
+            message = "total mass 0.5000 outside [0.97, 1.03]"
+        else:
+            bad = _eigen_file(tmp_path / "nan.csv", [0.5, float("nan")])
+            argv = ["recover", "--esd", str(bad), "--y", "0.5", "--out", str(out)]
+            message = "eigenvalues contain NaN or infinite entries"
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {bad}: {message}" in captured.err
+        assert not out.exists()
+
     def test_wrong_file_kind_exits_2(self, design1_run, tmp_path):
         rc = main(["recover", "--esd", str(design1_run.tvar_hist), "--y", "0.1",
                    "--out", str(tmp_path)])

@@ -1,12 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from specrcv.covmodel import SpectralDistribution
+from specrcv.covmodel import SpectralDistribution, esd
 from specrcv.diffusion import (
     ClassCSpec,
     ConstantProfile,
@@ -17,10 +18,12 @@ from specrcv.diffusion import (
     simulate_increments,
 )
 from specrcv import floattext
-from specrcv.errors import BadConfigError, SpecrcvError
+from specrcv.distances import density_law
+from specrcv.errors import BadConfigError, NonFiniteError, SpecrcvError
 from specrcv.io import (
     format_float,
     read_density_csv,
+    read_distribution,
     read_eigenvalues_csv,
     read_increments_csv,
     read_manifest,
@@ -35,8 +38,13 @@ from specrcv.io import (
     write_solver_trace_csv,
     write_spectrum_json,
 )
-from specrcv.mpsolve import PopulationSpectrum
-from specrcv.spectra import DensityCurve
+from specrcv.mpsolve import (
+    PopulationSpectrum,
+    WeightProfile,
+    invert_stieltjes,
+    solve_weighted_mp_grid,
+)
+from specrcv.spectra import histogram
 
 
 class TestFormatFloat:
@@ -92,13 +100,46 @@ class TestDensityRoundTrip:
     def test_round_trip_with_zero_mass(self, tmp_path):
         xs = np.linspace(0.0, 2.0, 51)
         ys = np.where((xs > 0.5) & (xs < 1.5), 0.5, 0.0)
-        curve = DensityCurve(xs, ys, 0.5)
+        curve = density_law(xs, ys, 0.5)
         path = tmp_path / "dens.csv"
         write_density_csv(path, curve, {})
         back, _ = read_density_csv(path)
         assert np.array_equal(back.xs, curve.xs)
         assert np.array_equal(back.ys, curve.ys)
         assert back.mass_at_zero == 0.5
+
+    @pytest.mark.parametrize("source", ["histogram", "solve"])
+    def test_both_readers_give_back_the_written_law_bit_for_bit(self, tmp_path, source):
+        if source == "histogram":
+            # p = 60 > n = 40: a third of the eigenvalues are the origin atom.
+            g = np.random.default_rng(3).normal(size=(40, 60))
+            law = histogram(esd(g.T @ g / 40))
+        else:
+            xs, v = np.geomspace(1e-3, 7.0, 300), 1e-3
+            m = solve_weighted_mp_grid(PopulationSpectrum.point_mass(1.0),
+                                       WeightProfile.constant(1.0), 2.0, xs + 1j * v)[0]
+            law = invert_stieltjes(m, xs, v, atom=0.5)
+        assert law.mass_at_zero > 0.3
+        path = tmp_path / "law.csv"
+        write_density_csv(path, law, {})
+        for back in (read_density_csv(path)[0], read_distribution(path)):
+            for name in ("xs", "ys", "cum"):
+                assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(law, name)))
+            assert _bits([back.mass_at_zero]) == _bits([law.mass_at_zero])
+
+
+class TestValueChecksNameTheFile:
+    def test_each_reader_names_the_file_and_keeps_the_error_kind(self, tmp_path):
+        nan = tmp_path / "nan.csv"
+        nan.write_text("# kind=eigenvalues,p=2\neigenvalue\n0.5\nnan\n")
+        half = tmp_path / "half.csv"
+        half.write_text("# kind=density,mass_at_zero=0.0\nx,density\n0.0,0.5\n1.0,0.5\n")
+        for read in (read_eigenvalues_csv, read_distribution):
+            with pytest.raises(NonFiniteError, match=f"^{re.escape(str(nan))}: eigenvalues"):
+                read(nan)
+        for read in (read_density_csv, read_distribution):
+            with pytest.raises(BadConfigError, match=f"^{re.escape(str(half))}: total mass"):
+                read(half)
 
 
 class TestSpectrumJson:
@@ -249,12 +290,12 @@ class TestBitExactRoundTrip:
     @example(values=EDGE_DOUBLES, negative=True, mass=0.97)
     def test_density(self, tmp_path_factory, values, negative, mass):
         # One sign per curve keeps every grid step finite; a zero density
-        # leaves the mass to the origin atom, as DensityCurve requires.
+        # leaves the mass to the origin atom, as density_law requires.
         xs = np.unique(np.abs(values))
         if negative:
             xs = -xs[::-1]
         assume(xs.size >= 2)
-        curve = DensityCurve(xs, np.zeros_like(xs), mass)
+        curve = density_law(xs, np.zeros_like(xs), mass)
         path = tmp_path_factory.mktemp("dens") / "dens.csv"
         write_density_csv(path, curve, {})
         back, _ = read_density_csv(path)
@@ -456,7 +497,7 @@ def _golden_files(root):
                           {"estimator": "tvarcv", "n": 17, "digest": "0123abcd"})
     xs = np.linspace(0.0, 2.0, 11)
     ys = np.where((xs > 0.45) & (xs < 1.55), 0.5, -0.0)
-    write_density_csv(root / "density.csv", DensityCurve(xs, ys, 0.5),
+    write_density_csv(root / "density.csv", density_law(xs, ys, 0.5),
                       {"y": 0.25, "bandwidth": 1e-05})
     write_solver_trace_csv(root / "solver_trace.csv",
                            np.array([0.5 + 0.1j, 1.0 + 0.1j, 1e-7 + 3e-9j]),

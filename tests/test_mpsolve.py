@@ -252,7 +252,7 @@ class TestSolveMp:
         zs = xs + 1e-3j
         m = _solve(PopulationSpectrum.point_mass(1.0), UNIT, 0.5, zs)[0]
         curve = invert_stieltjes(m, xs, v=1e-3)
-        sup = np.max(np.abs(curve.ys - mp_density_reference(0.5, 1.0, xs)))
+        sup = np.max(np.abs(np.asarray(curve.ys) - mp_density_reference(0.5, 1.0, xs)))
         assert sup <= 2e-2
 
 
@@ -398,8 +398,9 @@ class TestWeightProfileFromModel:
         hi = 1.25 * support_bound(1.0, w, y)
         for xs, v in ((np.geomspace(1e-8 * hi, hi, 800), 1e-12 * hi),
                       (np.geomspace(2e-4 * hi / 8.0, hi, 120), 2e-4 * hi)):
-            want, got = (invert_stieltjes(_solve(h, p, y, xs + 1j * v)[0], xs, v,
-                                          atom=max(0.0, 1.0 - 1.0 / y)).ys for p in (dense, w))
+            want, got = (np.asarray(invert_stieltjes(_solve(h, p, y, xs + 1j * v)[0], xs, v,
+                                                     atom=max(0.0, 1.0 - 1.0 / y)).ys)
+                         for p in (dense, w))
             assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 
 
@@ -425,7 +426,7 @@ class TestInvertStieltjes:
         xs = np.sort(xs)
         m = _solve(PopulationSpectrum.point_mass(10.0), UNIT, 0.5, xs + 1j * v)[0]
         curve = invert_stieltjes(m, xs, v=v)
-        assert np.all(curve.ys <= 5e-3)
+        assert max(curve.ys) <= 5e-3
 
     def test_origin_atom_lobe_is_subtracted(self):
         # Half the mass at 0 and half uniform on [1, 2]: the atom's Cauchy lobe
@@ -440,6 +441,15 @@ class TestInvertStieltjes:
         assert curve.mass_at_zero == pytest.approx(0.5, abs=1e-3)
         # An atom of at most 1e-12 is left in the density.
         assert np.array_equal(invert_stieltjes(m, xs, v, atom=1e-12).ys, plain.ys)
+
+    @pytest.mark.parametrize("atom", [0.0, 0.5])
+    def test_mass_at_zero_is_what_the_law_integral_leaves(self, atom):
+        # One quadrature: the origin mass comes from the law's own cumulative integral.
+        xs, v = np.linspace(0.0, 3.0, 3001), 1e-3
+        z = xs + 1j * v
+        law = invert_stieltjes(-0.5 / z + 0.5 * np.log((2.0 - z) / (1.0 - z)), xs, v, atom=atom)
+        assert law.mass_at_zero == max(0.0, 1.0 - law.cum[-1])
+        assert law.mass_at_zero > 0.2
 
     def test_validation(self):
         xs = np.array([0.0, 1.0])

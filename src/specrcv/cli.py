@@ -52,8 +52,8 @@ from .errors import BadConfigError, SpecrcvError
 # module is the one called.
 _HOMES = {
     "covmodel": ("esd",),
-    "diffusion": ("ClassCSpec", "design_one_profile", "design_two_profile", "make_grid",
-                  "simulate_increments"),
+    "diffusion": ("ClassCSpec", "design_one_profile", "design_two_profile",
+                  "interval_variances", "make_grid", "simulate_increments"),
     "distances": ("kolmogorov_distance", "levy_distance", "mass_gap"),
     "estimators": ("rcv", "tvarcv"),
     "mpsolve": ("RECOVER_MAX_ITER", "invert_stieltjes", "recover_spectrum",

@@ -7,8 +7,9 @@ increment is then Gaussian with known variance, so sampling draws
 
     dX_l = mu * dtau_l + sqrt(integral of gamma^2 over the interval) * Lambda z_l
 
-with z_l i.i.d. standard normal vectors. No Euler stepping, hence no
-discretization bias.
+with z_l i.i.d. standard normal vectors and a scalar drift mu. The n x p
+draw is one product, z @ Lambda^T, for every Lambda. No Euler stepping,
+hence no discretization bias.
 """
 from __future__ import annotations
 
@@ -22,16 +23,12 @@ from .errors import BadGridError, BadSpecError, NonFiniteError
 # redrawn until they satisfy it).
 MAX_RESCALED_SPACING = 10.0
 
-# Bound on per-coordinate constant drift magnitudes.
+# Bound on the magnitude of the constant drift.
 DRIFT_BOUND = 10.0
 
 
 class VolatilityProfile:
     """Deterministic scalar volatility path t -> gamma_t on [0, 1], gamma_t > 0."""
-
-    def gamma_sq(self, t):
-        """gamma_t^2, vectorized over t."""
-        raise NotImplementedError
 
     def interval_integrals(self, times: np.ndarray) -> np.ndarray:
         """Integrals of gamma^2 over consecutive intervals of ``times``."""
@@ -51,9 +48,6 @@ class ConstantProfile(VolatilityProfile):
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise BadSpecError(f"constant profile needs sigma > 0, got {self.sigma}")
-
-    def gamma_sq(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.sigma**2)
 
     def interval_integrals(self, times):
         return self.sigma**2 * np.diff(np.asarray(times, dtype=float))
@@ -88,16 +82,9 @@ class PiecewiseProfile(VolatilityProfile):
         cum.setflags(write=False)
         object.__setattr__(self, "_cum", cum)
 
-    def _segment(self, t):
-        idx = np.searchsorted(self.edges, np.asarray(t, dtype=float), side="right") - 1
-        return np.clip(idx, 0, self.levels.size - 1)
-
-    def gamma_sq(self, t):
-        return self.levels[self._segment(t)] ** 2
-
     def _cum_gamma_sq(self, t):
         t = np.asarray(t, dtype=float)
-        k = self._segment(t)
+        k = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.levels.size - 1)
         return self._cum[k] + self.levels[k] ** 2 * (t - self.edges[k])
 
     def interval_integrals(self, times):
@@ -220,15 +207,14 @@ class ClassCSpec:
 
     ``lam`` is the p x p loading matrix Lambda; it is rescaled at construction
     so tr(Lambda Lambda^T) = p (a normalization convention, not a user
-    burden). ``lam=None`` means the identity. ``drift`` is a per-coordinate
-    constant (scalar or length-p vector) with magnitudes bounded by
-    DRIFT_BOUND.
+    burden). ``lam=None`` means the identity. ``drift`` is one constant for
+    every coordinate, a float bounded in magnitude by DRIFT_BOUND.
     """
 
     p: int
     profile: VolatilityProfile
     lam: np.ndarray | None = None
-    drift: float | np.ndarray = 0.0
+    drift: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -251,23 +237,9 @@ class ClassCSpec:
             lam = lam * np.sqrt(self.p / sq)
             lam.setflags(write=False)
             object.__setattr__(self, "lam", lam)
-            diag = np.diagonal(lam)
-            offdiag_zero = np.count_nonzero(lam) == np.count_nonzero(diag)
-            object.__setattr__(self, "_lam_diag", diag if offdiag_zero else None)
-        else:
-            object.__setattr__(self, "_lam_diag", None)
-        drift = self.drift
-        if np.ndim(drift) == 0:
-            drift = float(drift)
-        else:
-            drift = np.asarray(drift, dtype=float).ravel()
-            if drift.size != self.p:
-                raise BadSpecError(f"drift must be scalar or length {self.p}")
-            drift = drift.copy()
-            drift.setflags(write=False)
-        if np.any(np.abs(drift) > DRIFT_BOUND) or not np.all(np.isfinite(drift)):
-            raise BadSpecError(f"drift magnitudes must be <= {DRIFT_BOUND} and finite")
-        object.__setattr__(self, "drift", drift)
+        if np.ndim(self.drift) != 0 or not abs(float(self.drift)) <= DRIFT_BOUND:
+            raise BadSpecError(f"drift must be a finite scalar of magnitude <= {DRIFT_BOUND}")
+        object.__setattr__(self, "drift", float(self.drift))
 
     def digest(self, grid: ObservationGrid) -> str:
         import hashlib
@@ -278,8 +250,7 @@ class ClassCSpec:
         h.update(np.uint64(_key64(self.seed)).tobytes())
         h.update(self.profile.descriptor())
         h.update(b"identity" if self.lam is None else self.lam.tobytes())
-        drift = np.asarray(self.drift, dtype=float)
-        h.update(drift.tobytes())
+        h.update(np.float64(self.drift).tobytes())
         h.update(grid.times.tobytes())
         return h.hexdigest()[:16]
 
@@ -318,26 +289,25 @@ class IncrementMatrix:
         return self.increments.shape[1]
 
 
+def interval_variances(profile: VolatilityProfile, grid: ObservationGrid) -> np.ndarray:
+    """Integral of gamma^2 over each interval of ``grid``; each must be positive and finite."""
+    w = profile.interval_integrals(grid.times)
+    if not (np.all(w > 0) and np.all(np.isfinite(w))):
+        raise BadSpecError(f"the profile's variance on some of the {grid.n} grid intervals "
+                           "is not positive and finite")
+    return w
+
+
 def simulate_increments(spec: ClassCSpec, grid: ObservationGrid) -> IncrementMatrix:
     """Draw the n x p increment matrix of the class-C process on the grid.
 
     Deterministic given (spec, grid): the generator is counter-based and keyed
     by the spec seed only.
     """
-    w = spec.profile.interval_integrals(grid.times)
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise BadSpecError("profile produced nonpositive interval variances")
+    w = interval_variances(spec.profile, grid)
     rng = np.random.default_rng(np.random.Philox(key=_key64(spec.seed)))
     z = rng.standard_normal((grid.n, spec.p))
-    if spec.lam is None:
-        y = z
-    elif spec._lam_diag is not None:
-        y = z * spec._lam_diag[None, :]
-    else:
-        y = z @ spec.lam.T
-    incr = np.sqrt(w)[:, None] * y
-    if np.any(np.asarray(spec.drift) != 0.0):
-        incr = incr + grid.spacings()[:, None] * np.broadcast_to(
-            np.asarray(spec.drift, dtype=float), (spec.p,)
-        )[None, :]
+    incr = np.sqrt(w)[:, None] * (z if spec.lam is None else z @ spec.lam.T)
+    if spec.drift != 0.0:
+        incr = incr + grid.spacings()[:, None] * spec.drift
     return IncrementMatrix(incr, grid, spec.digest(grid))

@@ -19,12 +19,12 @@ parsers after the same header code:
 Every file this module parses is opened through ``_reading``, its one read
 boundary: a ``ValueError`` while reading (bad UTF-8, bad JSON, a cell that is
 not a number) becomes ``BadConfigError`` naming the file, and a
-``NonFiniteError`` is raised again naming it. An ``OSError``, such as a
-missing file, passes through and names its path. An eigenvalue or density
-file's law is built inside the boundary, so its value checks name the file
-too: a density file becomes a ``distances.Density`` through
-``density_law``, the one type of a tabulated law, which
-``write_density_csv`` also writes from.
+``NonFiniteError`` or ``BadGridError`` is raised again naming it. An
+``OSError``, such as a missing file, passes through and names its path. An
+increment panel, and an eigenvalue or density file's law, is built inside
+the boundary, so its value checks name the file too: a density file becomes
+a ``distances.Density`` through ``density_law``, the one type of a tabulated
+law, which ``write_density_csv`` also writes from.
 
 ``write_increments_csv`` saves the n x (p+1) float64 table with ``np.save``
 as ``increments_r0.npy`` beside ``increments_r0.csv``, then writes the CSV
@@ -52,7 +52,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import BadConfigError, NonFiniteError, SpecrcvError
+from .errors import BadConfigError, BadGridError, NonFiniteError, SpecrcvError
 
 if TYPE_CHECKING:
     from .covmodel import SpectralDistribution
@@ -111,17 +111,18 @@ def _write_table(path, meta: dict, header: list[str], rows) -> None:
 
 @contextmanager
 def _reading(path, mode: str = "r"):
-    """Open ``path`` to read; a ``ValueError`` or ``NonFiniteError`` meanwhile names it.
+    """Open ``path`` to read; a ``ValueError``, ``NonFiniteError`` or ``BadGridError``
+    meanwhile names it.
 
-    A ``ValueError`` becomes ``BadConfigError``; a ``NonFiniteError`` keeps its type.
+    A ``ValueError`` becomes ``BadConfigError``; the other two keep their type.
     """
     try:
         with open(path, mode, encoding=None if "b" in mode else "utf-8") as handle:
             yield handle
     except ValueError as err:
         raise BadConfigError(f"{path}: {err}") from None
-    except NonFiniteError as err:
-        raise NonFiniteError(f"{path}: {err}") from None
+    except (NonFiniteError, BadGridError) as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
 def _read_header(handle, path) -> tuple[dict, list[str]]:
@@ -251,18 +252,19 @@ def read_increments_csv(path) -> IncrementMatrix:
             data = _read_body(handle, path, len(header))
         else:
             data = _load_twin(twin, path, meta.get("n"), len(header))
-    if data.shape[0] == 0 or data.shape[1] < 2:
-        raise BadConfigError(f"{path}: no increment rows")
-    n, p = data.shape[0], data.shape[1] - 1
-    if (meta.get("p"), meta.get("n")) != (str(p), str(n)):
-        raise BadConfigError(
-            f"{path}: metadata says p={meta.get('p')}, n={meta.get('n')} "
-            f"but the rows hold p={p}, n={n}"
-        )
-    grid = ObservationGrid(np.concatenate([[0.0], data[:, 0]]))
-    source = {"sha256": digest, "reader": "csv" if twin is None else "npy"}
-    return IncrementMatrix(data[:, 1:], grid, spec_digest=meta.get("digest", ""),
-                           source=source)
+        if data.shape[0] == 0 or data.shape[1] < 2:
+            raise BadConfigError(f"{path}: no increment rows")
+        n, p = data.shape[0], data.shape[1] - 1
+        if (meta.get("p"), meta.get("n")) != (str(p), str(n)):
+            raise BadConfigError(
+                f"{path}: metadata says p={meta.get('p')}, n={meta.get('n')} "
+                f"but the rows hold p={p}, n={n}"
+            )
+        # Built inside the read boundary, so the grid and value checks name the file.
+        grid = ObservationGrid(np.concatenate([[0.0], data[:, 0]]))
+        source = {"sha256": digest, "reader": "csv" if twin is None else "npy"}
+        return IncrementMatrix(data[:, 1:], grid, spec_digest=meta.get("digest", ""),
+                               source=source)
 
 
 # ---------------------------------------------------------------------------

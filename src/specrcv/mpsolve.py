@@ -457,7 +457,8 @@ def recover_spectrum(
     h >= 0, sum h = 1 on the candidate ``grid``, in at most ``max_iter``
     active-set steps. Probes default to a band across the ESD support at
     bandwidth 0.1 x width. A fit that ends before its KKT gap is within
-    RECOVER_KKT_TOL reports ``converged`` False rather than raising.
+    RECOVER_KKT_TOL reports ``converged`` False rather than raising; a y or
+    grid so large that the fit's design overflows raises NonFiniteError.
     """
     if not (np.isfinite(y) and y > 0):
         raise ValueError(f"need y > 0, got {y}")
@@ -475,9 +476,12 @@ def recover_spectrum(
     zs = np.asarray(zs, dtype=complex).ravel()
     if np.any(zs.imag <= 0):
         raise BadGridError("probe points must have Im z > 0")
-    m_c = -(1.0 - y) / zs + y * empirical_stieltjes(esd, zs)
-    A = y * locs[None, :] / (1.0 + locs[None, :] * m_c[:, None])
-    b = 1.0 / m_c + zs
+    with np.errstate(all="ignore"):
+        m_c = -(1.0 - y) / zs + y * empirical_stieltjes(esd, zs)
+        A = y * locs[None, :] / (1.0 + locs[None, :] * m_c[:, None])
+        b = 1.0 / m_c + zs
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise NonFiniteError("the fit's design y tau / (1 + tau m) overflows a double")
     h, trace, steps, gap = _simplex_lsq(np.concatenate([A.real, A.imag]),
                                         np.concatenate([b.real, b.imag]), max_iter)
     keep = h > 0.0

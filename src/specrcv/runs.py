@@ -17,6 +17,11 @@ twin, and ``estimate`` reads each input with ``io.read_increments_csv``; see
 handed to ``repr``, so a slow ``write`` stage explains itself. ``estimate``'s
 records each input's ``sha256`` and ``reader``.
 
+A value that cannot run exits 2 before ``--out`` exists, led by its flags
+(``_naming_flags``): ``simulate`` checks each replicate grid's interval
+variances with ``diffusion.interval_variances``, and ``recover`` checks its
+grid and runs its fit.
+
 ``rerun`` checks a manifest's config against the subcommand's parser in
 ``cli`` (keys, then value types) before any subcommand code runs, and
 applies the recorded BLAS thread setting before NumPy loads, so it
@@ -68,10 +73,10 @@ def _stage(timings: dict, name: str):
 
 @contextmanager
 def _naming_flags(config: dict, keys):
-    """Re-raise a SpecrcvError as exit 2, led by the flags of ``keys`` and their values."""
+    """Re-raise a SpecrcvError or ValueError as exit 2, led by the flags of ``keys``."""
     try:
         yield
-    except SpecrcvError as err:
+    except (SpecrcvError, ValueError) as err:
         flags = " ".join(f"--{key.replace('_', '-')} {config[key]!r}" for key in keys)
         raise BadConfigError(f"{flags}: {err}") from None
 
@@ -112,19 +117,6 @@ def _write_run_manifest(out: Path, command: str, config: dict, files, seeds,
 # subcommands
 
 
-def _checked_grid(kind: str, n: int, replicate: int, profile):
-    """The grid of a replicate, once the profile's variance on each of its
-    intervals is positive and finite, as ``simulate_increments`` requires."""
-    import numpy as np
-
-    grid = _cli.make_grid(kind, n, seed=(replicate ^ _GRID_SEED_SALT) & _SEED_MASK)
-    variances = profile.interval_integrals(grid.times)
-    if not (np.all(variances > 0) and np.all(np.isfinite(variances))):
-        raise SpecrcvError(f"the profile's variance on some of the {n} {kind} grid "
-                           "intervals is not positive and finite")
-    return grid
-
-
 def cmd_simulate(config: dict) -> int:
     design, grid_kind, seed = config["design"], config["grid"], config["seed"]
     if design not in _DESIGNS:
@@ -139,9 +131,9 @@ def cmd_simulate(config: dict) -> int:
     lam = None
     if config["lambda_file"] is not None:
         lam = _cli.parse_spec("--lambda-file", config["lambda_file"])
-    # The profile, p, Lambda, the drift and every replicate's interval variances
-    # are checked before anything is written. Each is tried on its own, so that
-    # its error names its flags.
+    # The profile, p, Lambda, the drift and every replicate grid's interval
+    # variances (which simulate_increments checks again) are checked before
+    # --out exists, each on its own so that its error names its flags.
     if design == "design1":
         build, keys = _cli.design_one_profile, ("a", "b")
     else:
@@ -157,8 +149,11 @@ def cmd_simulate(config: dict) -> int:
     diagnostics = {"repr_cells": 0}
     started = time.perf_counter()
     with _stage(timings, "draw"), _naming_flags(config, keys):
-        grids = [_checked_grid(grid_kind, config["n"], replicate, profile)
+        grids = [_cli.make_grid(grid_kind, config["n"],
+                                seed=(replicate ^ _GRID_SEED_SALT) & _SEED_MASK)
                  for replicate in seeds]
+        for grid in grids:
+            _cli.interval_variances(profile, grid)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -341,10 +336,12 @@ def cmd_recover(config: dict) -> int:
     else:
         scale = float(np.mean(dist.eigenvalues))
         grid = np.linspace(0.05 * scale, 3.0 * scale, 60) if scale > 0 else np.array([0.0])
+    # The grid checks and the fit run before --out exists, and their errors
+    # name --y and --grid.
+    with _stage(timings, "fit"), _naming_flags(config, ("y", "grid")):
+        result = _cli.recover_spectrum(dist, y, grid, max_iter=max_iter)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
-    with _stage(timings, "fit"):
-        result = _cli.recover_spectrum(dist, y, grid, max_iter=max_iter)
     spectrum_path = out / "spectrum.json"
     objective_path = out / "objective.csv"
     with _stage(timings, "write"):

@@ -1040,6 +1040,12 @@ class TestValidationAndWiring:
         # A finite profile whose cumulative gamma^2 cancels to a zero inner interval variance.
         (["simulate", "--design", "1", "--p", "3", "--n", "5", "--a", "1e308"],
          "--a 1e+308 --b 1.0"),
+        # A negative candidate atom, and a y or grid end at which the fit's design overflows
+        # (once written as a NaN objective with "converged": true).
+        (["recover", "--esd", "ESD", "--y", "0.5", "--grid=-1:1:5"], "--y 0.5 --grid '-1:1:5'"),
+        (["recover", "--esd", "ESD", "--y", "1e308"], "--y 1e+308 --grid None"),
+        (["recover", "--esd", "ESD", "--y", "0.5", "--grid", "0:1.7e308:5"],
+         "--y 0.5 --grid '0:1.7e308:5'"),
     ], ids=["bandwidth_inf", "xs_hi_inf", "xs_lo_minus_inf", "log_xs_hi_inf", "grid_hi_inf",
             "xs_count_huge", "log_grid_count_huge", "xs_count_not_integer", "xs_hi_not_number",
             "point_spectrum_not_number", "constant_weights_not_number",
@@ -1050,7 +1056,9 @@ class TestValidationAndWiring:
             "scale_underflows_grid_start", "grid_start_subnormal", "bins_huge",
             "lambda_file_not_number", "lambda_file_missing", "lambda_file_wrong_shape",
             "lambda_file_nan_cell", "drift_too_large", "drift_nan", "design1_a_nan",
-            "design1_a_zero", "design2_c0_below_c1", "design1_interval_variance_zero"])
+            "design1_a_zero", "design2_c0_below_c1", "design1_interval_variance_zero",
+            "recover_grid_negative", "recover_y_overflows_design",
+            "recover_grid_overflows_design"])
     def test_nonfinite_bandwidth_or_grid_end_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                                    argv, flag):
         esd_file = tmp_path / "esd.csv"
@@ -1120,7 +1128,8 @@ class TestValidationAndWiring:
         assert f"error: {named}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["compare_half_mass_density", "recover_nan_eigenvalue"])
+    @pytest.mark.parametrize("case", ["compare_half_mass_density", "recover_nan_eigenvalue",
+                                      "estimate_nan_increment", "estimate_nan_tau"])
     def test_a_file_whose_values_fail_their_check_exits_2_naming_it(self, tmp_path, capsys,
                                                                      case):
         out = tmp_path / "out"
@@ -1128,6 +1137,14 @@ class TestValidationAndWiring:
             bad = _density_file(tmp_path / "half.csv", [0.0, 1.0], [0.5, 0.5], 0.0)
             argv = ["compare", str(_eigen_file(tmp_path / "esd.csv", [0.5, 1.0])), str(bad)]
             message = "total mass 0.5000 outside [0.97, 1.03]"
+        elif case.startswith("estimate"):
+            bad = tmp_path / "panel.csv"
+            rows = (_PANEL_ROWS.replace("-0.2", "nan", 1) if case == "estimate_nan_increment"
+                    else _PANEL_ROWS.replace("0.5,", "nan,", 1))
+            bad.write_text(f"# kind=increments,p=3,n=4,digest=0\ntau,x1,x2,x3\n{rows}")
+            argv = ["estimate", "--input", str(bad), "--out", str(out)]
+            message = ("increments contain NaN or infinite entries"
+                       if case == "estimate_nan_increment" else "grid times must be finite")
         else:
             bad = _eigen_file(tmp_path / "nan.csv", [0.5, float("nan")])
             argv = ["recover", "--esd", str(bad), "--y", "0.5", "--out", str(out)]

@@ -30,10 +30,12 @@ class TestProfiles:
         assert total == pytest.approx(0.0007 * 0.5 + 0.0001 * 0.5, rel=1e-12)
 
     def test_design_one_levels(self):
+        # gamma^2 is a * 1e-4 on [0, 1/4) and [3/4, 1], b * 1e-4 between.
         prof = design_one_profile()
-        assert prof.gamma_sq(0.1) == pytest.approx(0.0007)
-        assert prof.gamma_sq(0.5) == pytest.approx(0.0001)
-        assert prof.gamma_sq(0.9) == pytest.approx(0.0007)
+        assert np.array_equal(prof.edges, [0.0, 0.25, 0.75, 1.0])
+        assert prof.levels**2 == pytest.approx([0.0007, 0.0001, 0.0007])
+        assert prof.interval_integrals([0.05, 0.15, 0.45, 0.55, 0.85, 0.95])[::2] == (
+            pytest.approx([0.0007 * 0.1, 0.0001 * 0.1, 0.0007 * 0.1]))
 
     def test_design_two_total(self):
         # The cosine integrates to zero over a full period.
@@ -163,13 +165,6 @@ class TestSimulate:
         spec = ClassCSpec(p=3, profile=ConstantProfile(1e-8), drift=2.5, seed=0)
         incr = simulate_increments(spec, grid).increments
         assert np.allclose(incr, 2.5 / n, atol=1e-6)
-
-    def test_vector_drift(self):
-        grid = make_grid("equispaced", 10)
-        drift = np.array([1.0, -2.0])
-        spec = ClassCSpec(p=2, profile=ConstantProfile(1e-9), drift=drift, seed=3)
-        incr = simulate_increments(spec, grid).increments
-        assert np.allclose(incr, drift[None, :] / 10, atol=1e-7)
 
     def test_scaling_covariance(self):
         # Sample covariance of rows times n approaches sigma^2 * Lambda Lambda^T.

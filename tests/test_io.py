@@ -505,6 +505,14 @@ def _golden_files(root):
                            np.array([1e-12, 2.5e-17, 0.0]), np.array([40, 52, 100000]),
                            {"y": 0.25, "bandwidth": 1e-05})
     write_objective_csv(root / "objective.csv", [3.0, 2.0, 1.5, 1 / 3, -0.0], {"y": 0.5})
+    # The two draw paths beside the plain one: a drift, and a diagonal Lambda.
+    spec = ClassCSpec(p=3, profile=design_one_profile(), drift=0.5, seed=7)
+    write_increments_csv(root / "increments_drift.csv",
+                         simulate_increments(spec, make_grid("poisson", 17, seed=3)))
+    spec = ClassCSpec(p=3, profile=design_two_profile(), lam=np.diag([1.0, 2.0, 0.5]),
+                      drift=-2.5, seed=8)
+    write_increments_csv(root / "increments_diagonal_lambda.csv",
+                         simulate_increments(spec, make_grid("equispaced", 17)))
 
 
 # SHA-256 of each file ``_golden_files`` writes, pinned from the per-cell
@@ -515,6 +523,11 @@ GOLDEN_DIGESTS = {
     "density.csv": "3dca87b21823c6ce05081ec209750582fe3e27a889729b43d53ac4bb2fe808ab",
     "solver_trace.csv": "60f4adfe25cb17d4863bb3ec86a62b8062fd51dae6f9a81c507f0ce73c3efea2",
     "objective.csv": "e5eeaf8723aa19e2fc9d05c181a052c5364dd7cef5ad433ec03e343f654b31e4",
+    # Pinned from the simulator that drew a diagonal Lambda by its own
+    # elementwise path and accepted a per-coordinate drift.
+    "increments_drift.csv": "dcfaca73cc31e96faf16a4b8ab659e7b6addf5cca0b440804c6177ace6fceb25",
+    "increments_diagonal_lambda.csv":
+        "ecf3c58229b47eb9ec29828c4fbae6455a84558d06a4bb2effbdf1454028b6d1",
 }
 
 

@@ -56,8 +56,8 @@ _HOMES = {
                   "interval_variances", "make_grid", "simulate_increments"),
     "distances": ("kolmogorov_distance", "levy_distance", "mass_gap"),
     "estimators": ("rcv", "tvarcv"),
-    "mpsolve": ("RECOVER_MAX_ITER", "invert_stieltjes", "recover_spectrum",
-                "solve_weighted_mp_grid", "support_bound", "within_tolerance"),
+    "mpsolve": ("RECOVER_MAX_ITER", "invert_stieltjes", "law_probes", "probe_diagnostics",
+                "recover_spectrum", "solve_weighted_mp_grid"),
     "spectra": ("histogram", "zero_roundoff"),
     "specs": ("MAX_POINTS", "parse_spec"),
 }

@@ -58,10 +58,6 @@ class FactoredCov:
         object.__setattr__(self, "scale", float(self.scale))
 
     @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-    @property
     def entries(self) -> np.ndarray:
         """The dense symmetric p x p matrix, built anew on each read."""
         return _square_symmetric(self.scale * (self.rows.T @ self.rows))

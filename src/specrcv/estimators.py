@@ -25,25 +25,17 @@ from .errors import ZeroIncrementError
 
 @dataclass(frozen=True, eq=False)
 class EstimatorOutput:
-    """An estimator result: the factored matrix plus bookkeeping for manifests."""
+    """An estimator result: the factored matrix, its kind and its trace over p."""
 
     matrix: FactoredCov
     kind: str
-    n: int
     trace_over_p: float
-    spec_digest: str = ""
 
 
 def rcv(incr: IncrementMatrix) -> EstimatorOutput:
     """Realized covariance: sum of increment outer products."""
     mat = FactoredCov(incr.increments)
-    return EstimatorOutput(
-        matrix=mat,
-        kind="rcv",
-        n=incr.n,
-        trace_over_p=mat.trace() / incr.p,
-        spec_digest=incr.spec_digest,
-    )
+    return EstimatorOutput(matrix=mat, kind="rcv", trace_over_p=mat.trace() / incr.p)
 
 
 def _unit_rows(incr: IncrementMatrix) -> np.ndarray:
@@ -71,13 +63,7 @@ def sigma_tilde(incr: IncrementMatrix) -> EstimatorOutput:
     """
     p = incr.p
     mat = FactoredCov(_unit_rows(incr), p / incr.n)
-    return EstimatorOutput(
-        matrix=mat,
-        kind="sigma_tilde",
-        n=incr.n,
-        trace_over_p=mat.trace() / p,
-        spec_digest=incr.spec_digest,
-    )
+    return EstimatorOutput(matrix=mat, kind="sigma_tilde", trace_over_p=mat.trace() / p)
 
 
 def tvarcv(incr: IncrementMatrix) -> EstimatorOutput:
@@ -91,11 +77,5 @@ def tvarcv(incr: IncrementMatrix) -> EstimatorOutput:
     tilde = sigma_tilde(incr)
     trace_over_p = square_sum(incr.increments) / incr.p
     mat = FactoredCov(tilde.matrix.rows, trace_over_p * tilde.matrix.scale)
-    return EstimatorOutput(
-        matrix=mat,
-        kind="tvarcv",
-        n=tilde.n,
-        trace_over_p=mat.trace() / incr.p,
-        spec_digest=incr.spec_digest,
-    )
+    return EstimatorOutput(matrix=mat, kind="tvarcv", trace_over_p=mat.trace() / incr.p)
 

@@ -29,6 +29,12 @@ spectra go back in through 1/m_ + z = y integral tau dH(tau) / (1 + tau m_),
 with the companion transform m_ = -(1 - y)/z + y m_esd of the ESD (El Karoui
 2008): linear in H, it makes recovery one least-squares fit over the
 probability simplex, solved exactly by an active-set method.
+
+Every numerical rule of the ``solve`` and ``recover`` subcommands is here,
+and they keep only I/O: ``law_probes`` says where a law is probed (its
+scale, bandwidth, grid and origin atom), ``probe_diagnostics`` when a probe
+counts as converged and what the manifest records of the probes, and
+``recover_spectrum`` where recovery probes and on which candidates it fits.
 """
 from __future__ import annotations
 
@@ -191,6 +197,63 @@ def within_tolerance(residual, scale):
 def support_bound(tau_max: float, w: WeightProfile, y: float) -> float:
     """Upper bound kappa tau_max (1 + sqrt y)^2 on the support of the weighted law."""
     return w.kappa * tau_max * (1.0 + np.sqrt(y)) ** 2
+
+
+def law_probes(H: PopulationSpectrum, w: WeightProfile, y: float, xs=None, bandwidth=None):
+    """Where ``solve`` probes the law of (H, w, y): (xs, v, atom).
+
+    The law's scale hi = 1.25 ``support_bound`` is a quarter past its largest
+    plausible support edge (with kappa (1 + sqrt y)^2 as the edge when that
+    bound is 0). Without ``bandwidth`` the probes sit at v = 1e-12 hi, next to
+    the real axis, so the density is the law's own rather than a smoothed one;
+    without ``xs`` they fill the 800-point geometric grid from 1e-8 hi to hi.
+    ``atom`` is the law's mass at the origin, from rank deficiency (y > 1) or
+    an atom of H at 0. A scale that overflows, or that underflows v to 0 or
+    the grid start to a subnormal (too few bits for 800 increasing steps),
+    raises NonFiniteError.
+    """
+    if not (np.isfinite(y) and y > 0):
+        raise ValueError(f"need y > 0, got {y}")
+    if bandwidth is not None and not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
+    zero_weight = float(np.sum(H.weights[H.locations == 0.0]))
+    atom = max(0.0, 1.0 - min(1.0 / y, 1.0 - zero_weight))
+    with np.errstate(over="ignore"):
+        edge = support_bound(float(H.locations[-1]), w, y)
+        if edge <= 0:
+            edge = max(w.kappa, 1.0) * (1 + np.sqrt(y)) ** 2
+        hi = 1.25 * edge
+    if not np.isfinite(hi):
+        raise NonFiniteError("the law's scale 1.25 kappa tau_max (1 + sqrt y)^2 "
+                             "overflows a double")
+    v = bandwidth if bandwidth is not None else 1e-12 * hi
+    lo = None if xs is not None else 1e-8 * hi
+    if v == 0 or (lo is not None and lo < np.finfo(float).tiny):
+        raise NonFiniteError(f"the law's scale hi = {float(hi)!r} underflows the default "
+                             "bandwidth 1e-12 hi to 0 or grid start 1e-8 hi to a subnormal")
+    return (xs if lo is None else np.geomspace(lo, hi, 800)), v, atom
+
+
+def probe_diagnostics(M, mt, res, its) -> dict:
+    """What a solve's manifest records of its probes.
+
+    ``unconverged`` counts the probes that ``within_tolerance`` rejects at
+    scale |M| + |m~|; the rest are the largest and the 50th and 90th
+    percentile residual and iteration count. The percentiles take method
+    "higher", so each is a value some probe has: interpolating between two
+    infinite residuals would give NaN.
+    """
+    its_p50, its_p90 = np.percentile(its, [50, 90], method="higher")
+    res_p50, res_p90 = np.percentile(res, [50, 90], method="higher")
+    return {
+        "unconverged": int(np.sum(~within_tolerance(res, np.abs(M) + np.abs(mt)))),
+        "max_residual": float(res.max()),
+        "max_iterations": int(its.max()),
+        "residual_p50": float(res_p50),
+        "residual_p90": float(res_p90),
+        "iterations_p50": int(its_p50),
+        "iterations_p90": int(its_p90),
+    }
 
 
 def _pair_core(locs, wts, w: WeightProfile, y, zs):
@@ -397,8 +460,14 @@ def _simplex_lsq(A, b, max_iter: int):
     the solve. Returns (h, objective trace, steps, KKT gap), the gap relative
     to max |A_j| (max |A_j| + |b|), which bounds every |g_j|.
     """
-    norms = np.sqrt(np.sum(A * A, axis=0))
-    scale = float(norms.max() * (norms.max() + np.linalg.norm(b)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.sum(A * A, axis=0))
+        scale = float(norms.max() * (norms.max() + np.linalg.norm(b)))
+        h = np.zeros(A.shape[1])
+        h[np.argmin(np.sum((A - b[:, None]) ** 2, axis=0))] = 1.0
+        trace = [float(np.sum((A @ h - b) ** 2))]
+    if not (np.isfinite(scale) and np.isfinite(trace[0])):
+        raise NonFiniteError("the fit's objective ||A h - b||^2 or KKT scale overflows a double")
 
     def dual(h):
         g = A.T @ (A @ h - b)
@@ -408,9 +477,6 @@ def _simplex_lsq(A, b, max_iter: int):
         gap = max(float(slack.max()), float(np.max(np.abs(g[on] - lam))))
         return slack, (gap / scale if scale > 0.0 else 0.0)
 
-    h = np.zeros(A.shape[1])
-    h[np.argmin(np.sum((A - b[:, None]) ** 2, axis=0))] = 1.0
-    trace = [float(np.sum((A @ h - b) ** 2))]
     solved = True
     while len(trace) <= max_iter:
         support = h > 0.0
@@ -446,37 +512,37 @@ def _simplex_lsq(A, b, max_iter: int):
 def recover_spectrum(
     esd: SpectralDistribution,
     y: float,
-    grid,
-    zs=None,
+    grid=None,
     max_iter: int = RECOVER_MAX_ITER,
 ) -> RecoveryResult:
     """Fit an atomic population spectrum to an observed ESD.
 
-    With m_k = -(1 - y)/z_k + y m_esd(z_k) at probes ``zs``, minimizes
+    With m_k = -(1 - y)/z_k + y m_esd(z_k) at 40 probes z_k in a band across
+    the ESD support at bandwidth 0.1 x width, minimizes
     sum_k |y sum_j h_j tau_j / (1 + tau_j m_k) - 1/m_k - z_k|^2 over weights
     h >= 0, sum h = 1 on the candidate ``grid``, in at most ``max_iter``
-    active-set steps. Probes default to a band across the ESD support at
-    bandwidth 0.1 x width. A fit that ends before its KKT gap is within
-    RECOVER_KKT_TOL reports ``converged`` False rather than raising; a y or
-    grid so large that the fit's design overflows raises NonFiniteError.
+    active-set steps. The grid defaults to 60 points from 0.05 to 3 times the
+    ESD mean ({0} for a zero mean). A fit that ends before its KKT gap is
+    within RECOVER_KKT_TOL reports ``converged`` False rather than raising; a
+    y, ESD or grid so large that the fit's design or objective overflows
+    raises NonFiniteError.
     """
     if not (np.isfinite(y) and y > 0):
         raise ValueError(f"need y > 0, got {y}")
-    locs = sorted_unique(grid)
-    if locs.size == 0:
-        raise ValueError("candidate grid is empty")
-    if np.any(locs < 0) or not np.all(np.isfinite(locs)):
-        raise ValueError("candidate locations must be finite and nonnegative")
-    if zs is None:
+    with np.errstate(all="ignore"):
+        if grid is None:
+            scale = float(np.mean(esd.eigenvalues))
+            grid = np.linspace(0.05 * scale, 3.0 * scale, 60) if scale > 0 else np.array([0.0])
+        locs = sorted_unique(grid)
+        if locs.size == 0:
+            raise ValueError("candidate grid is empty")
+        if np.any(locs < 0) or not np.all(np.isfinite(locs)):
+            raise ValueError("candidate locations must be finite and nonnegative")
         lo, hi = esd.support()
         width = hi - lo
         if width <= 0:
             width = max(abs(hi), 1.0)
         zs = np.linspace(lo - 0.1 * width, hi + 0.1 * width, 40) + 0.1j * width
-    zs = np.asarray(zs, dtype=complex).ravel()
-    if np.any(zs.imag <= 0):
-        raise BadGridError("probe points must have Im z > 0")
-    with np.errstate(all="ignore"):
         m_c = -(1.0 - y) / zs + y * empirical_stieltjes(esd, zs)
         A = y * locs[None, :] / (1.0 + locs[None, :] * m_c[:, None])
         b = 1.0 / m_c + zs

@@ -19,8 +19,13 @@ records each input's ``sha256`` and ``reader``.
 
 A value that cannot run exits 2 before ``--out`` exists, led by its flags
 (``_naming_flags``): ``simulate`` checks each replicate grid's interval
-variances with ``diffusion.interval_variances``, and ``recover`` checks its
-grid and runs its fit.
+variances with ``diffusion.interval_variances``, ``solve`` places its probes
+and ``recover`` runs its fit.
+
+``solve`` and ``recover`` hold no numerical rule of their own: where a law
+is probed (``law_probes``), when a probe has converged
+(``probe_diagnostics``) and where recovery looks (``recover_spectrum``) are
+``mpsolve``'s. So neither subcommand computes with NumPy here.
 
 ``rerun`` checks a manifest's config against the subcommand's parser in
 ``cli`` (keys, then value types) before any subcommand code runs, and
@@ -221,7 +226,7 @@ def cmd_estimate(config: dict) -> int:
                 results.append((est, dist, _cli.histogram(dist, bins)))
         with _stage(timings, "write"):
             for est, dist, curve in results:
-                meta = {"estimator": est.kind, "n": est.n, "digest": est.spec_digest}
+                meta = {"estimator": est.kind, "n": incr.n, "digest": incr.spec_digest}
                 epath = out / f"{path.stem}_{est.kind}_eigenvalues.csv"
                 io.write_eigenvalues_csv(epath, dist, meta)
                 hpath = out / f"{path.stem}_{est.kind}_density.csv"
@@ -235,40 +240,12 @@ def cmd_estimate(config: dict) -> int:
 
 
 def cmd_solve(config: dict) -> int:
-    import numpy as np
-
     spectrum = _cli.parse_spec("--spectrum", config["spectrum"])
     weights = _cli.parse_spec("--weights", config["weights"])
+    xs = _cli.parse_spec("--xs", config["xs"]) if config.get("xs") else None
     y = float(config["y"])
-    if not (np.isfinite(y) and y > 0):
-        raise BadConfigError(f"y must be positive, got {y}")
-    bandwidth = config.get("bandwidth")
-    if bandwidth is not None and not (np.isfinite(bandwidth) and bandwidth > 0):
-        raise BadConfigError(f"--bandwidth must be finite and positive, got {bandwidth}")
-    # Rank deficiency (y > 1) or an explicit zero atom in H puts a point mass
-    # at the origin of the limit law.
-    zero_weight = float(np.sum(spectrum.weights[spectrum.locations == 0.0]))
-    zero_mass = max(0.0, 1.0 - min(1.0 / y, 1.0 - zero_weight))
-    # The scale of the law: a quarter past the largest plausible support edge.
-    with np.errstate(over="ignore"):
-        edge = _cli.support_bound(float(spectrum.locations[-1]), weights, y)
-        if edge <= 0:
-            edge = max(weights.kappa, 1.0) * (1 + np.sqrt(y)) ** 2
-        hi = 1.25 * edge
-    if not np.isfinite(hi):
-        with _naming_flags(config, ("spectrum", "weights", "y")):
-            raise SpecrcvError("the law's scale 1.25 kappa tau_max (1 + sqrt y)^2 "
-                               "overflows a double")
-    # Without --bandwidth the probes sit next to the real axis, so the
-    # density is the law's own rather than a smoothed one.
-    v = bandwidth if bandwidth is not None else 1e-12 * hi
-    lo = None if config.get("xs") else 1e-8 * hi
-    # A subnormal grid start has too few bits for 800 increasing geometric steps.
-    if v == 0 or (lo is not None and lo < np.finfo(float).tiny):
-        with _naming_flags(config, ("spectrum", "weights", "y")):
-            raise SpecrcvError(f"the law's scale hi = {float(hi)!r} underflows the default "
-                               "bandwidth 1e-12 hi to 0 or grid start 1e-8 hi to a subnormal")
-    xs = _cli.parse_spec("--xs", config["xs"]) if lo is None else np.geomspace(lo, hi, 800)
+    with _naming_flags(config, ("spectrum", "weights", "y", "bandwidth")):
+        xs, v, atom = _cli.law_probes(spectrum, weights, y, xs, config.get("bandwidth"))
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -280,23 +257,11 @@ def cmd_solve(config: dict) -> int:
     with _stage(timings, "write"):
         io.write_solver_trace_csv(trace_path, zs, m_fw, res, its, {"y": y, "bandwidth": v})
     files = [trace_path]
-    unconverged = int(np.sum(~_cli.within_tolerance(res, np.abs(big_m) + np.abs(mt))))
-    # "higher" reports values some probe actually has; interpolating between
-    # two infinite residuals would give NaN.
-    its_p50, its_p90 = np.percentile(its, [50, 90], method="higher")
-    res_p50, res_p90 = np.percentile(res, [50, 90], method="higher")
-    diagnostics = {
-        "unconverged": unconverged,
-        "max_residual": float(res.max()),
-        "max_iterations": int(its.max()),
-        "residual_p50": float(res_p50),
-        "residual_p90": float(res_p90),
-        "iterations_p50": int(its_p50),
-        "iterations_p90": int(its_p90),
-    }
+    diagnostics = _cli.probe_diagnostics(big_m, mt, res, its)
+    unconverged = diagnostics["unconverged"]
     if unconverged == 0:
         with _stage(timings, "invert"):
-            curve = _cli.invert_stieltjes(m_fw, xs, v, atom=zero_mass)
+            curve = _cli.invert_stieltjes(m_fw, xs, v, atom=atom)
         density_path = out / "density.csv"
         with _stage(timings, "write"):
             io.write_density_csv(density_path, curve, {"y": y, "bandwidth": v})
@@ -316,11 +281,7 @@ def cmd_solve(config: dict) -> int:
 
 
 def cmd_recover(config: dict) -> int:
-    import numpy as np
-
     y = float(config["y"])
-    if not (np.isfinite(y) and y > 0):
-        raise BadConfigError(f"y must be positive, got {y}")
     max_iter = config.get("max_iter")
     max_iter = _cli.RECOVER_MAX_ITER if max_iter is None else int(max_iter)
     if max_iter < 1:
@@ -331,14 +292,10 @@ def cmd_recover(config: dict) -> int:
     started = time.perf_counter()
     with _stage(timings, "read"):
         dist, _ = io.read_eigenvalues_csv(Path(config["esd"]))
-    if config.get("grid"):
-        grid = _cli.parse_spec("--grid", config["grid"])
-    else:
-        scale = float(np.mean(dist.eigenvalues))
-        grid = np.linspace(0.05 * scale, 3.0 * scale, 60) if scale > 0 else np.array([0.0])
-    # The grid checks and the fit run before --out exists, and their errors
-    # name --y and --grid.
-    with _stage(timings, "fit"), _naming_flags(config, ("y", "grid")):
+    grid = _cli.parse_spec("--grid", config["grid"]) if config.get("grid") else None
+    # The fit checks y and the grid and runs before --out exists; its errors
+    # name --esd, --y and --grid.
+    with _stage(timings, "fit"), _naming_flags(config, ("esd", "y", "grid")):
         result = _cli.recover_spectrum(dist, y, grid, max_iter=max_iter)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)

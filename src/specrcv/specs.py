@@ -114,11 +114,15 @@ def _grid(text: str) -> np.ndarray:
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if not (2 <= count <= MAX_POINTS and math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise BadConfigError(f"needs finite lo < hi and 2 <= count <= {MAX_POINTS}")
-    if logspace:
-        if lo <= 0:
-            raise BadConfigError(f"log grid needs lo > 0, got {lo}")
-        return np.geomspace(lo, hi, count)
-    return np.linspace(lo, hi, count)
+    if logspace and lo <= 0:
+        raise BadConfigError(f"log grid needs lo > 0, got {lo}")
+    # Ends too close for count distinct doubles, or too far apart for hi - lo
+    # to be finite, give a grid that is checked here rather than used.
+    with np.errstate(all="ignore"):
+        grid = np.geomspace(lo, hi, count) if logspace else np.linspace(lo, hi, count)
+        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+            raise BadConfigError("the grid is not finite and strictly increasing")
+    return grid
 
 
 def _loading_matrix(text: str) -> np.ndarray:

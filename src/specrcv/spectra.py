@@ -22,21 +22,13 @@ if TYPE_CHECKING:
 # Eigenvalues within this relative threshold of zero count as the origin atom.
 ZERO_ATOM_RTOL = 1e-12
 
-_STIELTJES_CHUNK = 512
-
 
 def empirical_stieltjes(dist: SpectralDistribution, zs) -> np.ndarray:
     """m(z) = (1/p) sum_j 1/(lambda_j - z) on the given probe points, as an array."""
     zs = np.asarray(zs, dtype=complex).ravel()
     if zs.size == 0 or np.any(zs.imag <= 0):
         raise BadGridError("probe points must be nonempty with Im z > 0")
-    ev = dist.eigenvalues
-    out = np.empty(zs.size, dtype=complex)
-    for start in range(0, zs.size, _STIELTJES_CHUNK):
-        block = zs[start : start + _STIELTJES_CHUNK]
-        out[start : start + _STIELTJES_CHUNK] = np.mean(
-            1.0 / (ev[:, None] - block[None, :]), axis=0
-        )
+    out = np.mean(1.0 / (dist.eigenvalues[:, None] - zs[None, :]), axis=0)
     if not (np.all(np.isfinite(zs)) and np.all(np.isfinite(out))):
         raise NonFiniteError("transform grid contains NaN or infinite entries")
     return out

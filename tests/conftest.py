@@ -43,11 +43,8 @@ def two_atom_recovery() -> TwoAtomRun:
     incr = simulate_increments(spec, make_grid("equispaced", n))
     out = tvarcv(incr)
     dist = esd(out.matrix.entries / out.trace_over_p)
-    lo, hi = dist.support()
-    width = hi - lo
-    zs = np.linspace(lo - 0.1 * width, hi + 0.1 * width, 40) + 1j * 0.05 * width
     scale = float(np.mean(dist.eigenvalues))
-    result = recover_spectrum(dist, p / n, np.linspace(0.04, 2.96, 74) * scale, zs=zs)
+    result = recover_spectrum(dist, p / n, np.linspace(0.04, 2.96, 74) * scale)
     return TwoAtomRun(result=result, elapsed_s=time.time() - t0)
 
 

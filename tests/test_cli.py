@@ -26,8 +26,11 @@ from specrcv.mpsolve import (
     RECOVER_KKT_TOL,
     RECOVER_MAX_ITER,
     SOLVER_MAX_ITER,
+    PopulationSpectrum,
+    law_probes,
     weight_profile_from_model,
 )
+from specrcv.specs import parse_spec
 
 from .oracles import (
     mp_density_reference,
@@ -261,11 +264,16 @@ class TestEstimate:
                      "--seed", "5", "--out", str(tmp_path / "sim")]) == 0
         assert main(["estimate", "--input", str(tmp_path / "sim" / "increments_r0.csv"),
                      "--which", "both", "--out", str(tmp_path / "est")]) == 0
-        base, _ = io.read_eigenvalues_csv(
+        base, base_meta = io.read_eigenvalues_csv(
             tmp_path / "est" / "increments_r0_rcv_eigenvalues.csv")
-        adjusted, _ = io.read_eigenvalues_csv(
+        adjusted, adjusted_meta = io.read_eigenvalues_csv(
             tmp_path / "est" / "increments_r0_tvarcv_eigenvalues.csv")
         assert np.allclose(base.eigenvalues, adjusted.eigenvalues, rtol=1e-12)
+        # Each output names its estimator and carries the panel's n and digest.
+        incr = io.read_increments_csv(tmp_path / "sim" / "increments_r0.csv")
+        for meta, kind in ((base_meta, "rcv"), (adjusted_meta, "tvarcv")):
+            assert (meta["estimator"], meta["n"], meta["digest"]) == (
+                kind, str(incr.n), incr.spec_digest)
 
     def test_trace_identity_recorded_and_tight(self, design1_run):
         entry = design1_run.est_manifest["diagnostics"]["increments_r0.csv"]
@@ -464,6 +472,16 @@ class TestSolve:
             assert spread == [np.percentile(values, q, method="higher") for q in (50, 90, 100)]
             assert spread[0] <= spread[1] <= spread[2]
             assert all(v in values for v in spread)
+
+    @pytest.mark.parametrize("weights, y", [("design1", 0.25), ("constant:0.0004", 4.0)])
+    def test_default_probes_are_the_law_probes(self, tmp_path, weights, y):
+        assert main(["solve", "--weights", weights, "--y", repr(y),
+                     "--out", str(tmp_path)]) == 0
+        trace = np.loadtxt(tmp_path / "solver_trace.csv", delimiter=",", skiprows=2)
+        xs, v, _ = law_probes(PopulationSpectrum.point_mass(1.0),
+                              parse_spec("--weights", weights), y)
+        assert np.ascontiguousarray(trace[:, 0]).tobytes() == xs.tobytes()
+        assert np.ascontiguousarray(trace[:, 1]).tobytes() == np.full(xs.size, v).tobytes()
 
     def test_rank_deficient_mass_at_zero(self, tmp_path):
         assert main(["solve", "--spectrum", "point:1", "--weights", "constant:1",
@@ -1046,6 +1064,16 @@ class TestValidationAndWiring:
         (["recover", "--esd", "ESD", "--y", "1e308"], "--y 1e+308 --grid None"),
         (["recover", "--esd", "ESD", "--y", "0.5", "--grid", "0:1.7e308:5"],
          "--y 0.5 --grid '0:1.7e308:5'"),
+        # Grids whose points tie, or whose span hi - lo overflows.
+        (["solve", "--y", "0.5", "--xs", "1:1.0000000000000002:100"],
+         "--xs '1:1.0000000000000002:100'"),
+        (["solve", "--y", "0.5", "--xs=-1.7e308:1.7e308:5"], "--xs '-1.7e308:1.7e308:5'"),
+        (["recover", "--esd", "ESD", "--y", "0.5", "--grid=-1.7e308:1.7e308:5"],
+         "--grid '-1.7e308:1.7e308:5'"),
+        # A finite design whose objective (y = 1e-300) or KKT scale (y = 0.5) overflows,
+        # once written as "objective": Infinity, which is not JSON.
+        (["recover", "--esd", "HUGE", "--y", "1e-300"], "--esd 'HUGE' --y 1e-300"),
+        (["recover", "--esd", "HUGE", "--y", "0.5"], "--esd 'HUGE' --y 0.5"),
     ], ids=["bandwidth_inf", "xs_hi_inf", "xs_lo_minus_inf", "log_xs_hi_inf", "grid_hi_inf",
             "xs_count_huge", "log_grid_count_huge", "xs_count_not_integer", "xs_hi_not_number",
             "point_spectrum_not_number", "constant_weights_not_number",
@@ -1058,7 +1086,9 @@ class TestValidationAndWiring:
             "lambda_file_nan_cell", "drift_too_large", "drift_nan", "design1_a_nan",
             "design1_a_zero", "design2_c0_below_c1", "design1_interval_variance_zero",
             "recover_grid_negative", "recover_y_overflows_design",
-            "recover_grid_overflows_design"])
+            "recover_grid_overflows_design", "xs_points_tie", "xs_span_overflows",
+            "recover_grid_span_overflows", "recover_objective_overflows",
+            "recover_kkt_scale_overflows"])
     def test_nonfinite_bandwidth_or_grid_end_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                                    argv, flag):
         esd_file = tmp_path / "esd.csv"
@@ -1066,15 +1096,19 @@ class TestValidationAndWiring:
         panel = tmp_path / "panel.csv"
         panel.write_text(f"# kind=increments,p=3,n=4,digest=0\ntau,x1,x2,x3\n{_PANEL_ROWS}")
         # "ESD" and "PANEL" stand for readable input files, so only the flag is at fault;
-        # "LAMBDA*" are loading matrices with a non-numeric cell, the wrong shape or a NaN.
-        files = {"ESD": str(esd_file), "PANEL": str(panel)}
+        # "HUGE" is an eigenvalue file at 1e300; "LAMBDA*" are loading matrices with a
+        # non-numeric cell, the wrong shape or a NaN.
+        huge = tmp_path / "huge.csv"
+        io.write_eigenvalues_csv(huge, SpectralDistribution(np.array([1e300, 2e300, 3e300])), {})
+        files = {"ESD": str(esd_file), "PANEL": str(panel), "HUGE": str(huge)}
         for key, rows in (("LAMBDA", "1,0,0\n0,x,0\n0,0,1\n"),
                           ("LAMBDA4", "1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n"),
                           ("LAMBDANAN", "1,0,0\n0,nan,0\n0,0,1\n")):
             path = tmp_path / f"{key.lower()}.csv"
             path.write_text(rows)
             files[key] = str(path)
-            flag = flag.replace(repr(key), repr(files[key]))
+        for key, path in files.items():
+            flag = flag.replace(repr(key), repr(path))
         argv = [files.get(a, a) for a in argv]
         capsys.readouterr()
         # A NumPy warning from building the grid would mean the check came too late.

@@ -35,7 +35,7 @@ class TestFactoredCov:
         rng = np.random.default_rng(21)
         x = rng.normal(size=(9, 4))
         f = FactoredCov(x, 0.5)
-        assert f.dim == 4
+        assert f.entries.shape == (4, 4)
         assert np.allclose(f.entries, 0.5 * x.T @ x, atol=1e-13)
         assert not f.entries.flags.writeable
         assert f.trace() == pytest.approx(0.5 * np.sum(x * x), rel=1e-14)

@@ -31,8 +31,8 @@ subcommand loads ``numpy.ma``.
 ``specs`` turns the spec strings of ``--spectrum``, ``--weights``, ``--xs``,
 ``--grid`` and ``--lambda-file`` into objects through ``parse_spec``, the one
 place where a bad spec becomes exit 2 naming its flag. ``solve`` always loads
-it; ``recover --grid``, ``simulate --lambda-file`` and ``estimate --bins``
-(for the point cap ``MAX_POINTS``) load it too.
+it; ``recover --grid`` and ``simulate --lambda-file`` load it too. The point
+cap ``MAX_POINTS`` of ``--xs``, ``--grid`` and ``--bins`` lives in ``spectra``.
 
 Exit codes: 0 success, 1 compare threshold exceeded, 2 bad configuration or
 input, 3 numerical non-convergence.
@@ -58,8 +58,8 @@ _HOMES = {
     "estimators": ("rcv", "tvarcv"),
     "mpsolve": ("RECOVER_MAX_ITER", "invert_stieltjes", "law_probes", "probe_diagnostics",
                 "recover_spectrum", "solve_weighted_mp_grid"),
-    "spectra": ("histogram", "zero_roundoff"),
-    "specs": ("MAX_POINTS", "parse_spec"),
+    "spectra": ("MAX_POINTS", "histogram", "zero_roundoff"),
+    "specs": ("parse_spec",),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

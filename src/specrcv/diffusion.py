@@ -178,13 +178,18 @@ def make_grid(kind: str, n: int, seed: int | None = None) -> ObservationGrid:
 
     ``equispaced`` puts tau_l = l/n. ``poisson`` draws the interior points as
     sorted uniforms (order statistics), redrawing until the longest interval
-    satisfies n * dtau <= MAX_RESCALED_SPACING.
+    satisfies n * dtau <= MAX_RESCALED_SPACING, which a draw meets with
+    probability about exp(-n e^-10); an n where that is below 1 % is refused.
     """
     if n < 1:
         raise BadGridError(f"need n >= 1 intervals, got {n}")
     if kind == "equispaced":
         return ObservationGrid(np.arange(n + 1) / n)
     if kind == "poisson":
+        limit = np.log(100.0) * np.exp(MAX_RESCALED_SPACING)
+        if n > limit:
+            raise BadGridError(f"need n <= {int(limit)} for a poisson grid, got {n}: a draw "
+                               f"meets n * dtau <= {MAX_RESCALED_SPACING} with probability < 1 %")
         rng = np.random.default_rng(np.random.Philox(key=_key64(seed or 0)))
         while True:
             interior = np.sort(rng.random(n - 1))

@@ -89,14 +89,10 @@ class PopulationSpectrum:
         total = wts.sum()
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"weights must sum to 1, got {total}")
-        wts = wts / total
         order = np.argsort(locs, kind="stable")
-        locs = locs[order]
-        wts = wts[order]
-        locs.setflags(write=False)
-        wts.setflags(write=False)
-        object.__setattr__(self, "locations", locs)
-        object.__setattr__(self, "weights", wts)
+        for name, value in (("locations", locs[order]), ("weights", (wts / total)[order])):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def point_mass(cls, location: float) -> "PopulationSpectrum":
@@ -111,16 +107,15 @@ class PopulationSpectrum:
 class WeightProfile:
     """The law of w_s for s uniform on [0, 1]: w values ``nodes`` with ``masses`` summing to 1.
 
-    Every s-integral the solver takes is a sum over this measure. The builders
+    Every s-integral the solver takes is a sum over this measure, and its
+    largest node is the bound of w that sets the law's scale. The builders
     are the quadrature rules: ``constant``; ``from_steps``, one node per cell
     with the cell's length as mass (exact); ``from_samples``, Simpson on 512
-    panels of the linear interpolant of equispaced samples. ``kappa`` is the
-    declared finite upper bound of w; it defaults to the largest node.
+    panels of the linear interpolant of equispaced samples.
     """
 
     nodes: np.ndarray
     masses: np.ndarray
-    kappa: float | None = None
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float).ravel()
@@ -130,23 +125,16 @@ class WeightProfile:
             raise BadProfileError("masses must be one nonnegative number per node, summing to 1")
         if not np.all(np.isfinite(nodes)) or np.any(nodes < 0):
             raise BadProfileError("weight values must be finite and nonnegative")
-        kappa = float(nodes.max()) if self.kappa is None else float(self.kappa)
-        if not np.isfinite(kappa):
-            raise BadProfileError(f"kappa must be finite, got {kappa}")
-        if nodes.max() > kappa:
-            raise BadProfileError(
-                f"values exceed declared bound kappa={kappa}: max {nodes.max()}")
         for name, value in (("nodes", nodes), ("masses", masses)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "kappa", kappa)
 
     @classmethod
     def constant(cls, c: float) -> "WeightProfile":
         return cls(np.array([float(c)]), np.array([1.0]))
 
     @classmethod
-    def from_steps(cls, edges, values, kappa=None) -> "WeightProfile":
+    def from_steps(cls, edges, values) -> "WeightProfile":
         """``values[i]`` on the cell [edges[i], edges[i + 1]); equal cells stay apart."""
         values = np.asarray(values, dtype=float).ravel()
         edges = np.array([] if edges is None else edges, dtype=float).ravel()
@@ -154,16 +142,14 @@ class WeightProfile:
             raise BadProfileError("step profile needs m+1 edges for m values")
         if edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
             raise BadProfileError("step edges must increase strictly from 0 to 1")
-        return cls(values, np.diff(edges), kappa)
+        return cls(values, np.diff(edges))
 
     @classmethod
-    def from_samples(cls, values, kappa=None) -> "WeightProfile":
-        """Samples at equispaced points of [0, 1]; ``kappa`` bounds the samples themselves."""
+    def from_samples(cls, values) -> "WeightProfile":
+        """Samples at equispaced points of [0, 1]."""
         values = np.asarray(values, dtype=float).ravel()
         if values.size < 2:
             raise BadProfileError("sampled profile needs at least two values")
-        # The samples' own law checks kappa against all of them and defaults it.
-        kappa = cls(values, np.full(values.size, 1.0 / values.size), kappa).kappa
         nodes = np.interp(np.linspace(0.0, 1.0, _QUAD_NODES),
                           np.linspace(0.0, 1.0, values.size), values)
         # Composite Simpson: h/3 times 1, 4, 2, 4, ..., 4, 1.
@@ -171,7 +157,7 @@ class WeightProfile:
         masses[1:-1:2] = 4.0
         masses[2:-1:2] = 2.0
         masses *= 1.0 / (_QUAD_NODES - 1) / 3.0
-        return cls(nodes, masses, kappa)
+        return cls(nodes, masses)
 
     def mean(self) -> float:
         """Integral of w_s over [0, 1]."""
@@ -195,17 +181,17 @@ def within_tolerance(residual, scale):
 
 
 def support_bound(tau_max: float, w: WeightProfile, y: float) -> float:
-    """Upper bound kappa tau_max (1 + sqrt y)^2 on the support of the weighted law."""
-    return w.kappa * tau_max * (1.0 + np.sqrt(y)) ** 2
+    """Upper bound w_max tau_max (1 + sqrt y)^2 on the law's support, w_max the largest node."""
+    return w.nodes.max() * tau_max * (1.0 + np.sqrt(y)) ** 2
 
 
 def law_probes(H: PopulationSpectrum, w: WeightProfile, y: float, xs=None, bandwidth=None):
     """Where ``solve`` probes the law of (H, w, y): (xs, v, atom).
 
     The law's scale hi = 1.25 ``support_bound`` is a quarter past its largest
-    plausible support edge (with kappa (1 + sqrt y)^2 as the edge when that
-    bound is 0). Without ``bandwidth`` the probes sit at v = 1e-12 hi, next to
-    the real axis, so the density is the law's own rather than a smoothed one;
+    plausible support edge (with max(w_max, 1) (1 + sqrt y)^2 when that bound
+    is 0). Without ``bandwidth`` the probes sit at v = 1e-12 hi, next to the
+    real axis, so the density is the law's own rather than a smoothed one;
     without ``xs`` they fill the 800-point geometric grid from 1e-8 hi to hi.
     ``atom`` is the law's mass at the origin, from rank deficiency (y > 1) or
     an atom of H at 0. A scale that overflows, or that underflows v to 0 or
@@ -221,10 +207,10 @@ def law_probes(H: PopulationSpectrum, w: WeightProfile, y: float, xs=None, bandw
     with np.errstate(over="ignore"):
         edge = support_bound(float(H.locations[-1]), w, y)
         if edge <= 0:
-            edge = max(w.kappa, 1.0) * (1 + np.sqrt(y)) ** 2
+            edge = max(w.nodes.max(), 1.0) * (1 + np.sqrt(y)) ** 2
         hi = 1.25 * edge
     if not np.isfinite(hi):
-        raise NonFiniteError("the law's scale 1.25 kappa tau_max (1 + sqrt y)^2 "
+        raise NonFiniteError("the law's scale 1.25 w_max tau_max (1 + sqrt y)^2 "
                              "overflows a double")
     v = bandwidth if bandwidth is not None else 1e-12 * hi
     lo = None if xs is not None else 1e-8 * hi
@@ -266,7 +252,7 @@ def _pair_core(locs, wts, w: WeightProfile, y, zs):
     lowers the pair residual |F1| + |F2| and keeps Im M, Im m~ >= 0; a probe
     on which no step length does is stuck.
 
-    Each probe x + iv starts at Im z = max(|x|, v, kappa tau_max (1 + sqrt y)^2)
+    Each probe x + iv starts at Im z = max(|x|, v, w_max tau_max (1 + sqrt y)^2)
     from the large-|z| asymptotics M = -(1/z) int w ds, m~ = -(1/z) int tau dH,
     and halves Im z level by level down to v, carrying M and m~ over by the
     factor z_old / z_new. Intermediate levels end at relative residual
@@ -383,9 +369,9 @@ def weight_profile_from_model(profile: VolatilityProfile) -> WeightProfile:
     """Weight profile w_s = gamma_s^2 of a volatility model on equispaced observation.
 
     Constant and piecewise profiles give exact step profiles, a cosine one the
-    periodic midpoint rule (see _COSINE_NODES) with kappa = c0 + |c1|; any
-    other profile has no rule. The simulator module is imported here, so
-    solves with constant or JSON weights and recovery never load it.
+    periodic midpoint rule (see _COSINE_NODES); any other profile has no rule.
+    The simulator module is imported here, so solves with constant or JSON
+    weights and recovery never load it.
     """
     from .diffusion import ConstantProfile, CosineProfile, PiecewiseProfile
 
@@ -395,8 +381,7 @@ def weight_profile_from_model(profile: VolatilityProfile) -> WeightProfile:
         return WeightProfile.from_steps(profile.edges, profile.levels**2)
     if isinstance(profile, CosineProfile):
         s = (np.arange(_COSINE_NODES) + 0.5) / _COSINE_NODES
-        return WeightProfile(profile.gamma_sq(s), np.full(_COSINE_NODES, 1.0 / _COSINE_NODES),
-                             profile.c0 + abs(profile.c1))
+        return WeightProfile(profile.gamma_sq(s), np.full(_COSINE_NODES, 1.0 / _COSINE_NODES))
     raise BadProfileError(f"no weight profile rule for {type(profile).__name__}")
 
 
@@ -447,6 +432,7 @@ class RecoveryResult:
     converged: bool
     objective_trace: np.ndarray
     kkt_gap: float
+    unit: float  # the power of two u that the fit divided the ESD by
 
 
 def _simplex_lsq(A, b, max_iter: int):
@@ -517,6 +503,10 @@ def recover_spectrum(
 ) -> RecoveryResult:
     """Fit an atomic population spectrum to an observed ESD.
 
+    The fit runs on the ESD and candidates over u = 2^e, max |lambda| / u in
+    [0.5, 1) (e at most 1023; u = 1 for a zero ESD), and scales the atoms back
+    by u: exactly the atoms at the ESD's scale, with the objective over u^2.
+
     With m_k = -(1 - y)/z_k + y m_esd(z_k) at 40 probes z_k in a band across
     the ESD support at bandwidth 0.1 x width, minimizes
     sum_k |y sum_j h_j tau_j / (1 + tau_j m_k) - 1/m_k - z_k|^2 over weights
@@ -524,27 +514,32 @@ def recover_spectrum(
     active-set steps. The grid defaults to 60 points from 0.05 to 3 times the
     ESD mean ({0} for a zero mean). A fit that ends before its KKT gap is
     within RECOVER_KKT_TOL reports ``converged`` False rather than raising; a
-    y, ESD or grid so large that the fit's design or objective overflows
-    raises NonFiniteError.
+    y, grid or point-mass ESD at which the fit's design or objective
+    overflows raises NonFiniteError.
     """
     if not (np.isfinite(y) and y > 0):
         raise ValueError(f"need y > 0, got {y}")
     with np.errstate(all="ignore"):
+        e = min(int(np.frexp(np.max(np.abs(esd.eigenvalues)))[1]), 1023)
+        unit_esd = SpectralDistribution(np.ldexp(esd.eigenvalues, -e))
         if grid is None:
-            scale = float(np.mean(esd.eigenvalues))
-            grid = np.linspace(0.05 * scale, 3.0 * scale, 60) if scale > 0 else np.array([0.0])
+            scale = float(np.mean(unit_esd.eigenvalues))
+            grid = np.ldexp(np.linspace(0.05 * scale, 3.0 * scale, 60) if scale > 0
+                            else np.array([0.0]), e)
         locs = sorted_unique(grid)
         if locs.size == 0:
             raise ValueError("candidate grid is empty")
         if np.any(locs < 0) or not np.all(np.isfinite(locs)):
             raise ValueError("candidate locations must be finite and nonnegative")
-        lo, hi = esd.support()
+        units = np.ldexp(locs, -e)
+        lo, hi = unit_esd.support()
         width = hi - lo
         if width <= 0:
-            width = max(abs(hi), 1.0)
+            # A point-mass ESD's band max(|hi|, 1) in the ESD's own units.
+            width = max(abs(hi), float(np.ldexp(1.0, -e)))
         zs = np.linspace(lo - 0.1 * width, hi + 0.1 * width, 40) + 0.1j * width
-        m_c = -(1.0 - y) / zs + y * empirical_stieltjes(esd, zs)
-        A = y * locs[None, :] / (1.0 + locs[None, :] * m_c[:, None])
+        m_c = -(1.0 - y) / zs + y * empirical_stieltjes(unit_esd, zs)
+        A = y * units[None, :] / (1.0 + units[None, :] * m_c[:, None])
         b = 1.0 / m_c + zs
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise NonFiniteError("the fit's design y tau / (1 + tau m) overflows a double")
@@ -559,4 +554,5 @@ def recover_spectrum(
         converged=bool(converged),
         objective_trace=trace,
         kkt_gap=float(gap),
+        unit=float(np.ldexp(1.0, e)),
     )

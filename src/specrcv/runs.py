@@ -18,9 +18,9 @@ handed to ``repr``, so a slow ``write`` stage explains itself. ``estimate``'s
 records each input's ``sha256`` and ``reader``.
 
 A value that cannot run exits 2 before ``--out`` exists, led by its flags
-(``_naming_flags``): ``simulate`` checks each replicate grid's interval
-variances with ``diffusion.interval_variances``, ``solve`` places its probes
-and ``recover`` runs its fit.
+(``_naming_flags``): ``simulate`` draws each replicate grid (naming
+``--grid`` and ``--n``) and checks its interval variances, ``solve``
+places its probes and ``recover`` runs its fit.
 
 ``solve`` and ``recover`` hold no numerical rule of their own: where a law
 is probed (``law_probes``), when a probe has converged
@@ -153,10 +153,11 @@ def cmd_simulate(config: dict) -> int:
     timings = {}
     diagnostics = {"repr_cells": 0}
     started = time.perf_counter()
-    with _stage(timings, "draw"), _naming_flags(config, keys):
+    with _stage(timings, "draw"), _naming_flags(config, ("grid", "n")):
         grids = [_cli.make_grid(grid_kind, config["n"],
                                 seed=(replicate ^ _GRID_SEED_SALT) & _SEED_MASK)
                  for replicate in seeds]
+    with _stage(timings, "draw"), _naming_flags(config, keys):
         for grid in grids:
             _cli.interval_variances(profile, grid)
     out = Path(config["out"])
@@ -319,6 +320,7 @@ def cmd_recover(config: dict) -> int:
         "iterations": result.iterations,
         "kkt_gap": result.kkt_gap,
         "atoms": int(result.spectrum.locations.size),
+        "unit": result.unit,
     }
     manifest = _write_run_manifest(out, "recover", dict(config),
                                    [spectrum_path, objective_path], [], timings,

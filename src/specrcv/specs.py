@@ -4,7 +4,7 @@ One parser per kind of spec:
 
     --spectrum       point:LOC, spectrum JSON, or eigenvalue CSV
     --weights        constant:C, design1[:a,b], design2[:c0,c1], or profile JSON
-    --xs, --grid     [log:]lo:hi:count, with 2 <= count <= MAX_POINTS
+    --xs, --grid     [log:]lo:hi:count, with 2 <= count <= spectra.MAX_POINTS
     --lambda-file    CSV of the p x p loading matrix
 
 ``parse_spec(flag, text)`` is the one entry point and the one place where a
@@ -13,13 +13,13 @@ read (the grammar, a number, a file, a JSON payload, a library constructor)
 exits 2 with a message naming the flag and the spec. Manifests keep the raw
 strings, so ``rerun`` parses them again through the same path.
 
-A profile JSON holds ``kind`` (``step`` or ``sampled``) and ``values``,
-``edges`` for a step profile, and optionally ``kappa``; any other key is an
-error. ``values`` and ``edges`` must be lists of finite JSON numbers.
+A profile JSON holds ``kind`` (``step`` or ``sampled``), ``values`` and,
+for a step profile, ``edges``, the last two lists of finite JSON numbers.
+Any other key is an error; a profile's bound is its largest node.
 
-``simulate --lambda-file`` and ``estimate --bins`` load this module too, so
-``mpsolve`` and ``diffusion`` are imported only by the parsers that build
-with them.
+``simulate --lambda-file`` loads this module too, so ``mpsolve``,
+``diffusion`` and ``spectra`` are imported only by the parsers that use
+them.
 """
 from __future__ import annotations
 
@@ -32,12 +32,7 @@ import numpy as np
 from . import io
 from .errors import BadConfigError, BadProfileError, SpecrcvError
 
-# Cap on the point counts of --xs and --grid and on estimate's --bins. A
-# 513-node sampled-profile solve holds a few (513 x count) complex
-# temporaries, each under 82 MB at this cap.
-MAX_POINTS = 10_000
-
-_PROFILE_KEYS = ("kind", "values", "edges", "kappa")
+_PROFILE_KEYS = ("kind", "values", "edges")
 
 
 def _spectrum(text: str):
@@ -80,18 +75,15 @@ def _weights(text: str):
     for key in ("kind", "values"):
         if key not in payload:
             raise BadConfigError(f"missing weight profile key {key!r}")
-    kappa = payload.get("kappa")
-    if kappa is not None and type(kappa) not in (int, float):
-        raise BadConfigError(f"kappa must be a number, got {kappa!r}")
     edges = _finite_list(payload["edges"], "edges") if "edges" in payload else None
     values, kind = _finite_list(payload["values"], "values"), payload["kind"]
     if kind == "step":
-        return WeightProfile.from_steps(edges, values, kappa)
+        return WeightProfile.from_steps(edges, values)
     if kind != "sampled":
         raise BadProfileError(f"unknown profile kind {kind!r}")
     if edges is not None:
         raise BadProfileError("sampled profile takes no edges")
-    return WeightProfile.from_samples(values, kappa)
+    return WeightProfile.from_samples(values)
 
 
 def _finite_list(values, key: str) -> np.ndarray:
@@ -105,6 +97,8 @@ def _finite_list(values, key: str) -> np.ndarray:
 
 
 def _grid(text: str) -> np.ndarray:
+    from .spectra import MAX_POINTS
+
     parts = text.split(":")
     logspace = parts[0] == "log"
     if logspace:

@@ -22,6 +22,10 @@ if TYPE_CHECKING:
 # Eigenvalues within this relative threshold of zero count as the origin atom.
 ZERO_ATOM_RTOL = 1e-12
 
+# Cap on --xs, --grid, --bins and the Freedman-Diaconis count: a 513-node
+# solve holds a few (513 x count) complex temporaries, each under 82 MB here.
+MAX_POINTS = 10_000
+
 
 def empirical_stieltjes(dist: SpectralDistribution, zs) -> np.ndarray:
     """m(z) = (1/p) sum_j 1/(lambda_j - z) on the given probe points, as an array."""
@@ -65,9 +69,9 @@ def zero_roundoff(dist: SpectralDistribution) -> SpectralDistribution:
 def histogram(dist: SpectralDistribution, bins: int | None = None) -> Density:
     """Normalized eigenvalue histogram as a tabulated law.
 
-    Bin count follows Freedman-Diaconis with a floor of 20 unless ``bins``
-    is given. Eigenvalues at zero after ``zero_roundoff`` are split out into
-    ``mass_at_zero``.
+    Bin count follows Freedman-Diaconis, from 20 to MAX_POINTS, unless
+    ``bins`` is given. Eigenvalues at zero after ``zero_roundoff`` are split
+    out into ``mass_at_zero``.
     """
     from .distances import density_law
 
@@ -81,10 +85,8 @@ def histogram(dist: SpectralDistribution, bins: int | None = None) -> Density:
     if bins is None:
         q75, q25 = np.percentile(nonzero, [75, 25])
         width = 2.0 * (q75 - q25) / nonzero.size ** (1.0 / 3.0)
-        if width > 0 and hi > lo:
-            bins = max(20, int(np.ceil((hi - lo) / width)))
-        else:
-            bins = 20
+        count = np.ceil((hi - lo) / width) if width > 0 else 20.0
+        bins = int(min(MAX_POINTS, max(20.0, count)))
     if hi == lo:
         # All remaining atoms coincide: one narrow bin carrying their mass.
         half = max(1e-9, 1e-6 * abs(hi))

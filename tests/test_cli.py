@@ -31,6 +31,7 @@ from specrcv.mpsolve import (
     weight_profile_from_model,
 )
 from specrcv.specs import parse_spec
+from specrcv.spectra import MAX_POINTS
 
 from .oracles import (
     mp_density_reference,
@@ -98,6 +99,15 @@ class TestSimulate:
         inner = rows[250:750]
         ratio = outer.var() / inner.var()
         assert 6.0 < ratio < 8.0
+
+    def test_poisson_grid_it_would_redraw_for_ever_exits_2_naming_grid_and_n(self, tmp_path,
+                                                                              capsys):
+        # A draw of 1e6 intervals meets n * dtau <= 10 with probability about 2e-20.
+        capsys.readouterr()
+        assert main(["simulate", "--design", "1", "--p", "1", "--n", "1000000",
+                     "--grid", "poisson", "--out", str(tmp_path / "out")]) == 2
+        assert "--grid 'poisson' --n 1000000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_same_seed_reproduces_bytes(self, tmp_path):
         args = ["simulate", "--design", "1", "--p", "5", "--n", "40",
@@ -306,6 +316,23 @@ class TestEstimate:
         rc, kolmogorov, _ = _compare(capsys, eig_file, tmp_path / "law" / "density.csv")
         assert rc == 0
         assert kolmogorov <= 0.03
+
+    def test_default_bins_are_capped_for_a_tight_cluster_beside_an_outlier(self, tmp_path):
+        # RCV of the rows diag(sqrt(lambda)) is diag(lambda). Freedman-Diaconis on the
+        # interquartile range 2e-12 of the cluster at 1, across the span 999, asks for
+        # 4.3e14 bins (3 PiB of edges); the count stops at MAX_POINTS.
+        lam = [1.0, 1.0 + 1e-12, 1.0 + 2e-12, 1.0 + 3e-12, 1000.0]
+        panel = tmp_path / "panel.csv"
+        diag = np.diag(np.sqrt(lam)).tolist()
+        rows = "".join(f"{tau!r}," + ",".join(map(repr, row)) + "\n"
+                       for tau, row in zip([0.2, 0.4, 0.6, 0.8, 1.0], diag))
+        panel.write_text("# kind=increments,p=5,n=5,digest=0\ntau,x1,x2,x3,x4,x5\n" + rows)
+        assert main(["estimate", "--input", str(panel), "--which", "rcv",
+                     "--out", str(tmp_path / "est")]) == 0
+        density = np.loadtxt(tmp_path / "est" / "panel_rcv_density.csv", delimiter=",",
+                             skiprows=2)
+        # The bin centres and the two outer edges.
+        assert density.shape[0] == MAX_POINTS + 2
 
     def test_manifest_timings_cover_every_stage(self, design1_run):
         timings = design1_run.est_manifest["timings_s"]
@@ -593,27 +620,16 @@ class TestSolve:
         assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-7
         assert _read_json(tmp_path / "manifest.json")["diagnostics"]["mass_at_zero"] <= 1e-3
 
-    @pytest.mark.parametrize("kappa", ["NaN", "Infinity"])
-    def test_profile_with_nonfinite_kappa_exits_2(self, tmp_path, capsys, kappa):
+    def test_profile_json_holding_kappa_exits_2_naming_the_file(self, tmp_path, capsys):
+        # A profile's bound is its largest node, so a declared one is an unknown key.
         profile = tmp_path / "weights.json"
-        profile.write_text(f'{{"kind": "step", "values": [1.0], "edges": [0.0, 1.0], '
-                           f'"kappa": {kappa}}}')
+        profile.write_text(json.dumps({"kind": "step", "values": [1.0], "edges": [0.0, 1.0],
+                                       "kappa": 2.0}))
         capsys.readouterr()
         assert main(["solve", "--weights", str(profile), "--y", "0.5",
                      "--out", str(tmp_path / "out")]) == 2
-        assert "kappa" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "density.csv").exists()
-
-    def test_sampled_profile_kappa_bounds_every_sample(self, tmp_path, capsys):
-        # Every interpolated node lies below the declared kappa 0.999; the
-        # sample 1.0 at s = 1/3 does not.
-        profile = tmp_path / "weights.json"
-        profile.write_text(json.dumps({"kind": "sampled", "values": [0.0, 1.0, 0.0, 0.0],
-                                       "kappa": 0.999}))
-        capsys.readouterr()
-        assert main(["solve", "--weights", str(profile), "--y", "0.5",
-                     "--out", str(tmp_path / "out")]) == 2
-        assert "kappa=0.999" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--weights {str(profile)!r}" in err and "['kappa']" in err
         assert not (tmp_path / "out").exists()
 
     def test_iteration_cap_exits_3_without_density(self, tmp_path, capsys, monkeypatch):
@@ -707,6 +723,26 @@ class TestRecover:
         objective = np.loadtxt(tmp_path / "rec" / "objective.csv", delimiter=",", skiprows=2)
         assert objective.shape[0] == diagnostics["iterations"] + 1
         assert objective[-1, 1] == diagnostics["objective"]
+
+    @pytest.mark.parametrize("y", ["1e-300", "0.5"])
+    def test_esd_at_1e300_is_fit_at_unit_scale(self, tmp_path, y):
+        # At the ESD's own scale the fit's objective (y = 1e-300) or KKT scale (y = 0.5)
+        # overflows a double. The fit runs on the ESD over u = 2^e, max / u in [0.5, 1),
+        # and its atoms are scaled back by u.
+        ev = np.array([1e300, 2e300, 3e300])
+        esd_file = tmp_path / "huge.csv"
+        io.write_eigenvalues_csv(esd_file, SpectralDistribution(ev), {})
+        assert main(["recover", "--esd", str(esd_file), "--y", y,
+                     "--out", str(tmp_path / "rec")]) == 0
+        e = int(np.frexp(ev.max())[1])
+        fit = mpsolve.recover_spectrum(SpectralDistribution(np.ldexp(ev, -e)), float(y))
+        spectrum = _read_json(tmp_path / "rec" / "spectrum.json")
+        assert [a["location"] for a in spectrum["atoms"]] == np.ldexp(
+            fit.spectrum.locations, e).tolist()
+        assert [a["weight"] for a in spectrum["atoms"]] == fit.spectrum.weights.tolist()
+        assert spectrum["objective"] == fit.objective and spectrum["converged"] is True
+        diagnostics = _read_json(tmp_path / "rec" / "manifest.json")["diagnostics"]
+        assert diagnostics["unit"] == 2.0**e and fit.unit == 1.0
 
     def test_default_max_iter_is_recorded(self, tmp_path):
         esd_file = tmp_path / "esd.csv"
@@ -875,9 +911,10 @@ def _small_run(root, command):
     return out / "manifest.json"
 
 
-# Profile JSONs that are JSON objects but no weight profile: values, edges or
-# kappa that are not finite numbers (a JSON integer may exceed any float), and
-# a misspelled key.
+# Profile JSONs that are JSON objects but no weight profile: values or edges
+# that are not finite numbers (a JSON integer may exceed any float), and keys
+# that are not a profile's (a misspelled one, and kappa: a profile's bound is
+# its largest node).
 _BAD_PROFILES = {
     "weights_values_object": {"kind": "step", "values": {"a": 1}, "edges": [0.0, 1.0]},
     "weights_edges_object": {"kind": "step", "values": [1.0], "edges": {"x": 1}},
@@ -1024,7 +1061,7 @@ class TestValidationAndWiring:
         (["solve", "--y", "0.5", "--spectrum", "point:-1"], "--spectrum 'point:-1'"),
         (["solve", "--y", "0.5", "--weights", "constant:-1"], "--weights 'constant:-1'"),
         (["solve", "--y", "0.5", "--weights", "design1:0,1"], "--weights 'design1:0,1'"),
-        # The law's scale 1.25 kappa tau_max (1 + sqrt y)^2 overflows, so every probe would.
+        # The law's scale 1.25 w_max tau_max (1 + sqrt y)^2 overflows, so every probe would.
         (["solve", "--spectrum", "point:1e308", "--weights", "constant:100", "--y", "0.5"],
          "--spectrum 'point:1e308' --weights 'constant:100' --y 0.5"),
         (["solve", "--spectrum", "point:1e308", "--weights", "constant:100", "--y", "0.5",
@@ -1070,10 +1107,6 @@ class TestValidationAndWiring:
         (["solve", "--y", "0.5", "--xs=-1.7e308:1.7e308:5"], "--xs '-1.7e308:1.7e308:5'"),
         (["recover", "--esd", "ESD", "--y", "0.5", "--grid=-1.7e308:1.7e308:5"],
          "--grid '-1.7e308:1.7e308:5'"),
-        # A finite design whose objective (y = 1e-300) or KKT scale (y = 0.5) overflows,
-        # once written as "objective": Infinity, which is not JSON.
-        (["recover", "--esd", "HUGE", "--y", "1e-300"], "--esd 'HUGE' --y 1e-300"),
-        (["recover", "--esd", "HUGE", "--y", "0.5"], "--esd 'HUGE' --y 0.5"),
     ], ids=["bandwidth_inf", "xs_hi_inf", "xs_lo_minus_inf", "log_xs_hi_inf", "grid_hi_inf",
             "xs_count_huge", "log_grid_count_huge", "xs_count_not_integer", "xs_hi_not_number",
             "point_spectrum_not_number", "constant_weights_not_number",
@@ -1087,8 +1120,7 @@ class TestValidationAndWiring:
             "design1_a_zero", "design2_c0_below_c1", "design1_interval_variance_zero",
             "recover_grid_negative", "recover_y_overflows_design",
             "recover_grid_overflows_design", "xs_points_tie", "xs_span_overflows",
-            "recover_grid_span_overflows", "recover_objective_overflows",
-            "recover_kkt_scale_overflows"])
+            "recover_grid_span_overflows"])
     def test_nonfinite_bandwidth_or_grid_end_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                                    argv, flag):
         esd_file = tmp_path / "esd.csv"
@@ -1096,11 +1128,8 @@ class TestValidationAndWiring:
         panel = tmp_path / "panel.csv"
         panel.write_text(f"# kind=increments,p=3,n=4,digest=0\ntau,x1,x2,x3\n{_PANEL_ROWS}")
         # "ESD" and "PANEL" stand for readable input files, so only the flag is at fault;
-        # "HUGE" is an eigenvalue file at 1e300; "LAMBDA*" are loading matrices with a
-        # non-numeric cell, the wrong shape or a NaN.
-        huge = tmp_path / "huge.csv"
-        io.write_eigenvalues_csv(huge, SpectralDistribution(np.array([1e300, 2e300, 3e300])), {})
-        files = {"ESD": str(esd_file), "PANEL": str(panel), "HUGE": str(huge)}
+        # "LAMBDA*" are loading matrices with a non-numeric cell, the wrong shape or a NaN.
+        files = {"ESD": str(esd_file), "PANEL": str(panel)}
         for key, rows in (("LAMBDA", "1,0,0\n0,x,0\n0,0,1\n"),
                           ("LAMBDA4", "1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n"),
                           ("LAMBDANAN", "1,0,0\n0,nan,0\n0,0,1\n")):

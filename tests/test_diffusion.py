@@ -74,6 +74,13 @@ class TestGrids:
         assert grid.n == 1000
         assert 1000 * grid.spacings().max() <= 10.0
 
+    @pytest.mark.parametrize("n", [101_436, 1_000_000])
+    def test_poisson_grid_refuses_an_n_it_would_redraw_for_ever(self, n):
+        # A draw passes n * dtau <= 10 with probability about exp(-n e^-10): below
+        # 1 % from n = 101 436 on, and about 2e-20 at n = 1e6.
+        with pytest.raises(BadGridError, match="need n <= 101435 for a poisson grid"):
+            make_grid("poisson", n, seed=1)
+
     def test_poisson_deterministic(self):
         g1 = make_grid("poisson", 100, seed=9)
         g2 = make_grid("poisson", 100, seed=9)

@@ -128,7 +128,7 @@ class TestSubcommandImports:
 
     @pytest.mark.parametrize("case, modules", [
         ("simulate", {"diffusion", "floattext"}),
-        ("estimate", {"covmodel", "diffusion", "distances", "estimators", "specs", "spectra"}),
+        ("estimate", {"covmodel", "diffusion", "distances", "estimators", "spectra"}),
         ("solve design1", {"covmodel", "diffusion", "distances", "mpsolve", "specs", "spectra"}),
         ("solve constant", {"covmodel", "distances", "mpsolve", "specs", "spectra"}),
         ("recover", {"covmodel", "mpsolve", "spectra"}),

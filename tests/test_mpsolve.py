@@ -91,7 +91,7 @@ class TestWeightProfile:
         w = WeightProfile.constant(0.25)
         assert w.mean() == pytest.approx(0.25)
         assert np.array_equal(w.nodes, [0.25]) and np.array_equal(w.masses, [1.0])
-        assert w.kappa == 0.25
+        assert w.nodes.max() == 0.25
 
     def test_step_mean_exact(self):
         w = WeightProfile.from_steps([0.0, 0.25, 0.75, 1.0], [7.0, 1.0, 7.0])
@@ -105,28 +105,6 @@ class TestWeightProfile:
         w = WeightProfile.from_samples(2.0 + np.cos(2 * np.pi * s))
         assert w.mean() == pytest.approx(2.0, abs=1e-9)
         assert w.nodes.size == w.masses.size == 513
-
-    def test_kappa_bound(self):
-        with pytest.raises(BadProfileError, match="kappa"):
-            WeightProfile(np.array([3.0]), np.array([1.0]), kappa=2.0)
-        with pytest.raises(BadProfileError, match="kappa"):
-            WeightProfile.from_steps([0.0, 1.0], [3.0], kappa=2.0)
-        with pytest.raises(BadProfileError, match="kappa"):
-            WeightProfile.from_samples([0.5, 1.5, 0.5], kappa=1.0)
-        assert WeightProfile.from_steps([0.0, 1.0], [3.0], kappa=5.0).kappa == 5.0
-        # The interpolated nodes all lie below 0.999, but the sample at 1/3 does not.
-        peaked = WeightProfile.from_samples([0.0, 1.0, 0.0, 0.0])
-        assert peaked.nodes.max() < 0.999 and peaked.kappa == 1.0
-        with pytest.raises(BadProfileError, match="kappa"):
-            WeightProfile.from_samples([0.0, 1.0, 0.0, 0.0], kappa=0.999)
-
-    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
-    def test_kappa_must_be_finite(self, kappa):
-        # NaN and inf pass the bound check values.max() > kappa.
-        with pytest.raises(BadProfileError, match="kappa"):
-            WeightProfile(np.array([3.0]), np.array([1.0]), kappa=kappa)
-        with pytest.raises(BadProfileError, match="kappa"):
-            WeightProfile.from_steps([0.0, 1.0], [3.0], kappa=kappa)
 
     @pytest.mark.parametrize("nodes, masses", [
         ([], []), ([1.0, 2.0], [1.0]), ([1.0, 2.0], [0.5, 0.4]), ([1.0, 2.0], [1.5, -0.5]),
@@ -380,7 +358,8 @@ class TestWeightProfileFromModel:
         s = (np.arange(144) + 0.5) / 144
         assert np.array_equal(w.nodes, 9e-4 + c1 * np.cos(2.0 * np.pi * s))
         assert np.array_equal(w.masses, np.full(144, 1.0 / 144))
-        assert w.kappa == 9e-4 + abs(c1)
+        # The largest node lies half a cell from the peak of c1 cos 2 pi s, below c0 + |c1|.
+        assert w.nodes.max() == pytest.approx(9e-4 + abs(c1) * np.cos(np.pi / 144), rel=1e-15)
         assert w.mean() == pytest.approx(9e-4, rel=1e-13)
 
     def test_other_profiles_have_no_rule(self):
@@ -393,7 +372,6 @@ class TestWeightProfileFromModel:
         # automatic grid and on the benchmark's 120-point design-2 grid.
         dense = WeightProfile.from_samples(design_two_profile().gamma_sq(np.linspace(0, 1, 1025)))
         w = weight_profile_from_model(design_two_profile())
-        assert w.kappa == dense.kappa
         h = PopulationSpectrum.point_mass(1.0)
         xs, v, atom = law_probes(h, w, y)
         hi = xs[-1]
@@ -402,6 +380,16 @@ class TestWeightProfileFromModel:
                                                      atom=atom).ys)
                          for p in (dense, w))
             assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+    @pytest.mark.parametrize("y", [0.25, 0.5, 2.0])
+    def test_design_two_probes_end_at_the_largest_node(self, y):
+        # The law's scale is the measure's own bound w_max tau_max (1 + sqrt y)^2
+        # times 1.25, not the cosine's c0 + |c1| = 1.7e-3, which no node reaches.
+        w = weight_profile_from_model(design_two_profile())
+        xs, v, _ = law_probes(PopulationSpectrum.point_mass(1.0), w, y)
+        hi = 1.25 * w.nodes.max() * (1.0 + np.sqrt(y)) ** 2
+        assert w.nodes.max() < 1.7e-3
+        assert xs[-1] == pytest.approx(hi, rel=1e-15) and v == pytest.approx(1e-12 * hi)
 
 
 class TestInvertStieltjes:
@@ -507,6 +495,23 @@ class TestRecoverSpectrum:
         trace = rec.objective_trace
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert rec.objective == trace[-1]
+
+    @pytest.mark.parametrize("k", [-1000, -20, 5, 500, 900])
+    def test_fit_is_exactly_scale_equivariant(self, k):
+        # The fit runs on the ESD over a power of two, so an ESD scaled by 2^k,
+        # with or without its grid, gives the atoms scaled by 2^k and the same
+        # objective trace, bit for bit, up to and past 1e154.
+        atoms = mp_quantiles(0.5, 1.0, (np.arange(200) + 0.5) / 200)
+        grid = np.linspace(0.05, 3.0, 60)
+        for given in (grid, None):
+            base = recover_spectrum(SpectralDistribution(atoms), 0.5, given)
+            scaled = recover_spectrum(SpectralDistribution(np.ldexp(atoms, k)), 0.5,
+                                      None if given is None else np.ldexp(grid, k))
+            assert np.array_equal(scaled.spectrum.locations,
+                                  np.ldexp(base.spectrum.locations, k))
+            assert np.array_equal(scaled.spectrum.weights, base.spectrum.weights)
+            assert np.array_equal(scaled.objective_trace, base.objective_trace)
+            assert scaled.unit == np.ldexp(base.unit, k)
 
     def test_validation(self):
         dist = SpectralDistribution(np.ones(4))
